@@ -46,10 +46,8 @@ from .zukowski import (
 from .lhv import (
     FeasibilityVerdict,
     complete_set_check,
-    enumerate_strategies,
     fine_quadruple,
     lhv_feasible,
-    strategy_correlations,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,6 +30,8 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 MAX_SWEEP_COPIES = 6
+# Grid steps (v_max - v_min) / v_step a sweep may take.
+MAX_SWEEP_STEPS = 100_000
 
 
 class CliError(Exception):
@@ -45,6 +48,16 @@ def _visibility(text: str) -> float:
     if not 0.0 <= v <= 1.0:
         raise argparse.ArgumentTypeError(f"visibility must lie in [0, 1], got {v}")
     return v
+
+
+def _v_step(text: str) -> float:
+    try:
+        step = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 < step < math.inf:
+        raise argparse.ArgumentTypeError(f"step must be finite and positive, got {step}")
+    return step
 
 
 def _copies_list(text: str) -> list[int]:
@@ -84,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="visibility/copies grid as CSV")
     p.add_argument("--v-min", type=_visibility, required=True)
     p.add_argument("--v-max", type=_visibility, required=True)
-    p.add_argument("--v-step", type=float, required=True)
+    p.add_argument("--v-step", type=_v_step, required=True)
     p.add_argument("--copies", type=_copies_list, required=True,
                    metavar="N1,N2,...")
     add_common(p, "csv")
@@ -160,8 +173,10 @@ def cmd_analyze(visibility: float, n_copies: int) -> RunReport:
 
 
 def sweep_grid(v_min: float, v_max: float, v_step: float) -> list[float]:
-    if v_step <= 0:
-        raise CliError(f"step must be positive, got {v_step}")
+    if not 0.0 < v_step < math.inf:
+        raise CliError(f"step must be finite and positive, got {v_step}")
+    if (v_max - v_min) / v_step > MAX_SWEEP_STEPS:
+        raise CliError(f"grid exceeds {MAX_SWEEP_STEPS} steps; use a larger step")
     grid = []
     k = 0
     while True:
@@ -278,10 +293,10 @@ def cmd_lhv(text: str) -> RunReport:
     table = load_table(text)
     try:
         verdict = lhv_mod.lhv_feasible(table)
-    except lhv_mod.SimplexError as exc:
-        raise CliError(f"LP solver failure: {exc}", NUMERICAL_ERROR)
-    sign_sum = lhv_mod.wwzb_sign_sum(table)
-    complete_ok = lhv_mod.complete_set_check(table)
+        sign_sum = lhv_mod.wwzb_sign_sum(table)
+        complete_ok = lhv_mod.complete_set_check(table)
+    except ValueError as exc:  # the party cap
+        raise CliError(str(exc))
 
     results = {
         "parties": table.n_parties,
@@ -289,10 +304,13 @@ def cmd_lhv(text: str) -> RunReport:
         "complete_set_sum": sign_sum,
         "complete_set_bound": float(2**table.n_parties),
     }
+    # The certificate is checked without the sign transform: the witness is
+    # rebuilt from its strategy labels, the inequality evaluated entrywise.
     if verdict.feasible:
+        error = lhv_mod.witness_reconstruction_error(table, verdict.witness)
         results["witness_distribution"] = dict(verdict.witness)
-        results["witness_error"] = lhv_mod.witness_reconstruction_error(
-            table, verdict.witness)
+        results["witness_error"] = error
+        certified = error <= lhv_mod.WITNESS_TOL
     else:
         witness = verdict.witness
         results["witness_inequality"] = {
@@ -301,6 +319,7 @@ def cmd_lhv(text: str) -> RunReport:
             "bound": witness.bound,
             "quadruple_index": witness.quadruple_index,
         }
+        certified = witness.value > witness.bound
     return RunReport(
         command="lhv",
         parameters={},
@@ -308,7 +327,7 @@ def cmd_lhv(text: str) -> RunReport:
         verdicts={
             "lhv_feasible": verdict.feasible,
             "complete_set_satisfied": complete_ok,
-            "oracles_agree": verdict.feasible == complete_ok,
+            "oracles_agree": certified and verdict.feasible == complete_ok,
         },
     )
 

@@ -1,32 +1,29 @@
 """Local-hidden-variable oracle for full-correlation data.
 
-Two independent routes decide whether a table of two-setting correlators is
-reproducible by a local realistic model:
-
-* linear-programming membership in the convex hull of the 4^n deterministic
-  strategies (each party fixes an outcome for X and for Y), and
-* the complete set of two-setting correlation Bell inequalities, expressed
-  as the sign-transform condition sum_s |E_hat(s)| <= 2^n.
-
-The two verdicts agree on every instance; that agreement is a test target,
-not an assumption.
+A deterministic strategy with outcomes (a_k, b_k) at (X, Y) has correlators
+E(r) = prod_k a_k * prod_k (a_k b_k)^{r_k}, with r_k = 1 when party k measures
+Y: the vector sigma * h_t, h_t the Hadamard column of signs s_k = a_k b_k. So
+the 4^n strategies give only 2^(n+1) vectors, and the local polytope is the
+cross-polytope sum_s |E_hat(s)| <= 2^n, the complete set of two-setting
+correlation inequalities (Werner & Wolf, PRA 64, 032112 (2001); Zukowski &
+Brukner, PRL 88, 210401 (2002)). lhv_feasible decides it in closed form and
+returns a certificate whose check does not use the sign transform: a witness
+rebuilt from its strategy labels, or an inequality evaluated on the table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import SimplexError, phase1_feasibility
 from .states import CorrelationTable
 
-LP_RESIDUAL_TOL = 1e-9
 COMPLETE_SET_SLACK = 1e-9
-MAX_LP_PARTIES = 6
-MAX_ENUM_PARTIES = 8
+WITNESS_TOL = 1e-8
 MAX_TRANSFORM_PARTIES = 12
+# Strategies per block of Kronecker products when a witness is rebuilt.
+RECONSTRUCTION_BLOCK = 256
 
 # The four two-party combination checks, as sign patterns over
 # (E_xx, E_yy, E_xy, E_yx); each absolute combination is bounded by 2.
@@ -54,51 +51,11 @@ def fine_quadruple(e_xx: float, e_yy: float, e_xy: float, e_yx: float):
     return values, all(v <= 2 + 1e-12 for v in values)
 
 
-def enumerate_strategies(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """All 4^n deterministic strategies, lexicographic.
-
-    A strategy lists, per party, the predetermined outcomes (at X, at Y);
-    outcome order is +1 before -1, leftmost party most significant.
-    """
-    if n > MAX_ENUM_PARTIES:
-        raise ValueError(f"strategy enumeration capped at {MAX_ENUM_PARTIES} parties")
-    pairs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    return [combo for combo in itertools.product(pairs, repeat=n)]
-
-
-def strategy_correlations(strategy) -> CorrelationTable:
-    """Correlation table of one deterministic strategy: E = product of outcomes."""
-    n = len(strategy)
-    values = {}
-    for combo in itertools.product("XY", repeat=n):
-        e = 1
-        for (x_out, y_out), setting in zip(strategy, combo):
-            e *= x_out if setting == "X" else y_out
-        values["".join(combo)] = float(e)
-    return CorrelationTable(n, values)
-
-
 def strategy_label(strategy) -> str:
     """Deterministic witness key, e.g. '+-,++' for ((+1,-1), (+1,+1))."""
     return ",".join(
         ("+" if x > 0 else "-") + ("+" if y > 0 else "-") for x, y in strategy
     )
-
-
-def strategy_matrix(n: int) -> np.ndarray:
-    """Matrix of strategy correlators, settings (sorted keys) by strategies."""
-    idx = np.arange(4**n)
-    # Per party: two bits of the base-4 digit select the X and Y outcomes.
-    outcomes = np.empty((2, n, 4**n))
-    for k in range(n):
-        digit = (idx // 4 ** (n - 1 - k)) % 4
-        outcomes[0, k] = np.where(digit < 2, 1.0, -1.0)       # X outcome
-        outcomes[1, k] = np.where(digit % 2 == 0, 1.0, -1.0)  # Y outcome
-    rows = np.empty((2**n, 4**n))
-    for r in range(2**n):
-        picks = [(r >> (n - 1 - k)) & 1 for k in range(n)]
-        rows[r] = np.prod([outcomes[picks[k], k] for k in range(n)], axis=0)
-    return rows
 
 
 def sign_transform(vector: np.ndarray) -> np.ndarray:
@@ -115,11 +72,15 @@ def sign_transform(vector: np.ndarray) -> np.ndarray:
     return out
 
 
-def wwzb_sign_sum(table: CorrelationTable) -> float:
-    """sum over sign vectors of |E_hat|; local models keep it at or below 2^n."""
+def _table_transform(table: CorrelationTable) -> np.ndarray:
     if table.n_parties > MAX_TRANSFORM_PARTIES:
         raise ValueError(f"sign transform capped at {MAX_TRANSFORM_PARTIES} parties")
-    return float(np.abs(sign_transform(table.vector())).sum())
+    return sign_transform(table.vector())
+
+
+def wwzb_sign_sum(table: CorrelationTable) -> float:
+    """sum over sign vectors of |E_hat|; local models keep it at or below 2^n."""
+    return float(np.abs(_table_transform(table)).sum())
 
 
 def complete_set_check(table: CorrelationTable) -> bool:
@@ -149,8 +110,7 @@ class FeasibilityVerdict:
     residual: float
 
 
-def _violated_inequality(table: CorrelationTable) -> InequalityWitness:
-    hat = sign_transform(table.vector())
+def _violated_inequality(table: CorrelationTable, hat: np.ndarray) -> InequalityWitness:
     signs = np.where(hat >= 0, 1.0, -1.0)
     coeffs = sign_transform(signs)
     settings = table.settings()
@@ -176,54 +136,89 @@ def _violated_inequality(table: CorrelationTable) -> InequalityWitness:
     )
 
 
+def _vertex_label(n: int, sigma: float, t: int) -> str:
+    """Canonical strategy for the vertex sigma * h_t.
+
+    Party 1 plays (sigma, sigma s_1), every other party (+1, s_k), where
+    s_k = -1 iff bit n-1-k of t is set (party 1 is the most significant).
+    """
+    s = [-1 if (t >> (n - 1 - k)) & 1 else 1 for k in range(n)]
+    return strategy_label([(sigma, sigma * s[0])] + [(1, s_k) for s_k in s[1:]])
+
+
 def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
     """Membership of the correlator vector in the local polytope.
 
-    Feasible: the witness is a probability distribution over deterministic
-    strategies reproducing every entry. Infeasible: the witness is a violated
-    complete-set inequality. Raises SimplexError on solver failure, which is
-    distinct from a clean infeasible verdict.
+    Feasible: the witness puts weight |E_hat(t)|/2^n on the strategy of
+    sign(E_hat(t)) h_t, since E = 2^-n sum_t E_hat(t) h_t; the leftover mass
+    is split evenly between +h_0 and -h_0, which cancel. Weights at or below
+    1e-12 are dropped. Infeasible: the witness is a violated complete-set
+    inequality. The residual is the cross-polytope excess
+    max(0, sum|E_hat|/2^n - 1). Raises ValueError above
+    MAX_TRANSFORM_PARTIES parties.
     """
     n = table.n_parties
-    if n > MAX_LP_PARTIES:
-        raise ValueError(f"LP feasibility capped at {MAX_LP_PARTIES} parties")
-    a = np.vstack([strategy_matrix(n), np.ones(4**n)])
-    b = np.concatenate([table.vector(), [1.0]])
-    x, residual = phase1_feasibility(a, b)
-    if residual <= LP_RESIDUAL_TOL:
-        strategies = enumerate_strategies(n)
-        witness = {
-            strategy_label(strategies[i]): float(x[i])
-            for i in np.nonzero(x > 1e-12)[0]
-        }
-        return FeasibilityVerdict(True, witness, residual)
-    return FeasibilityVerdict(False, _violated_inequality(table), residual)
+    hat = _table_transform(table)
+    scale = float(2**n)
+    total = float(np.abs(hat).sum())
+    residual = max(0.0, total / scale - 1.0)
+    if total > scale + COMPLETE_SET_SLACK:
+        return FeasibilityVerdict(False, _violated_inequality(table, hat), residual)
+
+    half_leftover = max(0.0, 1.0 - total / scale) / 2
+    weights = {(1.0, 0): half_leftover, (-1.0, 0): half_leftover}
+    for t, value in enumerate(hat.tolist()):
+        vertex = (1.0 if value >= 0 else -1.0, t)
+        weights[vertex] = weights.get(vertex, 0.0) + abs(value) / scale
+    witness = {
+        _vertex_label(n, sigma, t): weight
+        for (sigma, t), weight in weights.items()
+        if weight > 1e-12
+    }
+    return FeasibilityVerdict(True, witness, residual)
+
+
+_OUTCOMES = {"++": (1.0, 1.0), "+-": (1.0, -1.0), "-+": (-1.0, 1.0), "--": (-1.0, -1.0)}
+
+
+def _strategy_outcomes(label: str, n: int) -> list[tuple[float, float]]:
+    parties = label.split(",")
+    if len(parties) != n or not set(parties) <= _OUTCOMES.keys():
+        raise ValueError(f"witness label {label!r} is not an {n}-party strategy")
+    return [_OUTCOMES[p] for p in parties]
 
 
 def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, float]) -> float:
-    """Max deviation between the table and the witness distribution's correlators."""
+    """How far the witness is from a distribution reproducing the table.
+
+    A strategy's correlators are the Kronecker product, in party order, of
+    the outcome pairs (x_k, y_k) parsed from its label. Returns the largest
+    of the max correlator deviation, |total weight - 1| and the most negative
+    weight.
+    """
     n = table.n_parties
-    strategies = {strategy_label(s): s for s in enumerate_strategies(n)}
-    acc = {key: 0.0 for key in table.settings()}
-    for label, weight in witness.items():
-        st_table = strategy_correlations(strategies[label])
-        for key in acc:
-            acc[key] += weight * st_table.values[key]
-    return max(abs(acc[key] - table.values[key]) for key in acc)
+    weights = np.array(list(witness.values()), dtype=float)
+    outcomes = np.array([_strategy_outcomes(label, n) for label in witness],
+                        dtype=float).reshape(-1, n, 2)
+    rebuilt = np.zeros(2**n)
+    for start in range(0, len(weights), RECONSTRUCTION_BLOCK):
+        block = outcomes[start:start + RECONSTRUCTION_BLOCK]
+        products = np.ones((len(block), 1))
+        for k in range(n):
+            products = (products[:, :, None] * block[:, k, None, :]).reshape(len(block), -1)
+        rebuilt += weights[start:start + RECONSTRUCTION_BLOCK] @ products
+    deviation = float(np.abs(rebuilt - table.vector()).max())
+    return max(deviation, abs(float(weights.sum()) - 1.0), -float(weights.min(initial=0.0)))
 
 
 __all__ = [
     "FeasibilityVerdict",
     "InequalityWitness",
-    "SimplexError",
     "complete_set_check",
-    "enumerate_strategies",
     "fine_quadruple",
     "lhv_feasible",
     "sign_transform",
-    "strategy_correlations",
     "strategy_label",
-    "strategy_matrix",
     "witness_reconstruction_error",
     "wwzb_sign_sum",
 ]

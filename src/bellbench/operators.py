@@ -55,10 +55,6 @@ def hermiticity_error(m) -> float:
     return float(np.abs(a - dagger(a)).max())
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOLERANCES.hermiticity) -> bool:
-    return hermiticity_error(m) <= tol
-
-
 def validate_hermitian(m, tol: float = DEFAULT_TOLERANCES.hermiticity) -> np.ndarray:
     a = as_square_matrix(m)
     err = float(np.abs(a - dagger(a)).max())

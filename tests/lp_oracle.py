@@ -1,0 +1,157 @@
+"""Independent linear-programming reference for the LHV oracle.
+
+bellbench decides local-model feasibility in closed form, on the
+cross-polytope sum_s |E_hat(s)| <= 2^n. This module keeps the direct route
+for the tests: membership of the correlator vector in the convex hull of all
+4^n deterministic strategies, solved by a self-contained dense phase-1
+simplex. It is exponential in memory and time, so it stays out of the
+package and is only run at small party counts.
+
+The simplex solves: does A x = b admit x >= 0? The tableau starts from an
+artificial basis and minimizes the sum of artificials; the optimum is the
+feasibility residual (zero, up to tolerance, iff the system is feasible).
+Sizes here are tiny (at most 65 rows by ~4100 columns), so a dense tableau
+with vectorized row operations is the simplest reliable choice.
+
+Pivoting uses Dantzig's rule with first-index tie-breaking, falling back to
+Bland's rule if an iteration cap is hit, which rules out cycling. Both rules
+are deterministic, so identical inputs give identical solutions.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from bellbench.report import REPORT_TOLERANCES
+from bellbench.states import CorrelationTable
+
+# The residual tolerance every report publishes as "lp_residual".
+LP_RESIDUAL_TOL = REPORT_TOLERANCES["lp_residual"]
+MAX_ENUM_PARTIES = 8
+
+PIVOT_EPS = 1e-11
+
+
+class SimplexError(RuntimeError):
+    """Numerical failure inside the solver (not infeasibility)."""
+
+
+def phase1_feasibility(a, b, max_iterations: int | None = None):
+    """Minimize sum of artificials for A x = b, x >= 0.
+
+    Returns (x, residual): the candidate solution over the original columns
+    and the optimal artificial mass. residual <= tol means "feasible" for the
+    caller's choice of tol.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if a.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
+    m, n = a.shape
+    if max_iterations is None:
+        max_iterations = 200 * (m + n)
+
+    # Standard-form tableau [A | I | b] with b >= 0; artificial basis.
+    flip = b < 0
+    tableau = np.hstack([np.where(flip[:, None], -a, a),
+                         np.eye(m),
+                         np.where(flip, -b, b)[:, None]])
+    basis = np.arange(n, n + m)
+
+    # Phase-1 reduced costs over original columns: c_j = -sum_i T[i, j].
+    cost = -tableau.sum(axis=0)
+    cost[n:] = 0.0  # artificials never re-enter
+
+    iterations = 0
+    use_bland = False
+    while True:
+        candidates = cost[:n]
+        if use_bland:
+            negative = np.nonzero(candidates < -PIVOT_EPS)[0]
+            if negative.size == 0:
+                break
+            col = int(negative[0])
+        else:
+            col = int(np.argmin(candidates))
+            if candidates[col] >= -PIVOT_EPS:
+                break
+
+        column = tableau[:, col]
+        rows = np.nonzero(column > PIVOT_EPS)[0]
+        if rows.size == 0:
+            # Phase-1 objective is bounded below by zero; this is numerics.
+            raise SimplexError("no admissible pivot row")
+        ratios = tableau[rows, -1] / column[rows]
+        row = int(rows[np.argmin(ratios)])
+
+        pivot = tableau[row, col]
+        tableau[row] /= pivot
+        reduction = tableau[:, col].copy()
+        reduction[row] = 0.0
+        tableau -= np.outer(reduction, tableau[row])
+        cost -= cost[col] * tableau[row]
+        basis[row] = col
+
+        iterations += 1
+        if iterations > max_iterations:
+            if use_bland:
+                raise SimplexError("iteration cap exceeded")
+            use_bland = True
+            iterations = 0
+
+    x = np.zeros(n)
+    in_original = basis < n
+    x[basis[in_original]] = tableau[in_original, -1]
+    residual = float(tableau[~in_original, -1].sum())
+    return x, residual
+
+
+def enumerate_strategies(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """All 4^n deterministic strategies, lexicographic.
+
+    A strategy lists, per party, the predetermined outcomes (at X, at Y);
+    outcome order is +1 before -1, leftmost party most significant.
+    """
+    if n > MAX_ENUM_PARTIES:
+        raise ValueError(f"strategy enumeration capped at {MAX_ENUM_PARTIES} parties")
+    pairs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    return [combo for combo in itertools.product(pairs, repeat=n)]
+
+
+def strategy_correlations(strategy) -> CorrelationTable:
+    """Correlation table of one deterministic strategy: E = product of outcomes."""
+    n = len(strategy)
+    values = {}
+    for combo in itertools.product("XY", repeat=n):
+        e = 1
+        for (x_out, y_out), setting in zip(strategy, combo):
+            e *= x_out if setting == "X" else y_out
+        values["".join(combo)] = float(e)
+    return CorrelationTable(n, values)
+
+
+def strategy_matrix(n: int) -> np.ndarray:
+    """Matrix of strategy correlators, settings (sorted keys) by strategies."""
+    idx = np.arange(4**n)
+    # Per party: two bits of the base-4 digit select the X and Y outcomes.
+    outcomes = np.empty((2, n, 4**n))
+    for k in range(n):
+        digit = (idx // 4 ** (n - 1 - k)) % 4
+        outcomes[0, k] = np.where(digit < 2, 1.0, -1.0)       # X outcome
+        outcomes[1, k] = np.where(digit % 2 == 0, 1.0, -1.0)  # Y outcome
+    rows = np.empty((2**n, 4**n))
+    for r in range(2**n):
+        picks = [(r >> (n - 1 - k)) & 1 for k in range(n)]
+        rows[r] = np.prod([outcomes[picks[k], k] for k in range(n)], axis=0)
+    return rows
+
+
+def lp_feasible(table: CorrelationTable) -> bool:
+    """LP membership of the table in the hull of the 4^n strategies."""
+    n = table.n_parties
+    a = np.vstack([strategy_matrix(n), np.ones(4**n)])
+    b = np.concatenate([table.vector(), [1.0]])
+    _, residual = phase1_feasibility(a, b)
+    return residual <= LP_RESIDUAL_TOL

@@ -40,7 +40,8 @@ from bellbench.zukowski import (
     zukowski_closed,
     zukowski_from_mermin,
 )
-from bellbench.lhv import complete_set_check, fine_quadruple, lhv_feasible
+from bellbench.lhv import fine_quadruple, lhv_feasible
+from lp_oracle import lp_feasible
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 
@@ -147,20 +148,22 @@ def test_criterion_6_lhv_oracle_with_conflict():
     feasible = lhv_feasible(table).feasible
     violated = not zukowski_bound_check(zukowski_from_mermin(1.0, 2))
     assert feasible and violated
-    _report("criterion 6 (LP-feasible data with Zukowski violation): PASS")
+    _report("criterion 6 (LHV-feasible data with Zukowski violation): PASS")
 
 
 def test_criterion_7_oracle_agreement():
+    # lp_feasible is the test-side 4^n-strategy LP; lhv_feasible decides on
+    # the complete inequality set in closed form.
     gen = XorShift64Star(2024)
     for _ in range(500):
         vals = 2 * gen.uniforms(4) - 1
         table = CorrelationTable(2, dict(zip(["XX", "XY", "YX", "YY"], vals)))
-        assert lhv_feasible(table).feasible == complete_set_check(table)
+        assert lhv_feasible(table).feasible == lp_feasible(table)
     keys3 = sorted("".join(c) for c in itertools.product("XY", repeat=3))
     for _ in range(100):
         vals = 2 * gen.uniforms(8) - 1
         table = CorrelationTable(3, dict(zip(keys3, vals)))
-        assert lhv_feasible(table).feasible == complete_set_check(table)
+        assert lhv_feasible(table).feasible == lp_feasible(table)
     _report("criterion 7 (LP vs complete-set agreement, 600 tables): PASS")
 
 

@@ -1,9 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from bellbench.cli import main, sweep_grid
 from bellbench.report import render_json
+from test_lhv import ghz_type_table, mixture_table, settings
+
+
+def table_json(table):
+    return json.dumps(table.to_json_obj())
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +120,21 @@ class TestSweep:
                              "--v-step", "0.1", "--copies", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-0.1"])
+    def test_non_finite_or_non_positive_step_exits_2(self, capsys, step):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--v-min", "0", "--v-max", "1", "--v-step", step,
+                  "--copies", "1"])
+        assert exc.value.code == 2
+        assert "finite and positive" in capsys.readouterr().err
+
+    def test_too_many_grid_steps_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--v-min", "0", "--v-max", "1",
+                                 "--v-step", "1e-9", "--copies", "1")
+        assert code == 2
+        assert out == ""
+        assert "steps" in err
+
     def test_json_format_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--v-min", "0", "--v-max", "1",
                              "--v-step", "0.5", "--copies", "1",
@@ -185,17 +206,41 @@ class TestLhv:
 
     def test_solver_failure_exits_3(self, capsys, tmp_path, monkeypatch):
         from bellbench import cli
-        from bellbench.lhv import SimplexError
 
         def boom(table):
-            raise SimplexError("synthetic failure")
+            raise ArithmeticError("synthetic failure")
 
         monkeypatch.setattr(cli.lhv_mod, "lhv_feasible", boom)
         path = tmp_path / "t.json"
         path.write_text('{"XX": 0, "XY": 0, "YX": 0, "YY": 0}')
         code, _, err = run_cli(capsys, "lhv", "--input", str(path))
         assert code == 3
-        assert "solver failure" in err
+        assert "numerical failure" in err
+
+    def test_party_cap_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "t13.json"
+        path.write_text(json.dumps(dict.fromkeys(settings(13), 0.0)))
+        code, out, err = run_cli(capsys, "lhv", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "capped at 12 parties" in err
+        assert "Traceback" not in err
+
+    def test_seven_party_tables(self, capsys, tmp_path):
+        rng = np.random.default_rng(7)
+        for table, feasible in ((mixture_table(rng, 7), True),
+                                (ghz_type_table(rng, 7, 1.0), False)):
+            path = tmp_path / "t7.json"
+            path.write_text(table_json(table))
+            report = run_json(capsys, "lhv", "--input", str(path))
+            assert report["results"]["parties"] == 7
+            assert report["verdicts"]["lhv_feasible"] is feasible
+            assert report["verdicts"]["oracles_agree"] is True
+            if feasible:
+                assert report["results"]["witness_error"] < 1e-8
+                assert report["results"]["lhv_residual"] < 1e-12
+            else:
+                assert report["results"]["lhv_residual"] > 0
 
 
 class TestDeterminism:
@@ -215,6 +260,18 @@ class TestDeterminism:
                          "--output", str(p)])
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("feasible", [True, False], ids=["feasible", "infeasible"])
+    def test_lhv_byte_identical(self, tmp_path, feasible):
+        rng = np.random.default_rng(6)
+        table = mixture_table(rng, 6) if feasible else ghz_type_table(rng, 6, 0.9)
+        source = tmp_path / "table.json"
+        source.write_text(table_json(table))
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for p in paths:
+            assert main(["lhv", "--input", str(source), "--output", str(p)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert json.loads(paths[0].read_text())["verdicts"]["lhv_feasible"] is feasible
 
     def test_seed_changes_stream_not_verdicts(self, capsys):
         r1 = run_json(capsys, "verify-appendix", "--trials", "200", "--seed", "1")

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,22 +9,64 @@ from bellbench.states import CorrelationTable, copies, full_correlation_table, n
 from bellbench.lhv import (
     InequalityWitness,
     complete_set_check,
-    enumerate_strategies,
     fine_quadruple,
     lhv_feasible,
     sign_transform,
-    strategy_correlations,
     strategy_label,
-    strategy_matrix,
     witness_reconstruction_error,
     wwzb_sign_sum,
 )
+from lp_oracle import enumerate_strategies, lp_feasible, strategy_correlations, strategy_matrix
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 
 
 def pair_table(e_xx, e_xy, e_yx, e_yy):
     return CorrelationTable(2, {"XX": e_xx, "XY": e_xy, "YX": e_yx, "YY": e_yy})
+
+
+def settings(n):
+    return ["".join(c) for c in itertools.product("XY", repeat=n)]
+
+
+def mixture_table(rng, n):
+    """Random convex mixture of 2..2n+2 deterministic strategies: local by construction."""
+    count = int(rng.integers(2, 2 * n + 3))
+    weights = rng.uniform(0.05, 1.05, count)
+    weights /= weights.sum()
+    outcomes = rng.choice([-1.0, 1.0], size=(count, n, 2))
+    vector = sum(w * np.prod(np.array(np.meshgrid(*o, indexing="ij")), axis=0).ravel()
+                 for w, o in zip(weights, outcomes))
+    return CorrelationTable(n, dict(zip(settings(n), vector)))
+
+
+def ghz_type_table(rng, n, scale):
+    """scale * cos(phase + (#Y) pi/2), with random per-party X/Y swaps and sign flips.
+
+    Swaps and flips are local relabellings, so they keep the distance from
+    the local polytope; at scale 1 and phase pi/4 the table violates for n >= 2.
+    """
+    phase = math.pi / 4 + rng.uniform(-0.05, 0.05)
+    flips = rng.choice([-1, 1], size=(n, 2))
+    swaps = rng.random(n) < 0.5
+    values = {}
+    for key in settings(n):
+        y_count, sign = 0, 1
+        for k, setting in enumerate(key):
+            y_count += (setting == "Y") != swaps[k]
+            sign *= int(flips[k, int(setting == "Y")])
+        values[key] = scale * sign * math.cos(phase + y_count * math.pi / 2)
+    return CorrelationTable(n, values)
+
+
+def assert_valid_witness(table):
+    verdict = lhv_feasible(table)
+    assert verdict.feasible
+    weights = np.array(list(verdict.witness.values()))
+    assert weights.min() >= 0
+    assert abs(weights.sum() - 1) < 1e-9
+    assert witness_reconstruction_error(table, verdict.witness) < 1e-8
+    return verdict
 
 
 class TestFineQuadruple:
@@ -148,27 +191,32 @@ class TestFeasibility:
 
     def test_witness_reconstructs_table(self):
         for v in V_GRID:
-            table = full_correlation_table(noisy_pair(v), 2)
-            verdict = lhv_feasible(table)
-            weights = np.array(list(verdict.witness.values()))
-            assert weights.min() >= -1e-10
-            assert abs(weights.sum() - 1) < 1e-9
+            assert_valid_witness(full_correlation_table(noisy_pair(v), 2))
+
+    @staticmethod
+    def assert_certificate_agrees(table):
+        # The certificate is checked without the sign transform: a witness
+        # rebuilt from its labels, or an inequality evaluated entrywise.
+        verdict = lhv_feasible(table)
+        if verdict.feasible:
             assert witness_reconstruction_error(table, verdict.witness) < 1e-8
+        else:
+            w = verdict.witness
+            assert sum(w.coefficients[k] * table.values[k] for k in table.values) > w.bound
+        assert verdict.feasible == complete_set_check(table)
 
     def test_oracle_agreement_two_parties(self):
         gen = XorShift64Star(2024)
         for _ in range(500):
             e = 2 * gen.uniforms(4) - 1
-            table = pair_table(*e)
-            assert lhv_feasible(table).feasible == complete_set_check(table)
+            self.assert_certificate_agrees(pair_table(*e))
 
     def test_oracle_agreement_three_parties(self):
         gen = XorShift64Star(2025)
         for _ in range(100):
             vals = 2 * gen.uniforms(8) - 1
             keys = sorted("".join(c) for c in itertools.product("XY", repeat=3))
-            table = CorrelationTable(3, dict(zip(keys, vals)))
-            assert lhv_feasible(table).feasible == complete_set_check(table)
+            self.assert_certificate_agrees(CorrelationTable(3, dict(zip(keys, vals))))
 
     def test_mixtures_of_feasible_tables_are_feasible(self):
         gen = XorShift64Star(77)
@@ -184,7 +232,64 @@ class TestFeasibility:
             assert lhv_feasible(table).feasible
 
     def test_party_cap(self):
-        keys = ["".join(c) for c in itertools.product("XY", repeat=7)]
-        table = CorrelationTable(7, {k: 0.0 for k in keys})
+        keys = ["".join(c) for c in itertools.product("XY", repeat=13)]
+        table = CorrelationTable(13, {k: 0.0 for k in keys})
         with pytest.raises(ValueError):
             lhv_feasible(table)
+
+
+class TestClosedFormWitness:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_mixtures_rebuild_from_labels(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(3 if n < 10 else 1):
+            assert_valid_witness(mixture_table(rng, n))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_scaled_ghz_tables_inside_the_polytope(self, n):
+        rng = np.random.default_rng(2000 + n)
+        unit = ghz_type_table(rng, n, 1.0)
+        inside = 0.99 * 2**n / wwzb_sign_sum(unit)
+        table = CorrelationTable(n, {k: inside * v for k, v in unit.values.items()})
+        verdict = assert_valid_witness(table)
+        assert verdict.residual == 0.0
+
+    def test_residual_is_cross_polytope_excess(self):
+        table = pair_table(1.0, 1.0, 1.0, -1.0)
+        assert lhv_feasible(table).residual == pytest.approx(wwzb_sign_sum(table) / 4 - 1)
+        assert lhv_feasible(pair_table(0.0, 0.5, 0.5, 0.0)).residual == 0.0
+
+    def test_leftover_mass_splits_between_plus_and_minus_h0(self):
+        verdict = lhv_feasible(pair_table(0.0, 0.0, 0.0, 0.0))
+        assert verdict.witness == {"++,++": 0.5, "--,++": 0.5}
+
+    def test_labels_are_canonical(self):
+        # Parties after the first always play + at X.
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 4):
+            for label in lhv_feasible(mixture_table(rng, n)).witness:
+                assert all(p[0] == "+" for p in label.split(",")[1:])
+
+    def test_malformed_label_rejected(self):
+        table = pair_table(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            witness_reconstruction_error(table, {"++": 1.0})
+
+    def test_error_counts_normalisation(self):
+        table = pair_table(0.0, 0.0, 0.0, 0.0)
+        assert witness_reconstruction_error(table, {"++,++": 0.3, "--,++": 0.3}) == \
+            pytest.approx(0.4)
+
+    @pytest.mark.parametrize("n", (4, 5, 6))
+    def test_lp_oracle_agrees_on_benchmark_style_tables(self, n):
+        rng = np.random.default_rng(3000 + n)
+        tables = [mixture_table(rng, n) for _ in range(10)]
+        for _ in range(10):
+            unit = ghz_type_table(rng, n, 1.0)
+            # Scales on both sides of the bound, never within 1% of it.
+            ratio = rng.choice([-1, 1]) * rng.uniform(0.01, 0.2)
+            scale = min(1.0, (1 + ratio) * 2**n / wwzb_sign_sum(unit))
+            tables.append(CorrelationTable(n, {k: scale * v for k, v in unit.values.items()}))
+        verdicts = [lhv_feasible(t).feasible for t in tables]
+        assert verdicts == [lp_feasible(t) for t in tables]
+        assert any(verdicts) and not all(verdicts)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellbench.simplex import SimplexError, phase1_feasibility
+from lp_oracle import SimplexError, phase1_feasibility
 
 
 def test_feasible_square_system():
