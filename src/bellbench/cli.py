@@ -13,6 +13,7 @@ errors, 3 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,6 +33,9 @@ NUMERICAL_ERROR = 3
 MAX_SWEEP_COPIES = 6
 # Grid steps (v_max - v_min) / v_step a sweep may take.
 MAX_SWEEP_STEPS = 100_000
+# Signs one verify-appendix draw matrix may hold (trials x grid cells); the
+# default 10000 x 64 is 640000. The n = 3 S-check draws three times this.
+MAX_APPENDIX_CELLS = 2**22
 
 
 class CliError(Exception):
@@ -70,10 +74,15 @@ def _copies_list(text: str) -> list[int]:
     for n in values:
         if not 1 <= n <= MAX_SWEEP_COPIES:
             raise argparse.ArgumentTypeError(f"copy count must lie in [1, {MAX_SWEEP_COPIES}], got {n}")
+    # Distinct counts in [1, MAX_SWEEP_COPIES] bound the rows a sweep writes.
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"copy counts must not repeat: {text!r}")
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bellctl parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="bellctl",
         description="Bell-Mermin / Bell-Zukowski numerical workbench",
@@ -194,8 +203,8 @@ def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int])
     """CSV rows over the grid, copy count outer, visibility inner.
 
     Values use the closed forms <B> = V^N and the Bell-relation rescaling;
-    the agreement of those forms with the explicit matrices is enforced by
-    the mermin_expectation contract and does not need to be recomputed per row.
+    the agreement of V^N with the per-pair contraction is enforced by the
+    mermin_expectation contract and does not need to be recomputed per row.
     """
     grid = sweep_grid(v_min, v_max, v_step)
     lines = ["V,N,mermin,zukowski,modified_bound,violated"]
@@ -225,6 +234,9 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> RunReport:
         raise CliError(f"grid cells must be even and >= 2, got {grid_cells}")
     if trials < 1:
         raise CliError(f"trials must be >= 1, got {trials}")
+    if trials * grid_cells > MAX_APPENDIX_CELLS:
+        raise CliError(f"trials x grid cells must not exceed {MAX_APPENDIX_CELLS}, "
+                       f"got {trials} x {grid_cells}")
 
     quad_error = max(zk.closed_vs_quadrature_error(n) for n in (2, 3, 4))
     # diagonality is checked on the quadrature-built matrix (the integral route)

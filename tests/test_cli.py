@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellbench.cli import main, sweep_grid
+import bellbench
+from bellbench.cli import MAX_APPENDIX_CELLS, main, sweep_grid
 from bellbench.report import render_json
 from test_lhv import ghz_type_table, mixture_table, settings
 
@@ -16,6 +23,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of main(argv), usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects usage errors this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_json(capsys, *argv):
@@ -135,6 +153,15 @@ class TestSweep:
         assert out == ""
         assert "steps" in err
 
+    @pytest.mark.parametrize("copies", ["6,6", "1,2,1"])
+    def test_repeated_copy_count_exits_2(self, copies):
+        code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
+                                   "--v-step", "0.5", "--copies", copies])
+        assert code == 2
+        assert out == ""
+        assert "must not repeat" in err
+        assert "Traceback" not in err
+
     def test_json_format_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--v-min", "0", "--v-max", "1",
                              "--v-step", "0.5", "--copies", "1",
@@ -166,6 +193,29 @@ class TestVerifyAppendix:
     def test_odd_grid_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify-appendix", "--grid", "63")
         assert code == 2
+
+    @pytest.mark.parametrize("grid, trials", [(64, 65537), (2**23, 1), (2, 10**12)])
+    def test_oversized_draw_exits_2_before_drawing(self, capsys, monkeypatch, grid, trials):
+        from bellbench import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(cli, "XorShift64Star", refuse)
+        monkeypatch.setattr(cli.zk, "cell_weights", refuse)
+        monkeypatch.setattr(cli.zk, "sign_cos_step", refuse)
+        assert grid * trials > MAX_APPENDIX_CELLS
+        code, out, err = run_cli(capsys, "verify-appendix", "--grid", str(grid),
+                                 "--trials", str(trials))
+        assert code == 2
+        assert out == ""
+        assert "must not exceed" in err
+
+    def test_draw_at_the_cap_runs(self, capsys):
+        trials = MAX_APPENDIX_CELLS // 64
+        report = run_json(capsys, "verify-appendix", "--grid", "64", "--trials", str(trials))
+        assert report["parameters"]["trials"] == trials
+        assert all(report["verdicts"].values())
 
 
 class TestLhv:
@@ -278,6 +328,25 @@ class TestDeterminism:
         r2 = run_json(capsys, "verify-appendix", "--trials", "200", "--seed", "2")
         assert r1["results"]["max_abs_z_prime"] != r2["results"]["max_abs_z_prime"]
         assert all(r1["verdicts"].values()) and all(r2["verdicts"].values())
+
+
+def test_repeated_calls_match_fresh_processes(monkeypatch):
+    # main() reuses one parser; each call must still behave like a new process.
+    # COLUMNS fixes argparse's usage width on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["analyze", "--visibility", "0.9", "--copies", "3"],
+        ["sweep", "--v-min", "0.9", "--v-max", "1", "--v-step", "0.05", "--copies", "2,1"],
+        ["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.5", "--copies", "6,6"],
+        ["verify-appendix", "--trials", "200", "--grid", "8"],
+        ["analyze", "--visibility", "2", "--copies", "1"],
+    ]
+    src = str(Path(bellbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "bellbench", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert run_main(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_render_json_is_sorted_and_12_digits():

@@ -1,0 +1,71 @@
+"""Property test of the bellctl exit-code contract on generated argv.
+
+For any argv of analyze, sweep and verify-appendix, including out-of-range,
+non-numeric, NaN, repeated and huge values: the exit code is 0, 2 or 3, no
+traceback reaches stderr, and a rerun writes the same bytes. Needs the
+optional `hypothesis` test dependency; examples are derandomized so the
+suite stays deterministic.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from test_cli import run_main  # noqa: E402
+
+BAD_NUMBERS = ["nan", "inf", "-inf", "1e309", "", "abc", "0x10", "1,2", "--", "1e-400"]
+HUGE_INTS = [str(10**12), str(2**63), str(10**40)]
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+VISIBILITY = st.one_of(_floats(0.0, 1.0), _floats(-0.5, 1.5),
+                       st.sampled_from(BAD_NUMBERS + ["0", "1"]))
+COPIES = st.one_of(_ints(1, 6), _ints(-2, 8), st.sampled_from(BAD_NUMBERS + HUGE_INTS))
+# Valid steps stay coarse enough to keep each run short; 1e-9 is over the step cap.
+V_STEP = st.one_of(_floats(0.01, 2.0), st.sampled_from(BAD_NUMBERS + ["0", "-0.1", "1e-9"]))
+COPY_LIST = st.one_of(
+    st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True),
+    st.lists(st.integers(-1, 8), max_size=8),
+).map(lambda ns: ",".join(map(str, ns))) | st.sampled_from(
+    ["6,6", "1,,2", ",", "1;2", "2," * 50, "nan"] + HUGE_INTS)
+# Valid draws stay small; the huge values are over the trials x grid cap.
+GRID = st.sampled_from(["2", "4", "8", "63", "64", "0", "-2", str(2**23)] + BAD_NUMBERS + HUGE_INTS)
+TRIALS = st.one_of(_ints(1, 300), _ints(-1, 0), st.sampled_from(BAD_NUMBERS + HUGE_INTS))
+SEED = st.one_of(st.integers(-(2**70), 2**70).map(str), st.sampled_from(BAD_NUMBERS))
+
+
+def _command(name, pairs):
+    """argv of one subcommand: every flag in a drawn order, at times one
+    dropped, at times one repeated, each with a drawn value."""
+    layout = st.tuples(st.permutations(pairs), st.integers(0, 1),
+                       st.lists(st.sampled_from(pairs), max_size=1))
+    return layout.flatmap(lambda lay: st.tuples(
+        *[st.tuples(st.just(flag), values) for flag, values in lay[0][lay[1]:] + lay[2]]
+    )).map(lambda chosen: [name] + [token for pair in chosen for token in pair])
+
+
+ARGV = st.one_of(
+    _command("analyze", [("--visibility", VISIBILITY), ("--copies", COPIES)]),
+    _command("sweep", [("--v-min", VISIBILITY), ("--v-max", VISIBILITY), ("--v-step", V_STEP),
+                       ("--copies", COPY_LIST)]),
+    _command("verify-appendix", [("--grid", GRID), ("--trials", TRIALS), ("--seed", SEED)]),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(ARGV)
+def test_exit_code_contract(argv):
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""
+    assert run_main(argv) == (code, out, err)

@@ -1,15 +1,18 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bellbench import mermin, states
 from bellbench.operators import expectation, hermitian_split, hermiticity_error, tensor_all
 from bellbench.states import SIGMA_X, SIGMA_Y, copies, noisy_pair
 from bellbench.mermin import (
     MerminPair,
     align_corner_phase,
     compose,
+    contracted_expectation,
     corner_phase,
     expected_alignment_phase,
     local_f,
@@ -19,6 +22,7 @@ from bellbench.mermin import (
     mermin_operators,
     site_pair,
 )
+from test_cli import run_main
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 
@@ -136,15 +140,69 @@ def test_closed_form_norm_and_trace():
         assert abs(np.linalg.norm(op, 2) - 2 ** ((n - 1) / 2)) < 1e-12
 
 
-@pytest.mark.parametrize("n_copies", [1, 2, 3])
+@pytest.mark.parametrize("n_copies", [1, 2, 3, 4])
 def test_expectation_is_v_power_n(n_copies):
+    # the dense 2N-qubit recursion and trace are the oracle for the contraction
+    pair = mermin_operators(2 * n_copies)
     for v in V_GRID:
         got = mermin_expectation(v, n_copies)
         assert abs(got.analytic - v**n_copies) < 1e-15
         assert abs(got.traced - got.analytic) < 1e-10
-        # primed operator agrees too
-        primed = expectation(copies(v, n_copies), mermin_operators(2 * n_copies).b_prime)
-        assert abs(primed - got.analytic) < 1e-10
+        rho = copies(v, n_copies)
+        contracted = contracted_expectation(v, n_copies)
+        assert got.traced == contracted.real
+        assert abs(contracted.real - expectation(rho, pair.b)) < 1e-12
+        assert abs(contracted.imag - expectation(rho, pair.b_prime)) < 1e-12
+
+
+def test_contraction_needs_a_copy():
+    with pytest.raises(ValueError):
+        contracted_expectation(0.5, 0)
+
+
+def test_hot_path_builds_no_dense_operator(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense 2N-qubit construction on the analyze path")
+
+    for owner, name in ((mermin, "mermin_operators"), (mermin, "compose"),
+                        (states, "copies")):
+        monkeypatch.setattr(owner, name, forbidden)
+    for n_copies in range(1, 7):
+        for v in V_GRID:
+            assert mermin_expectation(v, n_copies).analytic == v**n_copies
+    run_main(["analyze", "--visibility", "0.9", "--copies", "6"])  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code, out, err = run_main(["analyze", "--visibility", "0.9", "--copies", "6"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert '"mermin_value": 0.531441' in out
+    # a 6-qubit complex operator alone is 64 KiB; the 12-qubit one 256 MiB
+    assert peak - before < 64 * 1024
+
+
+def _conjugate_phase(monkeypatch):
+    monkeypatch.setattr(mermin, "F_PHASE", mermin.F_PHASE.conjugate())
+
+
+def _half_visibility_pair(monkeypatch):
+    monkeypatch.setattr(mermin, "noisy_pair", lambda v: noisy_pair(v / 2))
+
+
+@pytest.mark.parametrize("n_copies", [1, 2])
+@pytest.mark.parametrize("breakage", [_conjugate_phase, _half_visibility_pair])
+def test_broken_contraction_is_a_numerical_failure(monkeypatch, breakage, n_copies):
+    # a conjugated phase keeps <B> = V^N at even N; only the <B'> check sees it
+    breakage(monkeypatch)
+    with pytest.raises(ArithmeticError):
+        mermin_expectation(0.9, n_copies)
+    code, out, err = run_main(["analyze", "--visibility", "0.9", "--copies", str(n_copies)])
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
 
 
 def test_bound_check():
