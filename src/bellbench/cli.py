@@ -33,9 +33,12 @@ NUMERICAL_ERROR = 3
 MAX_SWEEP_COPIES = 6
 # Grid steps (v_max - v_min) / v_step a sweep may take.
 MAX_SWEEP_STEPS = 100_000
-# Signs one verify-appendix draw matrix may hold (trials x grid cells); the
-# default 10000 x 64 is 640000. The n = 3 S-check draws three times this.
+# Signs one verify-appendix check may draw (trials x grid cells); the default
+# 10000 x 64 is 640000. The n = 3 S-check draws three times this.
 MAX_APPENDIX_CELLS = 2**22
+# Signs drawn and reduced at a time (rounded to whole trials and generator
+# words), so memory stays bounded however many trials are requested.
+APPENDIX_CHUNK_CELLS = 2**16
 
 
 class CliError(Exception):
@@ -229,6 +232,21 @@ def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int])
     return "\n".join(lines) + "\n"
 
 
+def _step_integrals(gen: XorShift64Star, weights: np.ndarray, trials: int, n: int):
+    """z = integral of f(phi) e^{i phi} for `trials` draws of n random step
+    functions each, yielded as (rows, n) blocks in draw order.
+
+    Every block but the last spans a whole number of generator words, so the
+    stream is consumed exactly as by one sign_matrix(trials * n, cells) draw.
+    """
+    cells = len(weights)
+    step = 64 // math.gcd(n * cells, 64)  # fewest trials that fill whole words
+    chunk = step * max(1, APPENDIX_CHUNK_CELLS // (step * n * cells))
+    for start in range(0, trials, chunk):
+        rows = min(chunk, trials - start)
+        yield (gen.sign_matrix(rows * n, cells) @ weights).reshape(rows, n)
+
+
 def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> RunReport:
     if grid_cells < 2 or grid_cells % 2 != 0:
         raise CliError(f"grid cells must be even and >= 2, got {grid_cells}")
@@ -250,14 +268,10 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> RunReport:
     # Draw order is fixed: |z'| trials, then S assemblies for n = 2, 3.
     gen = XorShift64Star(seed)
     weights = zk.cell_weights(grid_cells)
-    z_vals = gen.sign_matrix(trials, grid_cells) @ weights
-    max_z = float(np.abs(z_vals).max())
-
-    s_max = {}
-    for n in (2, 3):
-        signs = gen.sign_matrix(trials * n, grid_cells)
-        z = (signs @ weights).reshape(trials, n)
-        s_max[n] = float(abs(z.prod(axis=1).real).max())
+    max_z = max(float(np.abs(z).max()) for z in _step_integrals(gen, weights, trials, 1))
+    s_max = {n: max(float(np.abs(z.prod(axis=1).real).max())
+                    for z in _step_integrals(gen, weights, trials, n))
+             for n in (2, 3)}
 
     return RunReport(
         command="verify-appendix",

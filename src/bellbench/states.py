@@ -123,6 +123,8 @@ class CorrelationTable:
 
     def __post_init__(self):
         n = self.n_parties
+        if n < 1:
+            raise ValueError(f"need at least one party, got {n}")
         if len(self.values) != 2**n:
             raise ValueError(f"expected {2**n} entries, got {len(self.values)}")
         for key, val in self.values.items():

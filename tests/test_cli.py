@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ import pytest
 import bellbench
 from bellbench.cli import MAX_APPENDIX_CELLS, main, sweep_grid
 from bellbench.report import render_json
+from bellbench.rng import XorShift64Star
+from bellbench.zukowski import cell_weights
 from test_lhv import ghz_type_table, mixture_table, settings
+from test_rng import scalar_signs
 
 
 def table_json(table):
@@ -25,15 +30,32 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_main(argv):
-    """Exit code, stdout and stderr of main(argv), usage errors included."""
+def run_main(argv, stdin=""):
+    """Exit code, stdout and stderr of main(argv) reading `stdin`, usage
+    errors included."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects usage errors this way
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def unchunked_appendix_maxima(grid, trials, seed):
+    """max |z'|, max |S| (n = 2) and max |S| (n = 3) of verify-appendix, each
+    from one whole sign matrix built from the scalar stream."""
+    gen = XorShift64Star(seed)
+    weights = cell_weights(grid)
+
+    def sign_matrix(rows):
+        return scalar_signs(gen, rows * grid).reshape(rows, grid)
+
+    max_z = float(np.abs(sign_matrix(trials) @ weights).max())
+    s_max = [float(np.abs((sign_matrix(trials * n) @ weights).reshape(trials, n)
+                          .prod(axis=1).real).max()) for n in (2, 3)]
+    return (max_z, *s_max)
 
 
 def run_json(capsys, *argv):
@@ -217,6 +239,41 @@ class TestVerifyAppendix:
         assert report["parameters"]["trials"] == trials
         assert all(report["verdicts"].values())
 
+    def test_seed_42_default_results(self, capsys):
+        _, out, _ = run_cli(capsys, "verify-appendix", "--seed", "42")
+        assert '"max_abs_z_prime": 1.12316831462' in out
+        assert '"max_abs_s_n2": 0.734782461223' in out
+        assert '"max_abs_s_n3": 0.296181193271' in out
+
+    @pytest.mark.parametrize("chunk_cells", [None, 1000, 64])
+    @pytest.mark.parametrize("grid, trials, seed", [(2, 3001, 42), (130, 777, 5), (6, 259, -3)])
+    def test_chunked_draws_match_one_matrix(self, monkeypatch, chunk_cells, grid, trials, seed):
+        from bellbench import cli
+
+        if chunk_cells is not None:
+            monkeypatch.setattr(cli, "APPENDIX_CHUNK_CELLS", chunk_cells)
+        results = cli.cmd_verify_appendix(grid, trials, seed).results
+        expected = unchunked_appendix_maxima(grid, trials, seed)
+        assert (results["max_abs_z_prime"], results["max_abs_s_n2"],
+                results["max_abs_s_n3"]) == expected
+
+    @pytest.mark.parametrize("grid", [2, 64])
+    def test_draw_at_the_cap_has_bounded_memory(self, grid):
+        argv = ["verify-appendix", "--grid", str(grid),
+                "--trials", str(MAX_APPENDIX_CELLS // grid)]
+        run_main(["verify-appendix", "--trials", "64"])  # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code, out, err = run_main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert '"s_bounded_n3": true' in out
+        # one whole n = 3 sign matrix at the cap is 96 MiB of float64
+        assert peak - before < 16 * 2**20
+
 
 class TestLhv:
     def test_reads_table_file(self, capsys, tmp_path):
@@ -275,6 +332,21 @@ class TestLhv:
         assert out == ""
         assert "capped at 12 parties" in err
         assert "Traceback" not in err
+
+    def test_zero_party_table_exits_2(self):
+        code, out, err = run_main(["lhv"], stdin='{"": 0.5}')
+        assert code == 2
+        assert out == ""
+        assert "at least one party" in err
+        assert "Traceback" not in err
+
+    def test_one_party_table_runs(self):
+        code, out, err = run_main(["lhv"], stdin='{"X": 0.3, "Y": -0.2}')
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["results"]["parties"] == 1
+        assert report["verdicts"]["lhv_feasible"] is True
+        assert report["verdicts"]["oracles_agree"] is True
 
     def test_seven_party_tables(self, capsys, tmp_path):
         rng = np.random.default_rng(7)

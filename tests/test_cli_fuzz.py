@@ -1,11 +1,17 @@
-"""Property test of the bellctl exit-code contract on generated argv.
+"""Property tests of the bellctl exit-code contract on generated input.
 
 For any argv of analyze, sweep and verify-appendix, including out-of-range,
-non-numeric, NaN, repeated and huge values: the exit code is 0, 2 or 3, no
-traceback reaches stderr, and a rerun writes the same bytes. Needs the
+non-numeric, NaN, repeated and huge values, and for any lhv table JSON,
+including ragged, empty and misspelt keys, non-finite and out-of-range
+values, 0 to 14 parties and tables nested in reports: the exit code is 0, 2
+or 3, no traceback reaches stderr, and a rerun writes the same bytes. Needs the
 optional `hypothesis` test dependency; examples are derandomized so the
 suite stays deterministic.
 """
+
+import itertools
+import json
+import math
 
 import pytest
 
@@ -69,3 +75,50 @@ def test_exit_code_contract(argv):
     if code != 0:
         assert out == ""
     assert run_main(argv) == (code, out, err)
+
+
+# Correlator values: in range, just outside it, non-finite, and not numbers.
+IN_RANGE = st.floats(-1.0, 1.0)
+VALUE = st.one_of(
+    IN_RANGE, st.floats(-3.0, 3.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1.0000001, 1 + 1e-11]),
+    st.sampled_from(["0.5", None, True, [0.1], {"x": 1}]),
+)
+BAD_KEYS = ["", "Z", "x", "XZ", "XY ", "X" * 15, "XYXYXYXYXYXYXYXYXYXY"]
+
+
+@st.composite
+def lhv_input(draw):
+    """A correlation-table JSON text for 0..14 parties: all 2^n keys, one
+    shared value and a few drawn ones. Half the tables are damaged (bad
+    values, keys dropped, ragged, empty or misspelt keys); some are wrapped
+    as a report, not an object, or not valid JSON."""
+    n = draw(st.integers(0, 14))
+    keys = ["".join(combo) for combo in itertools.product("XY", repeat=n)]
+    damage = draw(st.sampled_from([None] * 3 + ["values", "drop", "bad keys"]))
+    values = VALUE if damage == "values" else IN_RANGE
+    table = dict.fromkeys(keys, draw(values))
+    for key in draw(st.lists(st.sampled_from(keys), max_size=4)):
+        table[key] = draw(values)
+    if damage == "drop":
+        for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2)):
+            table.pop(key, None)
+    if damage == "bad keys":
+        for key in draw(st.lists(st.sampled_from(BAD_KEYS), min_size=1, max_size=2)):
+            table[key] = draw(VALUE)
+    wrap = draw(st.sampled_from(["table"] * 3 + ["report"] * 2 + ["results", "list", "scalar"]))
+    obj = {"table": table, "report": {"results": {"table": table}, "command": "lhv"},
+           "results": {"results": table}, "list": [table], "scalar": n}[wrap]
+    text = json.dumps(obj)
+    return draw(st.sampled_from([text] * 5 + [text[:-1], text + "x", " " + text + "\n"]))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(lhv_input())
+def test_lhv_exit_code_contract(text):
+    code, out, err = run_main(["lhv"], stdin=text)
+    assert code in (0, 2, 3), (text[:200], code, err)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""
+    assert run_main(["lhv"], stdin=text) == (code, out, err)

@@ -174,3 +174,9 @@ class TestCorrelationTable:
             CorrelationTable(1, {"X": 1.5, "Y": 0.0})
         with pytest.raises(ValueError):
             CorrelationTable(1, {"X": 0.0, "Z": 0.0})
+
+    def test_rejects_zero_parties(self):
+        with pytest.raises(ValueError, match="at least one party"):
+            CorrelationTable(0, {"": 0.5})
+        with pytest.raises(ValueError, match="at least one party"):
+            CorrelationTable.from_json_obj({"": 0.5})
