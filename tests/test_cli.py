@@ -402,6 +402,43 @@ class TestDeterminism:
         assert all(r1["verdicts"].values()) and all(r2["verdicts"].values())
 
 
+TOLERANCES_TEXT = ('"tolerances": {"bound_slack": 1e-12, "comparison": 1e-10, '
+                   '"complete_set_slack": 1e-09, "hermiticity": 1e-12, "lp_residual": 1e-09, '
+                   '"psd_floor": -1e-10}, "tool_version": "0.1.0"')
+
+# Whole reports whose numbers need no numpy reduction: the two lhv tables are
+# dyadic, so the sign transform is exact, and analyze uses Python floats only.
+PINNED_REPORTS = {
+    "lhv-feasible": (
+        ["lhv"], '{"XX":0.5,"XY":0.25,"YX":0.25,"YY":-0.5}',
+        '{"command": "lhv", "parameters": {}, "results": {"complete_set_bound": 4, '
+        '"complete_set_sum": 3, "lhv_residual": 0, "parties": 2, "witness_distribution": '
+        '{"++,++": 0.25, "++,+-": 0.25, "+-,++": 0.25, "-+,+-": 0.125, "--,++": 0.125}, '
+        '"witness_error": 0}, ' + TOLERANCES_TEXT + ', "verdicts": '
+        '{"complete_set_satisfied": true, "lhv_feasible": true, "oracles_agree": true}}\n'),
+    "lhv-infeasible": (
+        ["lhv"], '{"XX":1,"XY":1,"YX":1,"YY":-1}',
+        '{"command": "lhv", "parameters": {}, "results": {"complete_set_bound": 4, '
+        '"complete_set_sum": 8, "lhv_residual": 1, "parties": 2, "witness_inequality": '
+        '{"bound": 4, "coefficients": {"XX": 2, "XY": 2, "YX": 2, "YY": -2}, '
+        '"quadruple_index": 0, "value": 8}}, ' + TOLERANCES_TEXT + ', "verdicts": '
+        '{"complete_set_satisfied": false, "lhv_feasible": false, "oracles_agree": true}}\n'),
+    "analyze": (
+        ["analyze", "--visibility", "0.9", "--copies", "2"], "",
+        '{"command": "analyze", "parameters": {"copies": 2, "visibility": 0.9}, "results": '
+        '{"mermin_value": 0.81, "modified_bound": 0.929170645482, '
+        '"threshold_visibility": 0.963934979904, "zukowski_value": 0.871745145995}, '
+        + TOLERANCES_TEXT + ', "verdicts": {"conflict_revealed": false, '
+        '"mermin_satisfied": true, "zukowski_satisfied": true}}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_report_text_is_pinned(case):
+    argv, stdin, expected = PINNED_REPORTS[case]
+    assert run_main(argv, stdin) == (0, expected, "")
+
+
 def test_repeated_calls_match_fresh_processes(monkeypatch):
     # main() reuses one parser; each call must still behave like a new process.
     # COLUMNS fixes argparse's usage width on both sides.
