@@ -4,15 +4,7 @@ quadrature cross-checks, visibility thresholds, and an independent
 local-hidden-variable feasibility oracle.
 """
 
-from .operators import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    expectation,
-    hermitian_split,
-    spectral_check,
-    tensor,
-    tensor_all,
-)
+from .operators import expectation, hermitian_split, tensor, tensor_all
 from .states import (
     CorrelationTable,
     bell_pair,
@@ -34,7 +26,6 @@ from .mermin import (
 )
 from .zukowski import (
     modified_mermin_bound,
-    s_functional,
     threshold_visibility,
     z_prime_functional,
     zukowski_aligned,
@@ -45,7 +36,6 @@ from .zukowski import (
 )
 from .lhv import (
     FeasibilityVerdict,
-    complete_set_check,
     fine_quadruple,
     lhv_feasible,
 )

@@ -25,7 +25,7 @@ from . import zukowski as zk
 from .mermin import mermin_bound_check, mermin_expectation
 from .report import RunReport, format_float
 from .rng import XorShift64Star
-from .states import CorrelationTable, SETTING_PHASES, correlation, full_correlation_table, noisy_pair
+from .states import CorrelationTable, full_correlation_table, noisy_pair
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -92,19 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_format):
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+    def add_output(p):
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write to PATH instead of standard output")
 
     p = sub.add_parser("correlators", help="two-party correlators and CHSH-type checks")
     p.add_argument("--visibility", type=_visibility, required=True)
-    add_common(p, "json")
+    add_output(p)
 
     p = sub.add_parser("analyze", help="Bell operator pipeline for N shared copies")
     p.add_argument("--visibility", type=_visibility, required=True)
     p.add_argument("--copies", type=int, required=True, metavar="N")
-    add_common(p, "json")
+    add_output(p)
 
     p = sub.add_parser("sweep", help="visibility/copies grid as CSV")
     p.add_argument("--v-min", type=_visibility, required=True)
@@ -112,32 +111,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-step", type=_v_step, required=True)
     p.add_argument("--copies", type=_copies_list, required=True,
                    metavar="N1,N2,...")
-    add_common(p, "csv")
+    add_output(p)
 
     p = sub.add_parser("verify-appendix", help="quadrature, diagonality and bound checks")
     p.add_argument("--grid", type=int, default=64, metavar="G",
                    help="step-function cells (even, default 64)")
     p.add_argument("--trials", type=int, default=10000, metavar="T")
     p.add_argument("--seed", type=int, default=42)
-    add_common(p, "json")
+    add_output(p)
 
     p = sub.add_parser("lhv", help="local-model feasibility of a correlation table")
     p.add_argument("--input", metavar="PATH", default=None,
                    help="correlation-table JSON (default: standard input)")
-    add_common(p, "json")
+    add_output(p)
 
     return parser
 
 
 def cmd_correlators(visibility: float) -> RunReport:
-    rho = noisy_pair(visibility)
-    x, y = SETTING_PHASES["X"], SETTING_PHASES["Y"]
-    e_xx = correlation(rho, [x, x])
-    e_yy = correlation(rho, [y, y])
-    e_xy = correlation(rho, [x, y])
-    e_yx = correlation(rho, [y, x])
+    table = full_correlation_table(noisy_pair(visibility), 2)
+    e_xx, e_yy, e_xy, e_yx = (table.values[k] for k in ("XX", "YY", "XY", "YX"))
     quadruples, fine_ok = lhv_mod.fine_quadruple(e_xx, e_yy, e_xy, e_yx)
-    table = full_correlation_table(rho, 2)
     verdict = lhv_mod.lhv_feasible(table)
     return RunReport(
         command="correlators",
@@ -302,16 +296,19 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> RunReport:
 
 
 def load_table(text: str) -> CorrelationTable:
+    # json.loads raises ValueError on malformed text and on integer literals
+    # over Python's digit limit, RecursionError on too deep a nesting; float()
+    # raises OverflowError on an integer too large for a float.
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"invalid JSON: {exc}")
     if isinstance(obj, dict) and isinstance(obj.get("results"), dict) \
             and isinstance(obj["results"].get("table"), dict):
         obj = obj["results"]["table"]
     try:
         return CorrelationTable.from_json_obj(obj)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CliError(f"invalid correlation table: {exc}")
 
 
@@ -319,19 +316,19 @@ def cmd_lhv(text: str) -> RunReport:
     table = load_table(text)
     try:
         verdict = lhv_mod.lhv_feasible(table)
-        sign_sum = lhv_mod.wwzb_sign_sum(table)
-        complete_ok = lhv_mod.complete_set_check(table)
     except ValueError as exc:  # the party cap
         raise CliError(str(exc))
 
     results = {
         "parties": table.n_parties,
         "lhv_residual": verdict.residual,
-        "complete_set_sum": sign_sum,
+        "complete_set_sum": verdict.sign_sum,
         "complete_set_bound": float(2**table.n_parties),
     }
     # The certificate is checked without the sign transform: the witness is
     # rebuilt from its strategy labels, the inequality evaluated entrywise.
+    # The complete-set verdict is the feasibility verdict: both compare the
+    # same sign sum with 2^n + COMPLETE_SET_SLACK.
     if verdict.feasible:
         error = lhv_mod.witness_reconstruction_error(table, verdict.witness)
         results["witness_distribution"] = dict(verdict.witness)
@@ -352,10 +349,32 @@ def cmd_lhv(text: str) -> RunReport:
         results=results,
         verdicts={
             "lhv_feasible": verdict.feasible,
-            "complete_set_satisfied": complete_ok,
-            "oracles_agree": certified and verdict.feasible == complete_ok,
+            "complete_set_satisfied": verdict.feasible,
+            "oracles_agree": certified,
         },
     )
+
+
+def _read_input(path: str | None) -> str:
+    """Table text from PATH, or from standard input when PATH is None."""
+    try:
+        if path is None:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {'standard input' if path is None else path}: {exc}")
+
+
+def _write_output(path: str | None, text: str) -> None:
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
 
 
 def main(argv=None) -> int:
@@ -363,12 +382,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "sweep":
-            if args.format != "csv":
-                raise CliError("sweep emits CSV; use --format csv")
             text = cmd_sweep(args.v_min, args.v_max, args.v_step, args.copies)
         else:
-            if args.format != "json":
-                raise CliError(f"{args.command} emits JSON; use --format json")
             if args.command == "correlators":
                 report = cmd_correlators(args.visibility)
             elif args.command == "analyze":
@@ -376,30 +391,17 @@ def main(argv=None) -> int:
             elif args.command == "verify-appendix":
                 report = cmd_verify_appendix(args.grid, args.trials, args.seed)
             elif args.command == "lhv":
-                if args.input is None:
-                    text_in = sys.stdin.read()
-                else:
-                    try:
-                        with open(args.input, "r", encoding="utf-8") as fh:
-                            text_in = fh.read()
-                    except OSError as exc:
-                        raise CliError(f"cannot read {args.input}: {exc}")
-                report = cmd_lhv(text_in)
+                report = cmd_lhv(_read_input(args.input))
             else:  # pragma: no cover - argparse enforces the choices
                 raise CliError(f"unknown command {args.command}")
             text = report.to_json()
+        _write_output(args.output, text)
     except CliError as exc:
         print(f"bellctl: error: {exc}", file=sys.stderr)
         return exc.code
     except ArithmeticError as exc:
         print(f"bellctl: numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
     return 0
 
 

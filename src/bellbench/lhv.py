@@ -72,22 +72,6 @@ def sign_transform(vector: np.ndarray) -> np.ndarray:
     return out
 
 
-def _table_transform(table: CorrelationTable) -> np.ndarray:
-    if table.n_parties > MAX_TRANSFORM_PARTIES:
-        raise ValueError(f"sign transform capped at {MAX_TRANSFORM_PARTIES} parties")
-    return sign_transform(table.vector())
-
-
-def wwzb_sign_sum(table: CorrelationTable) -> float:
-    """sum over sign vectors of |E_hat|; local models keep it at or below 2^n."""
-    return float(np.abs(_table_transform(table)).sum())
-
-
-def complete_set_check(table: CorrelationTable) -> bool:
-    """Verdict of the complete two-setting inequality set."""
-    return wwzb_sign_sum(table) <= 2**table.n_parties + COMPLETE_SET_SLACK
-
-
 @dataclass(frozen=True)
 class InequalityWitness:
     """A violated member of the complete set, in correlator coefficients.
@@ -108,6 +92,8 @@ class FeasibilityVerdict:
     feasible: bool
     witness: dict[str, float] | InequalityWitness
     residual: float
+    # sum_s |E_hat(s)|, the left-hand side of the cross-polytope bound 2^n
+    sign_sum: float
 
 
 def _violated_inequality(table: CorrelationTable, hat: np.ndarray) -> InequalityWitness:
@@ -158,12 +144,14 @@ def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
     MAX_TRANSFORM_PARTIES parties.
     """
     n = table.n_parties
-    hat = _table_transform(table)
+    if n > MAX_TRANSFORM_PARTIES:
+        raise ValueError(f"sign transform capped at {MAX_TRANSFORM_PARTIES} parties")
+    hat = sign_transform(table.vector())
     scale = float(2**n)
     total = float(np.abs(hat).sum())
     residual = max(0.0, total / scale - 1.0)
     if total > scale + COMPLETE_SET_SLACK:
-        return FeasibilityVerdict(False, _violated_inequality(table, hat), residual)
+        return FeasibilityVerdict(False, _violated_inequality(table, hat), residual, total)
 
     half_leftover = max(0.0, 1.0 - total / scale) / 2
     weights = {(1.0, 0): half_leftover, (-1.0, 0): half_leftover}
@@ -175,7 +163,7 @@ def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
         for (sigma, t), weight in weights.items()
         if weight > 1e-12
     }
-    return FeasibilityVerdict(True, witness, residual)
+    return FeasibilityVerdict(True, witness, residual, total)
 
 
 _OUTCOMES = {"++": (1.0, 1.0), "+-": (1.0, -1.0), "-+": (-1.0, 1.0), "--": (-1.0, -1.0)}
@@ -214,11 +202,9 @@ def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, flo
 __all__ = [
     "FeasibilityVerdict",
     "InequalityWitness",
-    "complete_set_check",
     "fine_quadruple",
     "lhv_feasible",
     "sign_transform",
     "strategy_label",
     "witness_reconstruction_error",
-    "wwzb_sign_sum",
 ]

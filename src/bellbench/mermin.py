@@ -25,14 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import (
-    BOUND_SLACK,
-    DEFAULT_TOLERANCES,
-    as_square_matrix,
-    projector,
-    tensor,
-    tensor_all,
-)
+from .operators import BOUND_SLACK, COMPARISON_TOL, as_square_matrix, projector, tensor
 from .states import MAX_QUBITS, SIGMA_X, SIGMA_Y, ghz_basis, noisy_pair
 
 F_PHASE = cmath.exp(-1j * math.pi / 4) / math.sqrt(2)
@@ -54,14 +47,6 @@ class MerminPair:
     b: np.ndarray
     b_prime: np.ndarray
     parties: tuple[int, ...]
-
-    def f_transform(self) -> np.ndarray:
-        return local_f(self.b, self.b_prime)
-
-    def f_consistency_error(self) -> float:
-        """Max-entry gap between f(B, B') and the product of site f-transforms."""
-        target = tensor_all([local_f(SIGMA_X, SIGMA_Y)] * len(self.parties))
-        return float(np.abs(self.f_transform() - target).max())
 
 
 def site_pair(site: int) -> MerminPair:
@@ -157,7 +142,7 @@ def mermin_expectation(v: float, n_copies: int) -> MerminExpectation:
     z = contracted_expectation(v, n_copies)
     traced = z.real
     for name, value in (("B", traced), ("B'", z.imag)):
-        if abs(analytic - value) > DEFAULT_TOLERANCES.comparison:
+        if abs(analytic - value) > COMPARISON_TOL:
             raise ArithmeticError(
                 f"analytic {analytic} and contracted <{name}> {value} Mermin values disagree")
     return MerminExpectation(analytic, traced)

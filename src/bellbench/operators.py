@@ -2,36 +2,18 @@
 
 Everything here operates on plain ``numpy`` arrays of ``complex128``. Matrices
 are dense; the workbench never exceeds dimension 2**12, where dense storage
-and exact spectral routines are both cheap and simple.
+is cheap and simple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
 from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central tolerance record shared by validators and verdicts.
-
-    hermiticity: max-entry deviation allowed between M and its adjoint.
-    psd_floor:   smallest admissible eigenvalue of a positive operator.
-    comparison:  general-purpose agreement tolerance for derived quantities.
-    """
-
-    hermiticity: float = 1e-12
-    psd_floor: float = -1e-10
-    comparison: float = 1e-10
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Agreement tolerance for derived quantities that two routes compute.
+COMPARISON_TOL = 1e-10
 
 # Slack used by inequality verdicts: a bound |v| <= c is "satisfied" up to
 # |v| <= c + BOUND_SLACK so that exact boundary cases classify as satisfied.
@@ -43,35 +25,6 @@ def as_square_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
-def hermiticity_error(m) -> float:
-    a = as_square_matrix(m)
-    return float(np.abs(a - dagger(a)).max())
-
-
-def validate_hermitian(m, tol: float = DEFAULT_TOLERANCES.hermiticity) -> np.ndarray:
-    a = as_square_matrix(m)
-    err = float(np.abs(a - dagger(a)).max())
-    if err > tol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {err:.3e} > {tol:.1e}")
-    return a
-
-
-def validate_density_matrix(m, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Check the density-matrix invariants: Hermitian, unit trace, PSD."""
-    a = validate_hermitian(m, tolerances.hermiticity)
-    tr = complex(np.trace(a))
-    if abs(tr - 1.0) > tolerances.hermiticity:
-        raise ValueError(f"trace {tr} deviates from 1 by more than {tolerances.hermiticity:.1e}")
-    eigs = np.linalg.eigvalsh(a)
-    if eigs.min() < tolerances.psd_floor:
-        raise ValueError(f"minimum eigenvalue {eigs.min():.3e} below {tolerances.psd_floor:.1e}")
     return a
 
 
@@ -94,11 +47,11 @@ def hermitian_split(f) -> tuple[np.ndarray, np.ndarray]:
     to the last bit, and the reconstruction is exact up to rounding.
     """
     a = as_square_matrix(f)
-    ad = dagger(a)
+    ad = a.conj().T
     return (a + ad) / 2, (a - ad) / 2j
 
 
-def expectation(rho, o, tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def expectation(rho, o) -> float:
     """Real expectation value tr[rho @ o].
 
     Raises on dimension mismatch, and if the imaginary residue of the trace
@@ -110,16 +63,9 @@ def expectation(rho, o, tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
         raise ValueError(f"dimension mismatch: state {r.shape} vs observable {a.shape}")
     # tr[R O] without forming the product matrix
     val = complex(np.sum(r * a.T))
-    if abs(val.imag) >= tolerances.comparison:
+    if abs(val.imag) >= COMPARISON_TOL:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
-
-
-def spectral_check(m, tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, bool]:
-    """Eigenvalues (ascending) and a PSD flag for a Hermitian matrix."""
-    a = validate_hermitian(m, tolerances.comparison)
-    eigs = np.linalg.eigvalsh(a)
-    return eigs, bool(eigs.min() >= tolerances.psd_floor)
 
 
 def projector(ket: Sequence[complex]) -> np.ndarray:

@@ -10,17 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lhv import COMPLETE_SET_SLACK
-from .operators import BOUND_SLACK, DEFAULT_TOLERANCES
+from .operators import BOUND_SLACK, COMPARISON_TOL
 
 TOOL_VERSION = "0.1.0"
 
 REPORT_TOLERANCES = {
-    **DEFAULT_TOLERANCES.as_dict(),
+    "comparison": COMPARISON_TOL,
     "bound_slack": BOUND_SLACK,
-    # Residual tolerance of the strategy LP that the test suite runs as an
-    # independent reference for lhv_feasible; the key keeps report bytes stable.
-    "lp_residual": 1e-9,
     "complete_set_slack": COMPLETE_SET_SLACK,
+    # The program reads none of these three; the keys keep report bytes
+    # stable. lp_residual is the residual tolerance of the test suite's LP.
+    "hermiticity": 1e-12,
+    "psd_floor": -1e-10,
+    "lp_residual": 1e-9,
 }
 
 

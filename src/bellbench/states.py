@@ -14,20 +14,12 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    as_square_matrix,
-    expectation,
-    projector,
-    tensor_all,
-)
+from .operators import as_square_matrix, expectation, projector, tensor_all
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -100,14 +92,14 @@ def ghz_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
-def correlation(rho, phases, tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def correlation(rho, phases) -> float:
     """Full correlation function tr[rho (sigma_phi_1 x ... x sigma_phi_n)]."""
     r = as_square_matrix(rho)
     n = len(phases)
     if r.shape[0] != 2**n:
         raise ValueError(f"state dimension {r.shape[0]} does not match {n} settings")
     obs = tensor_all([phase_observable(p) for p in phases])
-    return expectation(r, obs, tolerances)
+    return expectation(r, obs)
 
 
 @dataclass(frozen=True)
@@ -156,16 +148,11 @@ class CorrelationTable:
             values[str(key)] = float(val)
         return cls(n, values)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CorrelationTable":
-        return cls.from_json_obj(json.loads(text))
 
-
-def full_correlation_table(rho, n: int,
-                           tolerances: Tolerances = DEFAULT_TOLERANCES) -> CorrelationTable:
+def full_correlation_table(rho, n: int) -> CorrelationTable:
     """Correlators for every X/Y setting tuple of an n-party state."""
     values = {}
     for combo in itertools.product("XY", repeat=n):
         key = "".join(combo)
-        values[key] = correlation(rho, [SETTING_PHASES[c] for c in combo], tolerances)
+        values[key] = correlation(rho, [SETTING_PHASES[c] for c in combo])
     return CorrelationTable(n, values)

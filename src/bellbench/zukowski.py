@@ -22,7 +22,7 @@ import numpy as np
 
 from .operators import BOUND_SLACK, projector, tensor_all
 from .states import MAX_QUBITS, ghz_basis, phase_observable
-from .mermin import align_corner_phase, expected_alignment_phase, mermin_closed_form
+from .mermin import align_corner_phase, expected_alignment_phase, mermin_operators
 
 S_BOUND_SLACK = 1e-9
 
@@ -138,14 +138,6 @@ def z_prime_functional(values) -> complex:
     return complex(vals @ cell_weights(len(vals)))
 
 
-def s_functional(step_functions) -> float:
-    """Re prod_k z'(f_k); local-realistic reasoning bounds |S| by 2^n."""
-    zs = [z_prime_functional(f) for f in step_functions]
-    if not zs:
-        raise ValueError("need at least one step function")
-    return float(np.prod(zs).real)
-
-
 def sign_cos_step(cells: int) -> np.ndarray:
     """Extremal step function sign(cos phi); needs an even cell count so the
     sign change at pi/2 falls on a cell boundary and |z'| = 2 is hit exactly."""
@@ -176,27 +168,12 @@ def ghz_offdiagonal_max(n: int, op: np.ndarray | None = None) -> float:
     return float(np.abs(off).max())
 
 
-def ghz_diagonal(n: int, op: np.ndarray | None = None) -> np.ndarray:
-    """Diagonal of Z_n in the GHZ basis (real part)."""
-    basis = np.column_stack(ghz_basis(n))
-    in_basis = basis.conj().T @ (zukowski_closed(n) if op is None else op) @ basis
-    return np.real(np.diag(in_basis))
-
-
 def bell_relation_operator_gap(n_copies: int) -> float:
     """Max-entry gap between zukowski_aligned and the rescaled recursive B.
 
     Zero (to rounding) by the operator identity behind the Bell relation;
     exposed as a checkable diagnostic rather than assumed.
     """
-    from .mermin import mermin_operators
-
     scaled = bell_relation_scale(n_copies) * mermin_operators(2 * n_copies).b
     return float(np.abs(zukowski_aligned(n_copies) - scaled).max())
 
-
-def closed_form_scale_check(n_copies: int) -> float:
-    """Max-entry gap between zukowski_closed(2N) and the rescaled closed-form B."""
-    n = 2 * n_copies
-    scaled = bell_relation_scale(n_copies) * mermin_closed_form(n)
-    return float(np.abs(zukowski_closed(n) - scaled).max())

@@ -13,6 +13,7 @@ import pytest
 
 import bellbench
 from bellbench.cli import MAX_APPENDIX_CELLS, main, sweep_grid
+from bellbench.operators import expectation
 from bellbench.report import render_json
 from bellbench.rng import XorShift64Star
 from bellbench.zukowski import cell_weights
@@ -65,6 +66,20 @@ def run_json(capsys, *argv):
 
 
 class TestCorrelators:
+    def test_evaluates_each_correlator_once(self, monkeypatch):
+        from bellbench import states
+
+        calls = []
+
+        def counting(rho, o):
+            calls.append(o.shape)
+            return expectation(rho, o)
+
+        monkeypatch.setattr(states, "expectation", counting)
+        code, _, err = run_main(["correlators", "--visibility", "0.5"])
+        assert code == 0, err
+        assert calls == [(4, 4)] * 4
+
     def test_full_visibility(self, capsys):
         report = run_json(capsys, "correlators", "--visibility", "1")
         res = report["results"]
@@ -184,11 +199,14 @@ class TestSweep:
         assert "must not repeat" in err
         assert "Traceback" not in err
 
-    def test_json_format_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "sweep", "--v-min", "0", "--v-max", "1",
-                             "--v-step", "0.5", "--copies", "1",
-                             "--format", "json")
-        assert code == 2
+    def test_json_format_rejected(self):
+        # There is no --format option; each subcommand has one output format.
+        for argv in (["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.5",
+                      "--copies", "1"], ["analyze", "--visibility", "1", "--copies", "2"]):
+            code, out, err = run_main(argv + ["--format", "json"])
+            assert code == 2
+            assert out == ""
+            assert "Traceback" not in err
 
     def test_violation_iff_above_threshold(self, capsys):
         from bellbench.zukowski import threshold_visibility
@@ -311,6 +329,50 @@ class TestLhv:
         code, _, _ = run_cli(capsys, "lhv", "--input", "/nonexistent/t.json")
         assert code == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_main(["lhv", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "cannot read" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "invalid JSON"),
+        # Python releases without the integer-string digit limit parse this
+        # literal and reject it as a table instead.
+        ('{"XX": 1' + "0" * 5000 + "}", "bellctl: error: invalid "),
+        ('{"XX": 1' + "0" * 400 + ', "XY": 0, "YX": 0, "YY": 0}', "invalid correlation table"),
+    ], ids=["deep-nesting", "int-over-digit-limit", "int-over-float-range"])
+    def test_unparseable_numbers_and_nesting_exit_2(self, text, message):
+        code, out, err = run_main(["lhv"], stdin=text)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    # An infeasible verdict transforms its sign pattern once more to get the
+    # violated inequality's coefficients.
+    @pytest.mark.parametrize("text, transforms", [
+        ('{"XX": 0.5, "XY": 0.25, "YX": 0.25, "YY": -0.5}', 1),
+        ('{"XX": 1, "XY": 1, "YX": 1, "YY": -1}', 2),
+    ], ids=["feasible", "infeasible"])
+    def test_one_sign_transform_per_request(self, monkeypatch, text, transforms):
+        from bellbench import lhv
+
+        calls = []
+        sign_transform = lhv.sign_transform
+
+        def counting(vector):
+            calls.append(len(vector))
+            return sign_transform(vector)
+
+        monkeypatch.setattr(lhv, "sign_transform", counting)
+        code, _, err = run_main(["lhv"], stdin=text)
+        assert code == 0, err
+        assert len(calls) == transforms
+
     def test_solver_failure_exits_3(self, capsys, tmp_path, monkeypatch):
         from bellbench import cli
 
@@ -363,6 +425,17 @@ class TestLhv:
                 assert report["results"]["lhv_residual"] < 1e-12
             else:
                 assert report["results"]["lhv_residual"] > 0
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_output_exits_2(tmp_path, target):
+    path = tmp_path / target
+    code, out, err = run_main(["analyze", "--visibility", "1", "--copies", "2",
+                               "--output", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"bellctl: error: cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -3,10 +3,10 @@
 For any argv of analyze, sweep and verify-appendix, including out-of-range,
 non-numeric, NaN, repeated and huge values, and for any lhv table JSON,
 including ragged, empty and misspelt keys, non-finite and out-of-range
-values, 0 to 14 parties and tables nested in reports: the exit code is 0, 2
-or 3, no traceback reaches stderr, and a rerun writes the same bytes. Needs the
-optional `hypothesis` test dependency; examples are derandomized so the
-suite stays deterministic.
+values, 0 to 14 parties, tables nested in reports, deep nesting and huge
+integer literals: the exit code is 0, 2 or 3, no traceback reaches stderr,
+and a rerun writes the same bytes. Needs the optional `hypothesis` test
+dependency; examples are derandomized so the suite stays deterministic.
 """
 
 import itertools
@@ -113,8 +113,19 @@ def lhv_input(draw):
     return draw(st.sampled_from([text] * 5 + [text[:-1], text + "x", " " + text + "\n"]))
 
 
+# Raw text the JSON decoder itself cannot take: nesting deeper than its
+# recursion limit, and integer literals past float range or Python's
+# integer-string digit limit.
+RAW_LHV_TEXT = st.one_of(
+    st.tuples(st.sampled_from(["[", '{"a": ', '{"results": ']), st.integers(1, 200_000))
+    .map(lambda t: t[0] * t[1]),
+    st.tuples(st.sampled_from(["", "-"]), st.integers(300, 6000))
+    .map(lambda t: '{"X": %s1%s, "Y": 0}' % (t[0], "0" * t[1])),
+)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(lhv_input())
+@given(st.one_of(lhv_input(), RAW_LHV_TEXT))
 def test_lhv_exit_code_contract(text):
     code, out, err = run_main(["lhv"], stdin=text)
     assert code in (0, 2, 3), (text[:200], code, err)

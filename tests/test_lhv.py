@@ -8,13 +8,11 @@ from bellbench.rng import XorShift64Star
 from bellbench.states import CorrelationTable, copies, full_correlation_table, noisy_pair
 from bellbench.lhv import (
     InequalityWitness,
-    complete_set_check,
     fine_quadruple,
     lhv_feasible,
     sign_transform,
     strategy_label,
     witness_reconstruction_error,
-    wwzb_sign_sum,
 )
 from lp_oracle import enumerate_strategies, lp_feasible, strategy_correlations, strategy_matrix
 
@@ -152,14 +150,15 @@ class TestCompleteSet:
     def test_noisy_pair_sum(self):
         for v in V_GRID:
             table = pair_table(0.0, v, v, 0.0)
-            assert abs(wwzb_sign_sum(table) - 4 * v) < 1e-12
-            assert complete_set_check(table)
+            verdict = lhv_feasible(table)
+            assert abs(verdict.sign_sum - 4 * v) < 1e-12
+            assert verdict.feasible
 
     def test_extreme_point_violates(self):
-        assert not complete_set_check(pair_table(1.0, 1.0, 1.0, -1.0))
+        assert not lhv_feasible(pair_table(1.0, 1.0, 1.0, -1.0)).feasible
 
     def test_all_zero(self):
-        assert complete_set_check(pair_table(0.0, 0.0, 0.0, 0.0))
+        assert lhv_feasible(pair_table(0.0, 0.0, 0.0, 0.0)).feasible
 
     def test_matches_quadruples_exactly_at_two_parties(self):
         gen = XorShift64Star(99)
@@ -167,7 +166,7 @@ class TestCompleteSet:
             e = 2 * gen.uniforms(4) - 1
             table = pair_table(*e)
             _, quad_ok = fine_quadruple(e[0], e[3], e[1], e[2])
-            assert quad_ok == complete_set_check(table)
+            assert quad_ok == lhv_feasible(table).feasible
 
 
 class TestFeasibility:
@@ -203,7 +202,6 @@ class TestFeasibility:
         else:
             w = verdict.witness
             assert sum(w.coefficients[k] * table.values[k] for k in table.values) > w.bound
-        assert verdict.feasible == complete_set_check(table)
 
     def test_oracle_agreement_two_parties(self):
         gen = XorShift64Star(2024)
@@ -249,14 +247,15 @@ class TestClosedFormWitness:
     def test_scaled_ghz_tables_inside_the_polytope(self, n):
         rng = np.random.default_rng(2000 + n)
         unit = ghz_type_table(rng, n, 1.0)
-        inside = 0.99 * 2**n / wwzb_sign_sum(unit)
+        inside = 0.99 * 2**n / lhv_feasible(unit).sign_sum
         table = CorrelationTable(n, {k: inside * v for k, v in unit.values.items()})
         verdict = assert_valid_witness(table)
         assert verdict.residual == 0.0
 
     def test_residual_is_cross_polytope_excess(self):
         table = pair_table(1.0, 1.0, 1.0, -1.0)
-        assert lhv_feasible(table).residual == pytest.approx(wwzb_sign_sum(table) / 4 - 1)
+        verdict = lhv_feasible(table)
+        assert verdict.residual == pytest.approx(verdict.sign_sum / 4 - 1)
         assert lhv_feasible(pair_table(0.0, 0.5, 0.5, 0.0)).residual == 0.0
 
     def test_leftover_mass_splits_between_plus_and_minus_h0(self):
@@ -288,7 +287,7 @@ class TestClosedFormWitness:
             unit = ghz_type_table(rng, n, 1.0)
             # Scales on both sides of the bound, never within 1% of it.
             ratio = rng.choice([-1, 1]) * rng.uniform(0.01, 0.2)
-            scale = min(1.0, (1 + ratio) * 2**n / wwzb_sign_sum(unit))
+            scale = min(1.0, (1 + ratio) * 2**n / lhv_feasible(unit).sign_sum)
             tables.append(CorrelationTable(n, {k: scale * v for k, v in unit.values.items()}))
         verdicts = [lhv_feasible(t).feasible for t in tables]
         assert verdicts == [lp_feasible(t) for t in tables]

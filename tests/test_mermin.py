@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellbench import mermin, states
-from bellbench.operators import expectation, hermitian_split, hermiticity_error, tensor_all
+from bellbench.operators import expectation, hermitian_split, tensor_all
 from bellbench.states import SIGMA_X, SIGMA_Y, copies, noisy_pair
 from bellbench.mermin import (
     MerminPair,
@@ -103,9 +103,10 @@ def test_grouping_independence():
 def test_f_consistency_of_built_pairs():
     for n in (2, 4, 6):
         pair = mermin_operators(n)
-        assert pair.f_consistency_error() < 1e-12
-        assert hermiticity_error(pair.b) < 1e-12
-        assert hermiticity_error(pair.b_prime) < 1e-12
+        target = tensor_all([local_f(SIGMA_X, SIGMA_Y)] * n)
+        assert np.abs(local_f(pair.b, pair.b_prime) - target).max() < 1e-12
+        np.testing.assert_array_equal(pair.b, pair.b.conj().T)
+        np.testing.assert_array_equal(pair.b_prime, pair.b_prime.conj().T)
 
 
 @pytest.mark.parametrize("n_copies", [1, 2, 3])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bellbench.operators import expectation, tensor, validate_density_matrix
+from bellbench.operators import expectation, tensor
 from bellbench.states import (
     SIGMA_X,
     SIGMA_Y,
@@ -46,7 +46,10 @@ def test_noisy_pair_rejects_out_of_range():
 
 def test_noisy_pair_is_valid_density_matrix_on_fine_grid():
     for v in np.linspace(0, 1, 101):
-        validate_density_matrix(noisy_pair(float(v)))
+        rho = noisy_pair(float(v))
+        assert np.abs(rho - rho.conj().T).max() <= 1e-12
+        assert abs(np.trace(rho) - 1) <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
 
 def test_copies():

@@ -6,17 +6,14 @@ import pytest
 from bellbench.operators import expectation
 from bellbench.rng import XorShift64Star
 from bellbench.states import copies, ghz_basis
-from bellbench.mermin import mermin_operators
+from bellbench.mermin import mermin_closed_form, mermin_operators
 from bellbench.zukowski import (
     bell_relation_operator_gap,
     bell_relation_scale,
     cell_weights,
-    closed_form_scale_check,
     closed_vs_quadrature_error,
-    ghz_diagonal,
     ghz_offdiagonal_max,
     modified_mermin_bound,
-    s_functional,
     sign_cos_step,
     threshold_visibility,
     z_prime_functional,
@@ -26,6 +23,11 @@ from bellbench.zukowski import (
     zukowski_from_mermin,
     zukowski_quadrature,
 )
+
+def ghz_diagonal(n, op):
+    basis = np.column_stack(ghz_basis(n))
+    return np.real(np.diag(basis.conj().T @ op @ basis))
+
 
 # frozen from the closed factor (1/2)(pi/2)^{2N} 2^{-(2N-1)/2}
 SCALE = {1: 0.8723580249548598, 2: 1.076228575302513, 3: 1.3277437854229766}
@@ -72,7 +74,7 @@ class TestOperatorForms:
     def test_ghz_diagonality(self):
         for n in (2, 3, 4):
             assert ghz_offdiagonal_max(n) < 1e-12
-            diag = ghz_diagonal(n)
+            diag = ghz_diagonal(n, zukowski_closed(n))
             top = 0.5 * (math.pi / 2) ** n
             assert abs(diag[0] - top) < 1e-12
             assert abs(diag[1] + top) < 1e-12
@@ -106,7 +108,9 @@ class TestBellRelation:
 
     def test_closed_forms_share_the_scale(self):
         for n_copies in (1, 2, 3):
-            assert closed_form_scale_check(n_copies) < 1e-12
+            n = 2 * n_copies
+            scaled = bell_relation_scale(n_copies) * mermin_closed_form(n)
+            assert np.abs(zukowski_closed(n) - scaled).max() < 1e-12
 
     def test_from_mermin_values(self):
         assert abs(zukowski_from_mermin(1.0, 1) - SCALE[1]) < 1e-12
@@ -193,9 +197,10 @@ class TestStepFunctionals:
     def test_s_functional_extremal_and_imaginary_cases(self):
         extremal = sign_cos_step(64)
         for n in (1, 2, 3):
-            assert abs(s_functional([extremal] * n) - 2**n) < 1e-12
+            assert abs((z_prime_functional(extremal) ** n).real - 2**n) < 1e-12
         # one constant factor makes the product purely imaginary
-        assert abs(s_functional([np.ones(64), extremal])) < 1e-12
+        s = (z_prime_functional(np.ones(64)) * z_prime_functional(extremal)).real
+        assert abs(s) < 1e-12
 
     def test_s_functional_random_bound(self):
         gen = XorShift64Star(8)
