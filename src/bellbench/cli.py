@@ -8,6 +8,10 @@ shared copies), `sweep` (visibility grid as CSV), `verify-appendix`
 
 Exit codes: 0 success (verdicts are data, not errors), 2 usage or parse
 errors, 3 internal numerical failure.
+
+`analyze`, `sweep` and usage errors run on the numpy-free closed forms of
+bellbench.mermin; the numpy-backed modules are imported by the subcommands
+that use them, on their first call.
 """
 
 from __future__ import annotations
@@ -18,14 +22,16 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import lhv as lhv_mod
-from . import zukowski as zk
-from .mermin import mermin_bound_check, mermin_expectation
+from .mermin import (
+    bell_relation_scale,
+    mermin_bound_check,
+    mermin_expectation,
+    modified_mermin_bound,
+    threshold_visibility,
+    zukowski_bound_check,
+    zukowski_from_mermin,
+)
 from .report import RunReport, format_float
-from .rng import XorShift64Star
-from .states import CorrelationTable, full_correlation_table, noisy_pair
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -129,10 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_correlators(visibility: float) -> RunReport:
+    from .lhv import fine_quadruple, lhv_feasible
+    from .states import full_correlation_table, noisy_pair
+
     table = full_correlation_table(noisy_pair(visibility), 2)
     e_xx, e_yy, e_xy, e_yx = (table.values[k] for k in ("XX", "YY", "XY", "YX"))
-    quadruples, fine_ok = lhv_mod.fine_quadruple(e_xx, e_yy, e_xy, e_yx)
-    verdict = lhv_mod.lhv_feasible(table)
+    quadruples, fine_ok = fine_quadruple(e_xx, e_yy, e_xy, e_yx)
+    verdict = lhv_feasible(table)
     return RunReport(
         command="correlators",
         parameters={"visibility": visibility},
@@ -156,16 +165,16 @@ def cmd_analyze(visibility: float, n_copies: int) -> RunReport:
     if not 1 <= n_copies <= MAX_SWEEP_COPIES:
         raise CliError(f"copies must lie in [1, {MAX_SWEEP_COPIES}], got {n_copies}")
     mermin_value = mermin_expectation(visibility, n_copies).analytic
-    zukowski_value = zk.zukowski_from_mermin(mermin_value, n_copies)
+    zukowski_value = zukowski_from_mermin(mermin_value, n_copies)
     mermin_ok = mermin_bound_check(mermin_value)
-    zukowski_ok = zk.zukowski_bound_check(zukowski_value)
+    zukowski_ok = zukowski_bound_check(zukowski_value)
     results = {
         "mermin_value": mermin_value,
         "zukowski_value": zukowski_value,
-        "modified_bound": zk.modified_mermin_bound(n_copies),
+        "modified_bound": modified_mermin_bound(n_copies),
     }
     if n_copies >= 2:
-        results["threshold_visibility"] = zk.threshold_visibility(n_copies)
+        results["threshold_visibility"] = threshold_visibility(n_copies)
     return RunReport(
         command="analyze",
         parameters={"visibility": visibility, "copies": n_copies},
@@ -199,34 +208,27 @@ def sweep_grid(v_min: float, v_max: float, v_step: float) -> list[float]:
 def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int]) -> str:
     """CSV rows over the grid, copy count outer, visibility inner.
 
-    Values use the closed forms <B> = V^N and the Bell-relation rescaling;
-    the agreement of V^N with the per-pair contraction is enforced by the
-    mermin_expectation contract and does not need to be recomputed per row.
+    Values use the closed forms <B> = V^N and <Z_2N> = scale(N) <B>, the
+    numbers zukowski_from_mermin gives; the agreement of V^N with the
+    per-pair contraction is enforced by the mermin_expectation contract and
+    does not need to be recomputed per row. Each float is rendered as
+    format_float renders it.
     """
     grid = sweep_grid(v_min, v_max, v_step)
+    v_texts = [format_float(v) for v in grid]
     lines = ["V,N,mermin,zukowski,modified_bound,violated"]
     for n in copies_list:
-        bound = zk.modified_mermin_bound(n)
-        for v in grid:
+        scale = bell_relation_scale(n)
+        bound = format_float(modified_mermin_bound(n))
+        for v, v_text in zip(grid, v_texts):
             mermin = v**n
-            zukowski = zk.zukowski_from_mermin(mermin, n)
-            violated = not zk.zukowski_bound_check(zukowski)
-            lines.append(
-                ",".join(
-                    [
-                        format_float(v),
-                        str(n),
-                        format_float(mermin),
-                        format_float(zukowski),
-                        format_float(bound),
-                        "true" if violated else "false",
-                    ]
-                )
-            )
+            zukowski = scale * mermin
+            violated = "false" if zukowski_bound_check(zukowski) else "true"
+            lines.append(f"{v_text},{n},{mermin:.12g},{zukowski:.12g},{bound},{violated}")
     return "\n".join(lines) + "\n"
 
 
-def _step_integrals(gen: XorShift64Star, weights: np.ndarray, trials: int, n: int):
+def _step_integrals(gen, weights, trials: int, n: int):
     """z = integral of f(phi) e^{i phi} for `trials` draws of n random step
     functions each, yielded as (rows, n) blocks in draw order.
 
@@ -249,6 +251,11 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> RunReport:
     if trials * grid_cells > MAX_APPENDIX_CELLS:
         raise CliError(f"trials x grid cells must not exceed {MAX_APPENDIX_CELLS}, "
                        f"got {trials} x {grid_cells}")
+
+    import numpy as np
+
+    from . import zukowski as zk
+    from .rng import XorShift64Star
 
     quad_error = max(zk.closed_vs_quadrature_error(n) for n in (2, 3, 4))
     # diagonality is checked on the quadrature-built matrix (the integral route)
@@ -295,7 +302,10 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> RunReport:
     )
 
 
-def load_table(text: str) -> CorrelationTable:
+def load_table(text: str):
+    """The CorrelationTable in `text`: a bare table, or a correlators report."""
+    from .states import CorrelationTable
+
     # json.loads raises ValueError on malformed text and on integer literals
     # over Python's digit limit, RecursionError on too deep a nesting; float()
     # raises OverflowError on an integer too large for a float.
@@ -313,9 +323,11 @@ def load_table(text: str) -> CorrelationTable:
 
 
 def cmd_lhv(text: str) -> RunReport:
+    from .lhv import WITNESS_TOL, lhv_feasible, witness_reconstruction_error
+
     table = load_table(text)
     try:
-        verdict = lhv_mod.lhv_feasible(table)
+        verdict = lhv_feasible(table)
     except ValueError as exc:  # the party cap
         raise CliError(str(exc))
 
@@ -330,10 +342,10 @@ def cmd_lhv(text: str) -> RunReport:
     # The complete-set verdict is the feasibility verdict: both compare the
     # same sign sum with 2^n + COMPLETE_SET_SLACK.
     if verdict.feasible:
-        error = lhv_mod.witness_reconstruction_error(table, verdict.witness)
+        error = witness_reconstruction_error(table, verdict.witness)
         results["witness_distribution"] = dict(verdict.witness)
         results["witness_error"] = error
-        certified = error <= lhv_mod.WITNESS_TOL
+        certified = error <= WITNESS_TOL
     else:
         witness = verdict.witness
         results["witness_inequality"] = {

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mermin import COMPLETE_SET_SLACK
 from .states import CorrelationTable
 
-COMPLETE_SET_SLACK = 1e-9
 WITNESS_TOL = 1e-8
 MAX_TRANSFORM_PARTIES = 12
 # Strategies per block of Kronecker products when a witness is rebuilt.

@@ -1,114 +1,43 @@
-"""Recursive construction of Bell-Mermin operator pairs and their bound.
+"""Bell-Mermin average on N shared noisy pairs, the Bell-relation closed forms
+and the comparison tolerances: everything `analyze` and `sweep` compute, in
+plain Python arithmetic (this module imports no numpy).
 
-The pair (B, B') on a set of sites is defined through the complex combination
-f(x, y) = e^{-i pi/4} (x + i y) / sqrt(2): the f-transform of the pair equals
-the tensor product of the per-site f-transforms of the local observables
-(X and Y at every site). Disjoint pairs combine through a bilinear recursion,
-and the full operator is a rank-2 corner matrix whose local-realistic bound
-is |<B>| <= 1.
+The Bell-Mermin pair (B, B') is defined through the complex combination
+f(x, y) = e^{-i pi/4} (x + i y) / sqrt(2): the f-transform of the pair is the
+tensor product of the per-site f-transforms of X and Y, so
+B + i B' = F_PHASE^{-1} (f (x) ... (x) f) with f = f(X, Y). The state is a
+tensor power of one pair, hence <B> + i <B'> = t^N / F_PHASE with
+t = tr[rho_pair (f (x) f)]. mermin_expectation checks the closed form V^N
+against this contraction. The dense recursion, its 2N-qubit trace and the
+Bell-Zukowski operator identity are the test suite's reference routes
+(tests/dense_oracle.py).
 
-The same product gives <B> on N independent noisy pairs without any 2N-qubit
-matrix: B + i B' = F_PHASE^{-1} (f (x) ... (x) f) with f = f(X, Y), and the
-state is a tensor power of one pair, so <B> + i <B'> = t^N / F_PHASE with
-t = tr[rho_pair (f (x) f)], a single 4x4 trace. mermin_expectation checks the
-closed form V^N against this contraction; the dense recursion and its trace
-stay available (mermin_operators, states.copies) as the reference the tests
-compare both against.
+The Bell relation <Z_{2N}> = (1/2)(pi/2)^{2N} 2^{-(2N-1)/2} <B> turns the
+local-realistic bound |<Z_{2N}>| <= 1 into a bound on |<B>|, and that bound
+into the threshold visibility.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
+# Agreement tolerance for derived quantities that two routes compute.
+COMPARISON_TOL = 1e-10
 
-from .operators import BOUND_SLACK, COMPARISON_TOL, as_square_matrix, projector, tensor
-from .states import MAX_QUBITS, SIGMA_X, SIGMA_Y, ghz_basis, noisy_pair
+# Slack used by inequality verdicts: a bound |v| <= c is "satisfied" up to
+# |v| <= c + BOUND_SLACK so that exact boundary cases classify as satisfied.
+BOUND_SLACK = 1e-12
+
+# Slack of the complete-set (cross-polytope) verdict of the LHV oracle.
+COMPLETE_SET_SLACK = 1e-9
 
 F_PHASE = cmath.exp(-1j * math.pi / 4) / math.sqrt(2)
 
-
-def local_f(a, a_prime) -> np.ndarray:
-    """Complex combination e^{-i pi/4}(a + i a')/sqrt(2) of two observables."""
-    x = as_square_matrix(a)
-    y = as_square_matrix(a_prime)
-    if x.shape != y.shape:
-        raise ValueError("observables must share a dimension")
-    return F_PHASE * (x + 1j * y)
-
-
-@dataclass(frozen=True, eq=False)
-class MerminPair:
-    """Bell-Mermin operator pair acting on the listed sites (in slot order)."""
-
-    b: np.ndarray
-    b_prime: np.ndarray
-    parties: tuple[int, ...]
-
-
-def site_pair(site: int) -> MerminPair:
-    """Single-site pair: B = X, B' = Y."""
-    return MerminPair(SIGMA_X.copy(), SIGMA_Y.copy(), (site,))
-
-
-def compose(alpha: MerminPair, beta: MerminPair) -> MerminPair:
-    """Combine pairs on disjoint site sets.
-
-    B_{ab} = (B_a (x) (B_b + B'_b) + B'_a (x) (B_b - B'_b)) / 2 and the
-    primed analogue; equivalent to multiplying the f-transforms.
-    """
-    if set(alpha.parties) & set(beta.parties):
-        raise ValueError(f"site sets overlap: {alpha.parties} and {beta.parties}")
-    s = beta.b + beta.b_prime
-    d = beta.b - beta.b_prime
-    b = 0.5 * (np.kron(alpha.b, s) + np.kron(alpha.b_prime, d))
-    b_prime = 0.5 * (np.kron(alpha.b_prime, s) - np.kron(alpha.b, d))
-    return MerminPair(b, b_prime, alpha.parties + beta.parties)
-
-
-def mermin_operators(n_parties: int) -> MerminPair:
-    """Full pair on sites 1..n, built by folding compose over singletons."""
-    _check_party_count(n_parties)
-    pair = site_pair(1)
-    for site in range(2, n_parties + 1):
-        pair = compose(pair, site_pair(site))
-    return pair
-
-
-def mermin_closed_form(n_parties: int) -> np.ndarray:
-    """Rank-2 corner form 2^{(n-1)/2} (P+ - P-) on the extreme GHZ doublet.
-
-    Built in the computational basis without extra phases; it matches the
-    recursive construction only after the corner-phase alignment below.
-    """
-    _check_party_count(n_parties)
-    plus, minus = ghz_basis(n_parties)[:2]
-    return 2 ** ((n_parties - 1) / 2) * (projector(plus) - projector(minus))
-
-
-def corner_phase(op) -> complex:
-    """Unimodular phase of the |0..0><1..1| corner of a corner-form operator."""
-    a = as_square_matrix(op)
-    c = complex(a[0, -1])
-    if abs(c) == 0.0:
-        raise ValueError("operator has no upper corner entry")
-    return c / abs(c)
-
-
-def align_corner_phase(op, phase: complex) -> np.ndarray:
-    """Multiply the |0..0><1..1| corner by phase (adjoint corner by its conjugate)."""
-    a = as_square_matrix(op).copy()
-    a[0, -1] *= phase
-    a[-1, 0] *= phase.conjugate()
-    return a
-
-
-def expected_alignment_phase(n_parties: int) -> complex:
-    """Phase e^{-i (n-1) pi / 4} relating closed form and recursion corners."""
-    return cmath.exp(-1j * (n_parties - 1) * math.pi / 4)
+# Amplitudes of |00> and |11> in the shared pair (|00> + i|11>)/sqrt(2);
+# the other two are zero.
+PAIR_AMPLITUDES = (1 / math.sqrt(2), 1j / math.sqrt(2))
 
 
 class MerminExpectation(NamedTuple):
@@ -116,18 +45,24 @@ class MerminExpectation(NamedTuple):
     traced: float
 
 
-def contracted_expectation(v: float, n_copies: int) -> complex:
-    """<B> + i<B'> on n_copies noisy pairs, from one pair's 4x4 contraction.
+def pair_contraction(v: float) -> complex:
+    """t = tr[rho_pair (f (x) f)] for the noisy pair at visibility v.
 
-    t = tr[rho_pair (f (x) f)] with f the site f-transform of (X, Y); the
-    f-transform of (B, B') is the product of the per-site ones, so
-    F_PHASE (<B> + i<B'>) = t^N.
+    f(X, Y) = 2 F_PHASE |0><1|, so f (x) f = 4 F_PHASE^2 |00><11| and the
+    trace reads the |11><00| entry of rho_pair = V |psi><psi| + (1-V) I/4,
+    which the white noise does not reach: V psi_11 conj(psi_00).
     """
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {v}")
+    a00, a11 = PAIR_AMPLITUDES
+    return 4 * F_PHASE**2 * v * a11 * a00.conjugate()
+
+
+def contracted_expectation(v: float, n_copies: int) -> complex:
+    """<B> + i<B'> on n_copies noisy pairs: F_PHASE (<B> + i<B'>) = t^N."""
     if n_copies < 1:
         raise ValueError("need at least one copy")
-    f = local_f(SIGMA_X, SIGMA_Y)
-    t = complex(np.trace(noisy_pair(v) @ tensor(f, f)))
-    return t**n_copies / F_PHASE
+    return pair_contraction(v) ** n_copies / F_PHASE
 
 
 def mermin_expectation(v: float, n_copies: int) -> MerminExpectation:
@@ -153,8 +88,38 @@ def mermin_bound_check(value: float) -> bool:
     return abs(value) <= 1.0 + BOUND_SLACK
 
 
-def _check_party_count(n_parties: int) -> None:
-    if n_parties % 2 != 0:
-        raise ValueError(f"party count must be even, got {n_parties}")
-    if not 2 <= n_parties <= MAX_QUBITS:
-        raise ValueError(f"party count must lie in [2, {MAX_QUBITS}], got {n_parties}")
+def bell_relation_scale(n_copies: int) -> float:
+    """Factor (1/2)(pi/2)^{2N} 2^{-(2N-1)/2} linking <Z_{2N}> to <B>."""
+    if n_copies < 1:
+        raise ValueError("need at least one copy")
+    n = 2 * n_copies
+    return 0.5 * (math.pi / 2) ** n / 2 ** ((n - 1) / 2)
+
+
+def zukowski_from_mermin(mermin_value: float, n_copies: int) -> float:
+    """Computed Bell-Zukowski average for a measured Bell-Mermin average."""
+    return bell_relation_scale(n_copies) * mermin_value
+
+
+def modified_mermin_bound(n_copies: int) -> float:
+    """Bound on |<B>| implied by |<Z_{2N}>| <= 1: 2 (2/pi)^{2N} 2^{(2N-1)/2}."""
+    if n_copies < 1:
+        raise ValueError("need at least one copy")
+    n = 2 * n_copies
+    return 2 * (2 / math.pi) ** n * 2 ** ((n - 1) / 2)
+
+
+def threshold_visibility(n_copies: int) -> float:
+    """Smallest visibility whose computed |<Z_{2N}>| reaches 1.
+
+    Defined for N >= 2 only; at N = 1 the bound exceeds 1 and no visibility
+    produces a violation.
+    """
+    if n_copies < 2:
+        raise ValueError("threshold visibility is defined for n_copies >= 2")
+    return modified_mermin_bound(n_copies) ** (1.0 / n_copies)
+
+
+def zukowski_bound_check(value: float) -> bool:
+    """Local-realistic bound |<Z_n>| <= 1; False is the conflict signal."""
+    return abs(value) <= 1.0 + BOUND_SLACK

@@ -1,8 +1,10 @@
 """Dense complex linear algebra for multi-qubit operators and density matrices.
 
-Everything here operates on plain ``numpy`` arrays of ``complex128``. Matrices
-are dense; the workbench never exceeds dimension 2**12, where dense storage
-is cheap and simple.
+Everything here operates on plain ``numpy`` arrays of ``complex128``:
+tensor products, projectors and real expectation values, used by the
+`correlators` table and the Bell-Zukowski quadrature. Matrices are dense;
+the workbench never exceeds dimension 2**12, where dense storage is cheap
+and simple.
 """
 
 from __future__ import annotations
@@ -12,12 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Agreement tolerance for derived quantities that two routes compute.
-COMPARISON_TOL = 1e-10
-
-# Slack used by inequality verdicts: a bound |v| <= c is "satisfied" up to
-# |v| <= c + BOUND_SLACK so that exact boundary cases classify as satisfied.
-BOUND_SLACK = 1e-12
+from .mermin import COMPARISON_TOL
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -38,17 +35,6 @@ def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     if not ms:
         raise ValueError("tensor_all needs at least one factor")
     return reduce(np.kron, ms)
-
-
-def hermitian_split(f) -> tuple[np.ndarray, np.ndarray]:
-    """Split F into Hermitian parts (re, im) with F = re + 1j*im.
-
-    re = (F + F^dag)/2 and im = (F - F^dag)/(2i); both outputs are Hermitian
-    to the last bit, and the reconstruction is exact up to rounding.
-    """
-    a = as_square_matrix(f)
-    ad = a.conj().T
-    return (a + ad) / 2, (a - ad) / 2j
 
 
 def expectation(rho, o) -> float:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lhv import COMPLETE_SET_SLACK
-from .operators import BOUND_SLACK, COMPARISON_TOL
+from .mermin import BOUND_SLACK, COMPARISON_TOL, COMPLETE_SET_SLACK
 
 TOOL_VERSION = "0.1.0"
 

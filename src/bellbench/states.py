@@ -49,15 +49,6 @@ def noisy_pair(v: float) -> np.ndarray:
     return v * projector(bell_pair()) + (1.0 - v) * np.eye(4, dtype=complex) / 4
 
 
-def copies(v: float, n_copies: int) -> np.ndarray:
-    """n_copies independent noisy pairs; party 2i-1 and 2i share copy i."""
-    if n_copies < 1:
-        raise ValueError("need at least one copy")
-    if 2 * n_copies > MAX_QUBITS:
-        raise ValueError(f"{2 * n_copies} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    return tensor_all([noisy_pair(v)] * n_copies)
-
-
 def phase_observable(phi: float) -> np.ndarray:
     """Dichotomic (+1/-1) observable in the xy plane at phase phi.
 

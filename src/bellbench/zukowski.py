@@ -1,5 +1,8 @@
-"""Bell-Zukowski operator, its relation to the Bell-Mermin operator, and the
-step-function bounds behind its local-realistic derivation.
+"""Bell-Zukowski operator in closed form and by quadrature, its GHZ
+diagonality, and the step-function bounds behind its local-realistic
+derivation: the numpy routes of `verify-appendix`. The scalar Bell relation
+to the Bell-Mermin average, its bound and the threshold visibility are
+closed forms in bellbench.mermin.
 
 The operator averages the all-angle correlation kernel cos(phi_1 + ... + phi_n)
 over the in-plane observables sigma_phi at every site,
@@ -20,9 +23,8 @@ import math
 
 import numpy as np
 
-from .operators import BOUND_SLACK, projector, tensor_all
+from .operators import projector, tensor_all
 from .states import MAX_QUBITS, ghz_basis, phase_observable
-from .mermin import align_corner_phase, expected_alignment_phase, mermin_operators
 
 S_BOUND_SLACK = 1e-9
 
@@ -54,55 +56,6 @@ def zukowski_quadrature(n: int, nodes_per_axis: int = 8) -> np.ndarray:
         minus_moment += weight * np.exp(-1j * phi) * obs
     stacked = tensor_all([plus_moment] * n) + tensor_all([minus_moment] * n)
     return stacked / 2 ** (n + 1)
-
-
-def zukowski_aligned(n_copies: int) -> np.ndarray:
-    """Bell-Zukowski operator in the phase convention of the recursion.
-
-    Equal to the closed form with its GHZ corner rotated by
-    e^{-i(2N-1)pi/4}, and identically equal to the Bell-relation rescaling
-    of the recursive Bell-Mermin operator; this is the operator whose trace
-    against shared noisy pairs reproduces the experiment's computed average.
-    """
-    n = 2 * n_copies
-    return align_corner_phase(zukowski_closed(n), expected_alignment_phase(n))
-
-
-def bell_relation_scale(n_copies: int) -> float:
-    """Factor (1/2)(pi/2)^{2N} 2^{-(2N-1)/2} linking <Z_{2N}> to <B>."""
-    if n_copies < 1:
-        raise ValueError("need at least one copy")
-    n = 2 * n_copies
-    return 0.5 * (math.pi / 2) ** n / 2 ** ((n - 1) / 2)
-
-
-def zukowski_from_mermin(mermin_value: float, n_copies: int) -> float:
-    """Computed Bell-Zukowski average for a measured Bell-Mermin average."""
-    return bell_relation_scale(n_copies) * mermin_value
-
-
-def modified_mermin_bound(n_copies: int) -> float:
-    """Bound on |<B>| implied by |<Z_{2N}>| <= 1: 2 (2/pi)^{2N} 2^{(2N-1)/2}."""
-    if n_copies < 1:
-        raise ValueError("need at least one copy")
-    n = 2 * n_copies
-    return 2 * (2 / math.pi) ** n * 2 ** ((n - 1) / 2)
-
-
-def threshold_visibility(n_copies: int) -> float:
-    """Smallest visibility whose computed |<Z_{2N}>| reaches 1.
-
-    Defined for N >= 2 only; at N = 1 the bound exceeds 1 and no visibility
-    produces a violation.
-    """
-    if n_copies < 2:
-        raise ValueError("threshold visibility is defined for n_copies >= 2")
-    return modified_mermin_bound(n_copies) ** (1.0 / n_copies)
-
-
-def zukowski_bound_check(value: float) -> bool:
-    """Local-realistic bound |<Z_n>| <= 1; False is the conflict signal."""
-    return abs(value) <= 1.0 + BOUND_SLACK
 
 
 # --- step-function functionals -------------------------------------------
@@ -166,14 +119,3 @@ def ghz_offdiagonal_max(n: int, op: np.ndarray | None = None) -> float:
     in_basis = basis.conj().T @ (zukowski_closed(n) if op is None else op) @ basis
     off = in_basis - np.diag(np.diag(in_basis))
     return float(np.abs(off).max())
-
-
-def bell_relation_operator_gap(n_copies: int) -> float:
-    """Max-entry gap between zukowski_aligned and the rescaled recursive B.
-
-    Zero (to rounding) by the operator identity behind the Bell relation;
-    exposed as a checkable diagnostic rather than assumed.
-    """
-    scaled = bell_relation_scale(n_copies) * mermin_operators(2 * n_copies).b
-    return float(np.abs(zukowski_aligned(n_copies) - scaled).max())
-

@@ -15,32 +15,34 @@ from bellbench.rng import XorShift64Star
 from bellbench.states import (
     CorrelationTable,
     SETTING_PHASES,
-    copies,
     correlation,
     full_correlation_table,
     noisy_pair,
 )
 from bellbench.mermin import (
-    align_corner_phase,
-    corner_phase,
-    expected_alignment_phase,
-    mermin_closed_form,
     mermin_expectation,
-    mermin_operators,
+    threshold_visibility,
+    zukowski_bound_check,
+    zukowski_from_mermin,
 )
 from bellbench.zukowski import (
     cell_weights,
     closed_vs_quadrature_error,
     ghz_offdiagonal_max,
     sign_cos_step,
-    threshold_visibility,
     z_prime_functional,
-    zukowski_aligned,
-    zukowski_bound_check,
     zukowski_closed,
-    zukowski_from_mermin,
 )
 from bellbench.lhv import fine_quadruple, lhv_feasible
+from dense_oracle import (
+    align_corner_phase,
+    copies,
+    corner_phase,
+    expected_alignment_phase,
+    mermin_closed_form,
+    mermin_operators,
+    zukowski_aligned,
+)
 from lp_oracle import lp_feasible
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)

@@ -208,8 +208,30 @@ class TestSweep:
             assert out == ""
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("step, points", [("0.001", 1001), ("0.0001", 10001)])
+    def test_rows_match_per_row_reference(self, step, points):
+        # each row rebuilt from the closed forms and format_float, one call per field
+        from bellbench.mermin import (modified_mermin_bound, zukowski_bound_check,
+                                      zukowski_from_mermin)
+        from bellbench.report import format_float
+
+        code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
+                                   "--v-step", step, "--copies", "1,2,3,4,5,6"])
+        assert code == 0, err
+        expected = ["V,N,mermin,zukowski,modified_bound,violated"]
+        for n in range(1, 7):
+            for k in range(points):
+                v = min(k * float(step), 1.0)
+                zukowski = zukowski_from_mermin(v**n, n)
+                expected.append(",".join([
+                    format_float(v), str(n), format_float(v**n), format_float(zukowski),
+                    format_float(modified_mermin_bound(n)),
+                    "false" if zukowski_bound_check(zukowski) else "true"]))
+        assert out == "\n".join(expected) + "\n"
+        assert len(expected) == 6 * points + 1
+
     def test_violation_iff_above_threshold(self, capsys):
-        from bellbench.zukowski import threshold_visibility
+        from bellbench.mermin import threshold_visibility
 
         _, out, _ = run_cli(
             capsys, "sweep", "--v-min", "0", "--v-max", "1",
@@ -236,14 +258,14 @@ class TestVerifyAppendix:
 
     @pytest.mark.parametrize("grid, trials", [(64, 65537), (2**23, 1), (2, 10**12)])
     def test_oversized_draw_exits_2_before_drawing(self, capsys, monkeypatch, grid, trials):
-        from bellbench import cli
+        from bellbench import rng, zukowski
 
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the size check")
 
-        monkeypatch.setattr(cli, "XorShift64Star", refuse)
-        monkeypatch.setattr(cli.zk, "cell_weights", refuse)
-        monkeypatch.setattr(cli.zk, "sign_cos_step", refuse)
+        monkeypatch.setattr(rng, "XorShift64Star", refuse)
+        monkeypatch.setattr(zukowski, "cell_weights", refuse)
+        monkeypatch.setattr(zukowski, "sign_cos_step", refuse)
         assert grid * trials > MAX_APPENDIX_CELLS
         code, out, err = run_cli(capsys, "verify-appendix", "--grid", str(grid),
                                  "--trials", str(trials))
@@ -374,12 +396,12 @@ class TestLhv:
         assert len(calls) == transforms
 
     def test_solver_failure_exits_3(self, capsys, tmp_path, monkeypatch):
-        from bellbench import cli
+        from bellbench import lhv
 
         def boom(table):
             raise ArithmeticError("synthetic failure")
 
-        monkeypatch.setattr(cli.lhv_mod, "lhv_feasible", boom)
+        monkeypatch.setattr(lhv, "lhv_feasible", boom)
         path = tmp_path / "t.json"
         path.write_text('{"XX": 0, "XY": 0, "YX": 0, "YY": 0}')
         code, _, err = run_cli(capsys, "lhv", "--input", str(path))

@@ -1,24 +1,36 @@
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellbench import mermin, states
-from bellbench.operators import expectation, hermitian_split, tensor_all
-from bellbench.states import SIGMA_X, SIGMA_Y, copies, noisy_pair
+import bellbench
+from bellbench import mermin
+from bellbench.operators import expectation, tensor_all
+from bellbench.states import SIGMA_X, SIGMA_Y, noisy_pair
 from bellbench.mermin import (
+    contracted_expectation,
+    mermin_bound_check,
+    mermin_expectation,
+    pair_contraction,
+)
+from dense_oracle import (
     MerminPair,
     align_corner_phase,
     compose,
-    contracted_expectation,
+    copies,
     corner_phase,
+    dense_pair_contraction,
     expected_alignment_phase,
+    hermitian_split,
     local_f,
-    mermin_bound_check,
     mermin_closed_form,
-    mermin_expectation,
     mermin_operators,
     site_pair,
 )
@@ -156,21 +168,81 @@ def test_expectation_is_v_power_n(n_copies):
         assert abs(contracted.imag - expectation(rho, pair.b_prime)) < 1e-12
 
 
+def test_pair_contraction_matches_dense_trace():
+    # plain complex arithmetic on the two amplitudes against the 4x4 matrix trace
+    for v in (*V_GRID, 0.1, 1 / 3, 0.9, 0.963934979904):
+        assert abs(pair_contraction(v) - dense_pair_contraction(v)) < 1e-15
+
+
 def test_contraction_needs_a_copy():
     with pytest.raises(ValueError):
         contracted_expectation(0.5, 0)
 
 
-def test_hot_path_builds_no_dense_operator(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense 2N-qubit construction on the analyze path")
+def test_contraction_needs_a_visibility_in_the_unit_interval():
+    for bad in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            contracted_expectation(bad, 1)
 
-    for owner, name in ((mermin, "mermin_operators"), (mermin, "compose"),
-                        (states, "copies")):
-        monkeypatch.setattr(owner, name, forbidden)
-    for n_copies in range(1, 7):
-        for v in V_GRID:
-            assert mermin_expectation(v, n_copies).analytic == v**n_copies
+
+# Run in a fresh interpreter: the analyze, sweep, usage-error and help paths
+# first, then every subcommand that needs numpy, then analyze again. Prints
+# whether numpy was imported after the first four, and each (code, stdout,
+# stderr).
+GUARD_SCRIPT = '''
+import contextlib, io, json, sys
+from unittest import mock
+from bellbench.cli import main
+
+def call(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \\
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+calls = json.loads(sys.argv[1])
+outcomes = [call(argv, stdin) for argv, stdin in calls[:4]]
+numpy_free = "numpy" not in sys.modules
+outcomes += [call(argv, stdin) for argv, stdin in calls[4:]]
+print(json.dumps({"numpy_free": numpy_free, "outcomes": outcomes}))
+'''
+
+GUARD_CALLS = [
+    (["analyze", "--visibility", "0.9", "--copies", "2"], ""),
+    (["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.01",
+      "--copies", "1,2,3,4,5,6"], ""),
+    (["analyze", "--visibility", "2", "--copies", "1"], ""),
+    (["--help"], ""),
+    (["correlators", "--visibility", "0.9"], ""),
+    (["verify-appendix", "--trials", "200", "--grid", "8"], ""),
+    (["lhv"], '{"XX": 1, "XY": 1, "YX": 1, "YY": -1}'),
+    (["analyze", "--visibility", "1", "--copies", "3"], ""),
+]
+
+
+def test_hot_path_builds_no_dense_operator():
+    # Without numpy no dense operator can be built: analyze, sweep, usage
+    # errors and --help must not import it. The lazy imports of the other
+    # subcommands must not depend on call order: one process running them
+    # all answers as a fresh process per call does.
+    src = str(Path(bellbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT, json.dumps(GUARD_CALLS)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result["numpy_free"]
+    for (argv, stdin), outcome in zip(GUARD_CALLS, result["outcomes"], strict=True):
+        fresh = subprocess.run([sys.executable, "-m", "bellbench", *argv], input=stdin,
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert outcome == [fresh.returncode, fresh.stdout, fresh.stderr], argv
+    assert [code for code, _, _ in result["outcomes"]] == [0, 0, 2, 0, 0, 0, 0, 0]
+
+
+def test_analyze_has_bounded_memory():
     run_main(["analyze", "--visibility", "0.9", "--copies", "6"])  # warm-up
     tracemalloc.start()
     try:
@@ -190,7 +262,9 @@ def _conjugate_phase(monkeypatch):
 
 
 def _half_visibility_pair(monkeypatch):
-    monkeypatch.setattr(mermin, "noisy_pair", lambda v: noisy_pair(v / 2))
+    # half the |11> amplitude halves the pair's coherence, as V -> V/2 would
+    a00, a11 = mermin.PAIR_AMPLITUDES
+    monkeypatch.setattr(mermin, "PAIR_AMPLITUDES", (a00, a11 / 2))
 
 
 @pytest.mark.parametrize("n_copies", [1, 2])

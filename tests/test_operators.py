@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from bellbench.operators import (
-    expectation,
-    hermitian_split,
-    projector,
-    tensor,
-    tensor_all,
-)
+from bellbench.operators import expectation, projector, tensor
 from bellbench.states import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, noisy_pair
-from bellbench.mermin import mermin_closed_form
 from bellbench.zukowski import zukowski_closed
+from dense_oracle import hermitian_split, mermin_closed_form
 
 
 def random_complex(rng, dim):

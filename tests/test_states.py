@@ -12,13 +12,13 @@ from bellbench.states import (
     Y_PHASE,
     CorrelationTable,
     bell_pair,
-    copies,
     correlation,
     full_correlation_table,
     ghz_basis,
     noisy_pair,
     phase_observable,
 )
+from dense_oracle import copies
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 

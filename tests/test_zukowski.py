@@ -5,23 +5,29 @@ import pytest
 
 from bellbench.operators import expectation
 from bellbench.rng import XorShift64Star
-from bellbench.states import copies, ghz_basis
-from bellbench.mermin import mermin_closed_form, mermin_operators
-from bellbench.zukowski import (
-    bell_relation_operator_gap,
+from bellbench.states import ghz_basis
+from bellbench.mermin import (
     bell_relation_scale,
+    modified_mermin_bound,
+    threshold_visibility,
+    zukowski_bound_check,
+    zukowski_from_mermin,
+)
+from bellbench.zukowski import (
     cell_weights,
     closed_vs_quadrature_error,
     ghz_offdiagonal_max,
-    modified_mermin_bound,
     sign_cos_step,
-    threshold_visibility,
     z_prime_functional,
-    zukowski_aligned,
-    zukowski_bound_check,
     zukowski_closed,
-    zukowski_from_mermin,
     zukowski_quadrature,
+)
+from dense_oracle import (
+    bell_relation_operator_gap,
+    copies,
+    mermin_closed_form,
+    mermin_operators,
+    zukowski_aligned,
 )
 
 def ghz_diagonal(n, op):
