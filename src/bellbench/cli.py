@@ -1,17 +1,21 @@
 """bellctl: command-line front end for the workbench.
 
-One subcommand per claim cluster: `correlators` (two-party experiment and its
-CHSH-type checks), `analyze` (Bell-Mermin / Bell-Zukowski pipeline for N
-shared copies), `sweep` (visibility grid as CSV), `verify-appendix`
-(quadrature exactness, GHZ diagonality, step-function bounds), and `lhv`
-(local-model feasibility of a correlation table from file or stdin).
+One subcommand per claim cluster: `correlators` (the shared pair's
+two-party table and its CHSH-type checks), `analyze` (Bell-Mermin /
+Bell-Zukowski pipeline for N shared copies), `sweep` (visibility grid as
+CSV), `verify-appendix` (quadrature exactness, GHZ diagonality,
+step-function bounds), and `lhv` (local-model feasibility of a correlation
+table from file or stdin).
 
 Exit codes: 0 success (verdicts are data, not errors), 2 usage or parse
-errors, 3 internal numerical failure.
+errors and unwritable output (a closed standard output included), 3 internal
+numerical failure.
 
 `analyze`, `sweep` and usage errors run on the numpy-free closed forms of
 bellbench.mermin; the numpy-backed modules are imported by the subcommands
-that use them, on their first call.
+that use them, on their first call. `correlators` reads its table from the
+pair's two amplitudes (mermin.pair_table); no subcommand builds a density
+matrix.
 """
 
 from __future__ import annotations
@@ -20,18 +24,19 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .mermin import (
     bell_relation_scale,
-    mermin_bound_check,
+    local_bound_check,
     mermin_expectation,
     modified_mermin_bound,
+    pair_table,
     threshold_visibility,
-    zukowski_bound_check,
     zukowski_from_mermin,
 )
-from .report import RunReport, format_float
+from .report import envelope, format_float, render_json
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -48,9 +53,7 @@ APPENDIX_CHUNK_CELLS = 2**16
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+    """A usage, input or output error: exit code USAGE_ERROR."""
 
 
 def _visibility(text: str) -> float:
@@ -134,15 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_correlators(visibility: float) -> RunReport:
+def cmd_correlators(visibility: float) -> dict:
     from .lhv import fine_quadruple, lhv_feasible
-    from .states import full_correlation_table, noisy_pair
+    from .states import CorrelationTable
 
-    table = full_correlation_table(noisy_pair(visibility), 2)
+    table = CorrelationTable(2, pair_table(visibility))
     e_xx, e_yy, e_xy, e_yx = (table.values[k] for k in ("XX", "YY", "XY", "YX"))
     quadruples, fine_ok = fine_quadruple(e_xx, e_yy, e_xy, e_yx)
     verdict = lhv_feasible(table)
-    return RunReport(
+    return envelope(
         command="correlators",
         parameters={"visibility": visibility},
         results={
@@ -161,13 +164,13 @@ def cmd_correlators(visibility: float) -> RunReport:
     )
 
 
-def cmd_analyze(visibility: float, n_copies: int) -> RunReport:
+def cmd_analyze(visibility: float, n_copies: int) -> dict:
     if not 1 <= n_copies <= MAX_SWEEP_COPIES:
         raise CliError(f"copies must lie in [1, {MAX_SWEEP_COPIES}], got {n_copies}")
     mermin_value = mermin_expectation(visibility, n_copies).analytic
     zukowski_value = zukowski_from_mermin(mermin_value, n_copies)
-    mermin_ok = mermin_bound_check(mermin_value)
-    zukowski_ok = zukowski_bound_check(zukowski_value)
+    mermin_ok = local_bound_check(mermin_value)
+    zukowski_ok = local_bound_check(zukowski_value)
     results = {
         "mermin_value": mermin_value,
         "zukowski_value": zukowski_value,
@@ -175,7 +178,7 @@ def cmd_analyze(visibility: float, n_copies: int) -> RunReport:
     }
     if n_copies >= 2:
         results["threshold_visibility"] = threshold_visibility(n_copies)
-    return RunReport(
+    return envelope(
         command="analyze",
         parameters={"visibility": visibility, "copies": n_copies},
         results=results,
@@ -223,7 +226,7 @@ def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int])
         for v, v_text in zip(grid, v_texts):
             mermin = v**n
             zukowski = scale * mermin
-            violated = "false" if zukowski_bound_check(zukowski) else "true"
+            violated = "false" if local_bound_check(zukowski) else "true"
             lines.append(f"{v_text},{n},{mermin:.12g},{zukowski:.12g},{bound},{violated}")
     return "\n".join(lines) + "\n"
 
@@ -243,7 +246,7 @@ def _step_integrals(gen, weights, trials: int, n: int):
         yield (gen.sign_matrix(rows * n, cells) @ weights).reshape(rows, n)
 
 
-def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> RunReport:
+def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
     if grid_cells < 2 or grid_cells % 2 != 0:
         raise CliError(f"grid cells must be even and >= 2, got {grid_cells}")
     if trials < 1:
@@ -274,7 +277,7 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> RunReport:
                     for z in _step_integrals(gen, weights, trials, n))
              for n in (2, 3)}
 
-    return RunReport(
+    return envelope(
         command="verify-appendix",
         parameters={
             "grid_cells": grid_cells,
@@ -322,7 +325,7 @@ def load_table(text: str):
         raise CliError(f"invalid correlation table: {exc}")
 
 
-def cmd_lhv(text: str) -> RunReport:
+def cmd_lhv(text: str) -> dict:
     from .lhv import WITNESS_TOL, lhv_feasible, witness_reconstruction_error
 
     table = load_table(text)
@@ -355,7 +358,7 @@ def cmd_lhv(text: str) -> RunReport:
             "quadruple_index": witness.quadruple_index,
         }
         certified = witness.value > witness.bound
-    return RunReport(
+    return envelope(
         command="lhv",
         parameters={},
         results=results,
@@ -379,14 +382,20 @@ def _read_input(path: str | None) -> str:
 
 
 def _write_output(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+    """Write `text` to PATH, or to standard output when PATH is None.
+
+    Standard output is flushed here, so a closed pipe is reported as a
+    write error instead of surfacing at interpreter exit.
+    """
     try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}")
+        raise CliError(f"cannot write {'standard output' if path is None else path}: {exc}")
 
 
 def main(argv=None) -> int:
@@ -406,11 +415,11 @@ def main(argv=None) -> int:
                 report = cmd_lhv(_read_input(args.input))
             else:  # pragma: no cover - argparse enforces the choices
                 raise CliError(f"unknown command {args.command}")
-            text = report.to_json()
+            text = render_json(report)
         _write_output(args.output, text)
     except CliError as exc:
         print(f"bellctl: error: {exc}", file=sys.stderr)
-        return exc.code
+        return USAGE_ERROR
     except ArithmeticError as exc:
         print(f"bellctl: numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
@@ -418,4 +427,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Console entry point: exit with main's code."""
+    try:
+        sys.exit(main())
+    finally:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # Standard output is gone (main reports that for its reports);
+            # what is still buffered goes to the null device, so the
+            # interpreter's final flush prints no second error.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -1,6 +1,13 @@
-"""Bell-Mermin average on N shared noisy pairs, the Bell-relation closed forms
-and the comparison tolerances: everything `analyze` and `sweep` compute, in
-plain Python arithmetic (this module imports no numpy).
+"""The shared pair, the Bell-Mermin average on N copies of it, the
+Bell-relation closed forms and the comparison tolerances: everything
+`correlators` builds its table from and everything `analyze` and `sweep`
+compute, in plain Python arithmetic (this module imports no numpy).
+
+The shared pair is (|00> + i|11>)/sqrt(2) (PAIR_AMPLITUDES), mixed with white
+noise at visibility V. With the in-plane observable at phase phi,
+cos(phi) sigma_x + sin(phi) sigma_y, where phi = 0 is X and phi = pi/2 is Y,
+its two-party table is E(x,x) = E(y,y) = 0 and E(x,y) = E(y,x) = +V
+(pair_table).
 
 The Bell-Mermin pair (B, B') is defined through the complex combination
 f(x, y) = e^{-i pi/4} (x + i y) / sqrt(2): the f-transform of the pair is the
@@ -8,7 +15,8 @@ tensor product of the per-site f-transforms of X and Y, so
 B + i B' = F_PHASE^{-1} (f (x) ... (x) f) with f = f(X, Y). The state is a
 tensor power of one pair, hence <B> + i <B'> = t^N / F_PHASE with
 t = tr[rho_pair (f (x) f)]. mermin_expectation checks the closed form V^N
-against this contraction. The dense recursion, its 2N-qubit trace and the
+against this contraction. The pair as a dense density matrix with its
+correlator traces, the dense recursion, its 2N-qubit trace and the
 Bell-Zukowski operator identity are the test suite's reference routes
 (tests/dense_oracle.py).
 
@@ -39,6 +47,9 @@ F_PHASE = cmath.exp(-1j * math.pi / 4) / math.sqrt(2)
 # the other two are zero.
 PAIR_AMPLITUDES = (1 / math.sqrt(2), 1j / math.sqrt(2))
 
+# e^{i phi} of the two settings: X at phi = 0, Y at phi = pi/2.
+SETTING_PHASORS = {"X": 1, "Y": 1j}
+
 
 class MerminExpectation(NamedTuple):
     analytic: float
@@ -52,10 +63,27 @@ def pair_contraction(v: float) -> complex:
     trace reads the |11><00| entry of rho_pair = V |psi><psi| + (1-V) I/4,
     which the white noise does not reach: V psi_11 conj(psi_00).
     """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {v}")
+    _check_visibility(v)
     a00, a11 = PAIR_AMPLITUDES
     return 4 * F_PHASE**2 * v * a11 * a00.conjugate()
+
+
+def pair_table(v: float) -> dict[str, float]:
+    """Correlators E(s1 s2) of the noisy pair at visibility v, keys "XX".."YY".
+
+    sigma_phi = e^{-i phi} |0><1| + e^{i phi} |1><0|, so a full correlator reads
+    only the |00><11| coherence, which the white noise does not reach:
+    E(s1 s2) = 2 V Re[a00 conj(a11) u_s1 u_s2] with u = e^{i phi}.
+    """
+    _check_visibility(v)
+    a00, a11 = PAIR_AMPLITUDES
+    return {s1 + s2: 2 * v * (a00 * a11.conjugate() * u1 * u2).real
+            for s1, u1 in SETTING_PHASORS.items() for s2, u2 in SETTING_PHASORS.items()}
+
+
+def _check_visibility(v: float) -> None:
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {v}")
 
 
 def contracted_expectation(v: float, n_copies: int) -> complex:
@@ -83,8 +111,8 @@ def mermin_expectation(v: float, n_copies: int) -> MerminExpectation:
     return MerminExpectation(analytic, traced)
 
 
-def mermin_bound_check(value: float) -> bool:
-    """Local-realistic bound |<B>| <= 1."""
+def local_bound_check(value: float) -> bool:
+    """Local-realistic bound |v| <= 1 of both <B> and <Z_n>; False is a violation."""
     return abs(value) <= 1.0 + BOUND_SLACK
 
 
@@ -118,8 +146,3 @@ def threshold_visibility(n_copies: int) -> float:
     if n_copies < 2:
         raise ValueError("threshold visibility is defined for n_copies >= 2")
     return modified_mermin_bound(n_copies) ** (1.0 / n_copies)
-
-
-def zukowski_bound_check(value: float) -> bool:
-    """Local-realistic bound |<Z_n>| <= 1; False is the conflict signal."""
-    return abs(value) <= 1.0 + BOUND_SLACK

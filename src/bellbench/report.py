@@ -7,8 +7,6 @@ inputs produce identical bytes regardless of platform or dict build order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .mermin import BOUND_SLACK, COMPARISON_TOL, COMPLETE_SET_SLACK
 
 TOOL_VERSION = "0.1.0"
@@ -68,23 +66,14 @@ def _render_string(s: str) -> str:
     return "".join(out)
 
 
-@dataclass
-class RunReport:
-    command: str
-    parameters: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    tool_version: str = TOOL_VERSION
-    tolerances: dict = field(default_factory=lambda: dict(REPORT_TOLERANCES))
-
-    def to_json(self) -> str:
-        return render_json(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "results": self.results,
-                "verdicts": self.verdicts,
-                "tool_version": self.tool_version,
-                "tolerances": self.tolerances,
-            }
-        )
+def envelope(command: str, parameters: dict, results: dict, verdicts: dict) -> dict:
+    """The object every JSON report renders: the subcommand's parameters,
+    results and verdicts next to the tool version and the tolerances."""
+    return {
+        "command": command,
+        "parameters": parameters,
+        "results": results,
+        "verdicts": verdicts,
+        "tool_version": TOOL_VERSION,
+        "tolerances": REPORT_TOLERANCES,
+    }

@@ -1,52 +1,26 @@
-"""States and observables for the two-setting Bell experiment.
+"""Observables and correlation tables for the two-setting Bell experiment.
 
 Conventions, fixed once for the whole package:
 
 * Computational basis index 0 is the sigma_z eigenvector with eigenvalue +1.
 * Party k occupies tensor slot k, leftmost slot is party 1.
-* The shared pair is (|00> + i|11>)/sqrt(2). With standard Pauli matrices
-  this reproduces the target correlators E(x,x) = E(y,y) = 0 and
-  E(x,y) = E(y,x) = +V for the noisy pair at visibility V.
 * The in-plane observable at phase phi is cos(phi) sigma_x + sin(phi) sigma_y,
   so phi = 0 is X and phi = pi/2 is Y; allowed phases are 0 <= phi < pi.
+
+The shared pair and its two-party table are defined in bellbench.mermin.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import as_square_matrix, expectation, projector, tensor_all
-
-IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-X_PHASE = 0.0
-Y_PHASE = math.pi / 2
-
-SETTING_PHASES = {"X": X_PHASE, "Y": Y_PHASE}
 
 MAX_QUBITS = 12
-
-
-def bell_pair() -> np.ndarray:
-    """The shared two-qubit state (|00> + i|11>)/sqrt(2)."""
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = 1 / math.sqrt(2)
-    ket[3] = 1j / math.sqrt(2)
-    return ket
-
-
-def noisy_pair(v: float) -> np.ndarray:
-    """Bell pair mixed with white noise: V |psi><psi| + (1-V) I/4."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    return v * projector(bell_pair()) + (1.0 - v) * np.eye(4, dtype=complex) / 4
 
 
 def phase_observable(phi: float) -> np.ndarray:
@@ -81,16 +55,6 @@ def ghz_basis(n: int) -> list[np.ndarray]:
             ket[lo] = sign / math.sqrt(2)
             basis.append(ket)
     return basis
-
-
-def correlation(rho, phases) -> float:
-    """Full correlation function tr[rho (sigma_phi_1 x ... x sigma_phi_n)]."""
-    r = as_square_matrix(rho)
-    n = len(phases)
-    if r.shape[0] != 2**n:
-        raise ValueError(f"state dimension {r.shape[0]} does not match {n} settings")
-    obs = tensor_all([phase_observable(p) for p in phases])
-    return expectation(r, obs)
 
 
 @dataclass(frozen=True)
@@ -139,11 +103,3 @@ class CorrelationTable:
             values[str(key)] = float(val)
         return cls(n, values)
 
-
-def full_correlation_table(rho, n: int) -> CorrelationTable:
-    """Correlators for every X/Y setting tuple of an n-party state."""
-    values = {}
-    for combo in itertools.product("XY", repeat=n):
-        key = "".join(combo)
-        values[key] = correlation(rho, [SETTING_PHASES[c] for c in combo])
-    return CorrelationTable(n, values)

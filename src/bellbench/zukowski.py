@@ -1,6 +1,8 @@
 """Bell-Zukowski operator in closed form and by quadrature, its GHZ
 diagonality, and the step-function bounds behind its local-realistic
-derivation: the numpy routes of `verify-appendix`. The scalar Bell relation
+derivation: the numpy routes of `verify-appendix`, and the only dense
+operators `bellctl` builds (n <= 4, where the claim is about the operator
+itself). The scalar Bell relation
 to the Bell-Mermin average, its bound and the threshold visibility are
 closed forms in bellbench.mermin.
 
@@ -19,11 +21,11 @@ n-dimensional grid walk.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .operators import projector, tensor_all
 from .states import MAX_QUBITS, ghz_basis, phase_observable
 
 S_BOUND_SLACK = 1e-9
@@ -33,7 +35,7 @@ def zukowski_closed(n: int) -> np.ndarray:
     """Closed corner form (1/2)(pi/2)^n (P+ - P-), eigenvalues +-(1/2)(pi/2)^n."""
     _check_sites(n)
     plus, minus = ghz_basis(n)[:2]
-    return 0.5 * (math.pi / 2) ** n * (projector(plus) - projector(minus))
+    return 0.5 * (math.pi / 2) ** n * (np.outer(plus, plus.conj()) - np.outer(minus, minus.conj()))
 
 
 def zukowski_quadrature(n: int, nodes_per_axis: int = 8) -> np.ndarray:
@@ -54,7 +56,8 @@ def zukowski_quadrature(n: int, nodes_per_axis: int = 8) -> np.ndarray:
         obs = phase_observable(phi)
         plus_moment += weight * np.exp(1j * phi) * obs
         minus_moment += weight * np.exp(-1j * phi) * obs
-    stacked = tensor_all([plus_moment] * n) + tensor_all([minus_moment] * n)
+    stacked = (functools.reduce(np.kron, [plus_moment] * n)
+               + functools.reduce(np.kron, [minus_moment] * n))
     return stacked / 2 ** (n + 1)
 
 

@@ -1,9 +1,12 @@
 """Dense reference routes for the Bell-Mermin and Bell-Zukowski claims.
 
-None of this is on a `bellctl` path: `analyze` and `sweep` use the closed
-forms and the per-pair contraction of bellbench.mermin. These are the
-independent routes the tests compare them with:
+None of this is on a `bellctl` path: `correlators`, `analyze` and `sweep` use
+the pair amplitudes, closed forms and per-pair contraction of
+bellbench.mermin. These are the independent routes the tests compare them
+with:
 
+* the shared pair as a dense 4x4 density matrix, and its correlators as
+  dense traces against tensored phase observables;
 * the Bell-Mermin pair built by the bilinear recursion over single sites as
   dense 2^n x 2^n matrices, and its rank-2 GHZ closed form, which match after
   a corner-phase alignment;
@@ -16,15 +19,117 @@ independent routes the tests compare them with:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from bellbench.mermin import F_PHASE, bell_relation_scale
-from bellbench.operators import as_square_matrix, projector, tensor_all
-from bellbench.states import MAX_QUBITS, SIGMA_X, SIGMA_Y, ghz_basis, noisy_pair
+from bellbench.mermin import COMPARISON_TOL, F_PHASE, bell_relation_scale
+from bellbench.states import (
+    MAX_QUBITS,
+    SIGMA_X,
+    SIGMA_Y,
+    CorrelationTable,
+    ghz_basis,
+    phase_observable,
+)
 from bellbench.zukowski import zukowski_closed
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+X_PHASE = 0.0
+Y_PHASE = math.pi / 2
+
+SETTING_PHASES = {"X": X_PHASE, "Y": Y_PHASE}
+
+
+# --- dense linear algebra --------------------------------------------------
+
+
+def as_square_matrix(m) -> np.ndarray:
+    """Coerce to a square complex matrix, rejecting anything else."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def tensor(a, b) -> np.ndarray:
+    """Tensor (Kronecker) product; entry ((i*db+k),(j*db+l)) = a[i,j]*b[k,l]."""
+    return np.kron(as_square_matrix(a), as_square_matrix(b))
+
+
+def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
+    ms = [as_square_matrix(m) for m in mats]
+    if not ms:
+        raise ValueError("tensor_all needs at least one factor")
+    return reduce(np.kron, ms)
+
+
+def expectation(rho, o) -> float:
+    """Real expectation value tr[rho @ o].
+
+    Raises on dimension mismatch, and if the imaginary residue of the trace
+    exceeds the comparison tolerance (diagnostic for non-Hermitian input).
+    """
+    r = as_square_matrix(rho)
+    a = as_square_matrix(o)
+    if r.shape != a.shape:
+        raise ValueError(f"dimension mismatch: state {r.shape} vs observable {a.shape}")
+    # tr[R O] without forming the product matrix
+    val = complex(np.sum(r * a.T))
+    if abs(val.imag) >= COMPARISON_TOL:
+        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
+    return float(val.real)
+
+
+def projector(ket: Sequence[complex]) -> np.ndarray:
+    v = np.asarray(ket, dtype=complex).reshape(-1)
+    return np.outer(v, v.conj())
+
+
+# --- the shared pair as a density matrix -------------------------------------
+
+
+def bell_pair() -> np.ndarray:
+    """The shared two-qubit state (|00> + i|11>)/sqrt(2)."""
+    ket = np.zeros(4, dtype=complex)
+    ket[0] = 1 / math.sqrt(2)
+    ket[3] = 1j / math.sqrt(2)
+    return ket
+
+
+def noisy_pair(v: float) -> np.ndarray:
+    """Bell pair mixed with white noise: V |psi><psi| + (1-V) I/4."""
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {v}")
+    return v * projector(bell_pair()) + (1.0 - v) * np.eye(4, dtype=complex) / 4
+
+
+def correlation(rho, phases) -> float:
+    """Full correlation function tr[rho (sigma_phi_1 x ... x sigma_phi_n)]."""
+    r = as_square_matrix(rho)
+    n = len(phases)
+    if r.shape[0] != 2**n:
+        raise ValueError(f"state dimension {r.shape[0]} does not match {n} settings")
+    obs = tensor_all([phase_observable(p) for p in phases])
+    return expectation(r, obs)
+
+
+def full_correlation_table(rho, n: int) -> CorrelationTable:
+    """Correlators for every X/Y setting tuple of an n-party state."""
+    values = {}
+    for combo in itertools.product("XY", repeat=n):
+        key = "".join(combo)
+        values[key] = correlation(rho, [SETTING_PHASES[c] for c in combo])
+    return CorrelationTable(n, values)
+
+
+# --- the Bell-Mermin recursion and the Bell-Zukowski identity ----------------
 
 
 def hermitian_split(f) -> tuple[np.ndarray, np.ndarray]:

@@ -10,19 +10,12 @@ import math
 import numpy as np
 
 from bellbench.cli import main
-from bellbench.operators import expectation
 from bellbench.rng import XorShift64Star
-from bellbench.states import (
-    CorrelationTable,
-    SETTING_PHASES,
-    correlation,
-    full_correlation_table,
-    noisy_pair,
-)
+from bellbench.states import CorrelationTable
 from bellbench.mermin import (
+    local_bound_check,
     mermin_expectation,
     threshold_visibility,
-    zukowski_bound_check,
     zukowski_from_mermin,
 )
 from bellbench.zukowski import (
@@ -35,12 +28,17 @@ from bellbench.zukowski import (
 )
 from bellbench.lhv import fine_quadruple, lhv_feasible
 from dense_oracle import (
+    SETTING_PHASES,
     align_corner_phase,
     copies,
     corner_phase,
+    correlation,
+    expectation,
     expected_alignment_phase,
+    full_correlation_table,
     mermin_closed_form,
     mermin_operators,
+    noisy_pair,
     zukowski_aligned,
 )
 from lp_oracle import lp_feasible
@@ -116,11 +114,11 @@ def test_criterion_4_violation_numbers():
         # operator in the recursion's phase convention
         traced = expectation(copies(1.0, n_copies), zukowski_aligned(n_copies))
         assert abs(traced - value) < 1e-10
-    assert zukowski_bound_check(zukowski_from_mermin(1.0, 1))
+    assert local_bound_check(zukowski_from_mermin(1.0, 1))
     for v in V_GRID:
-        assert zukowski_bound_check(zukowski_from_mermin(v, 1))
+        assert local_bound_check(zukowski_from_mermin(v, 1))
     for n_copies in (2, 3):
-        assert not zukowski_bound_check(zukowski_from_mermin(1.0, n_copies))
+        assert not local_bound_check(zukowski_from_mermin(1.0, n_copies))
     _report("criterion 4 (Zukowski violation numbers and verdicts): PASS")
 
 
@@ -148,7 +146,7 @@ def test_criterion_6_lhv_oracle_with_conflict():
     # average violates its bound
     table = full_correlation_table(copies(1.0, 2), 4)
     feasible = lhv_feasible(table).feasible
-    violated = not zukowski_bound_check(zukowski_from_mermin(1.0, 2))
+    violated = not local_bound_check(zukowski_from_mermin(1.0, 2))
     assert feasible and violated
     _report("criterion 6 (LHV-feasible data with Zukowski violation): PASS")
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import bellbench
-from bellbench.cli import MAX_APPENDIX_CELLS, main, sweep_grid
-from bellbench.operators import expectation
+from bellbench.cli import MAX_APPENDIX_CELLS, cmd_correlators, main, sweep_grid
+from bellbench.mermin import pair_table
 from bellbench.report import render_json
 from bellbench.rng import XorShift64Star
 from bellbench.zukowski import cell_weights
@@ -66,19 +66,14 @@ def run_json(capsys, *argv):
 
 
 class TestCorrelators:
-    def test_evaluates_each_correlator_once(self, monkeypatch):
-        from bellbench import states
-
-        calls = []
-
-        def counting(rho, o):
-            calls.append(o.shape)
-            return expectation(rho, o)
-
-        monkeypatch.setattr(states, "expectation", counting)
-        code, _, err = run_main(["correlators", "--visibility", "0.5"])
-        assert code == 0, err
-        assert calls == [(4, 4)] * 4
+    def test_table_is_the_pair_table(self):
+        for k in range(1001):
+            v = k / 1000
+            res = cmd_correlators(v)["results"]
+            table = pair_table(v)
+            assert res["table"] == table
+            assert (res["e_xx"], res["e_xy"], res["e_yx"], res["e_yy"]) == \
+                (table["XX"], table["XY"], table["YX"], table["YY"])
 
     def test_full_visibility(self, capsys):
         report = run_json(capsys, "correlators", "--visibility", "1")
@@ -211,7 +206,7 @@ class TestSweep:
     @pytest.mark.parametrize("step, points", [("0.001", 1001), ("0.0001", 10001)])
     def test_rows_match_per_row_reference(self, step, points):
         # each row rebuilt from the closed forms and format_float, one call per field
-        from bellbench.mermin import (modified_mermin_bound, zukowski_bound_check,
+        from bellbench.mermin import (local_bound_check, modified_mermin_bound,
                                       zukowski_from_mermin)
         from bellbench.report import format_float
 
@@ -226,7 +221,7 @@ class TestSweep:
                 expected.append(",".join([
                     format_float(v), str(n), format_float(v**n), format_float(zukowski),
                     format_float(modified_mermin_bound(n)),
-                    "false" if zukowski_bound_check(zukowski) else "true"]))
+                    "false" if local_bound_check(zukowski) else "true"]))
         assert out == "\n".join(expected) + "\n"
         assert len(expected) == 6 * points + 1
 
@@ -292,7 +287,7 @@ class TestVerifyAppendix:
 
         if chunk_cells is not None:
             monkeypatch.setattr(cli, "APPENDIX_CHUNK_CELLS", chunk_cells)
-        results = cli.cmd_verify_appendix(grid, trials, seed).results
+        results = cli.cmd_verify_appendix(grid, trials, seed)["results"]
         expected = unchunked_appendix_maxima(grid, trials, seed)
         assert (results["max_abs_z_prime"], results["max_abs_s_n2"],
                 results["max_abs_s_n3"]) == expected
@@ -460,6 +455,41 @@ def test_unwritable_output_exits_2(tmp_path, target):
     assert "Traceback" not in err
 
 
+CLOSED_STDOUT_CALLS = {
+    "analyze": (["analyze", "--visibility", "0.9", "--copies", "2"], ""),
+    "sweep": (["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.001",
+               "--copies", "1,2,3"], ""),
+    "lhv": (["lhv"], '{"XX": 1, "XY": 1, "YX": 1, "YY": -1}'),
+    "verify-appendix": (["verify-appendix", "--trials", "200", "--grid", "8"], ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_STDOUT_CALLS))
+def test_closed_stdout_exits_2(case):
+    # stdout is a pipe whose read end is already closed, as in `bellctl ... | head -c 0`
+    argv, stdin = CLOSED_STDOUT_CALLS[case]
+    src = str(Path(bellbench.__file__).resolve().parents[1])
+    # block-buffered standard output, as a shell gives it by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bellbench", *argv], input=stdin,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=dict(env, PYTHONPATH=src), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("bellctl: error: cannot write standard output: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    # in process, main writes the same report to a StringIO stdout
+    code, out, err = run_main(argv, stdin)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n")
+
+
 class TestDeterminism:
     def test_sweep_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -502,8 +532,16 @@ TOLERANCES_TEXT = ('"tolerances": {"bound_slack": 1e-12, "comparison": 1e-10, '
                    '"psd_floor": -1e-10}, "tool_version": "0.1.0"')
 
 # Whole reports whose numbers need no numpy reduction: the two lhv tables are
-# dyadic, so the sign transform is exact, and analyze uses Python floats only.
+# dyadic, so the sign transform is exact, analyze uses Python floats only, and
+# the correlators table is read from the pair's amplitudes.
 PINNED_REPORTS = {
+    "correlators": (
+        ["correlators", "--visibility", "0.9"], "",
+        '{"command": "correlators", "parameters": {"visibility": 0.9}, "results": '
+        '{"e_xx": 0, "e_xy": 0.9, "e_yx": 0.9, "e_yy": 0, "lhv_residual": 0, '
+        '"quadruples": [1.8, 0, 0, 1.8], "table": {"XX": 0, "XY": 0.9, "YX": 0.9, "YY": 0}}, '
+        + TOLERANCES_TEXT + ', "verdicts": {"lhv_feasible": true, '
+        '"quadruples_satisfied": true}}\n'),
     "lhv-feasible": (
         ["lhv"], '{"XX":0.5,"XY":0.25,"YX":0.25,"YY":-0.5}',
         '{"command": "lhv", "parameters": {}, "results": {"complete_set_bound": 4, '

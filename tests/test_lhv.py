@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellbench.rng import XorShift64Star
-from bellbench.states import CorrelationTable, full_correlation_table, noisy_pair
+from bellbench.states import CorrelationTable
 from bellbench.lhv import (
     InequalityWitness,
     fine_quadruple,
@@ -14,7 +14,7 @@ from bellbench.lhv import (
     strategy_label,
     witness_reconstruction_error,
 )
-from dense_oracle import copies
+from dense_oracle import copies, full_correlation_table, noisy_pair
 from lp_oracle import enumerate_strategies, lp_feasible, strategy_correlations, strategy_matrix
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)

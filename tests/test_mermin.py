@@ -12,13 +12,13 @@ import pytest
 
 import bellbench
 from bellbench import mermin
-from bellbench.operators import expectation, tensor_all
-from bellbench.states import SIGMA_X, SIGMA_Y, noisy_pair
+from bellbench.states import SIGMA_X, SIGMA_Y
 from bellbench.mermin import (
     contracted_expectation,
-    mermin_bound_check,
+    local_bound_check,
     mermin_expectation,
     pair_contraction,
+    pair_table,
 )
 from dense_oracle import (
     MerminPair,
@@ -27,12 +27,16 @@ from dense_oracle import (
     copies,
     corner_phase,
     dense_pair_contraction,
+    expectation,
     expected_alignment_phase,
+    full_correlation_table,
     hermitian_split,
     local_f,
     mermin_closed_form,
     mermin_operators,
+    noisy_pair,
     site_pair,
+    tensor_all,
 )
 from test_cli import run_main
 
@@ -174,6 +178,32 @@ def test_pair_contraction_matches_dense_trace():
         assert abs(pair_contraction(v) - dense_pair_contraction(v)) < 1e-15
 
 
+def test_pair_table_matches_dense_traces():
+    # plain complex arithmetic on the two amplitudes against four dense 4x4 traces
+    for v in (*V_GRID, 0.1, 1 / 3, 0.9, 0.963934979904, *np.linspace(0, 1, 101)):
+        dense = full_correlation_table(noisy_pair(float(v)), 2).values
+        table = pair_table(float(v))
+        assert table.keys() == dense.keys()
+        for key in table:
+            assert abs(table[key] - dense[key]) < 1e-15, (v, key)
+
+
+def test_pair_table_has_exact_zeros_and_symmetric_cross_terms():
+    for k in range(1001):
+        v = k / 1000
+        table = pair_table(v)
+        assert table["XX"] == table["YY"] == 0.0
+        assert math.copysign(1.0, table["XX"]) == math.copysign(1.0, table["YY"]) == 1.0
+        assert table["XY"] == table["YX"]
+        assert abs(table["XY"] - v) < 1e-15
+
+
+def test_pair_table_needs_a_visibility_in_the_unit_interval():
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            pair_table(bad)
+
+
 def test_contraction_needs_a_copy():
     with pytest.raises(ValueError):
         contracted_expectation(0.5, 0)
@@ -281,11 +311,11 @@ def test_broken_contraction_is_a_numerical_failure(monkeypatch, breakage, n_copi
 
 
 def test_bound_check():
-    assert mermin_bound_check(0.9)
-    assert not mermin_bound_check(1.05)
+    assert local_bound_check(0.9)
+    assert not local_bound_check(1.05)
     for v in np.linspace(0, 1, 21):
         for n in (1, 2, 3):
-            assert mermin_bound_check(float(v) ** n)
+            assert local_bound_check(float(v) ** n)
 
 
 def test_party_count_validation():

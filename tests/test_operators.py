@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from bellbench.operators import expectation, projector, tensor
-from bellbench.states import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, noisy_pair
+from bellbench.states import SIGMA_X, SIGMA_Y
 from bellbench.zukowski import zukowski_closed
-from dense_oracle import hermitian_split, mermin_closed_form
+from dense_oracle import (
+    IDENTITY_2,
+    SIGMA_Z,
+    expectation,
+    hermitian_split,
+    mermin_closed_form,
+    noisy_pair,
+    projector,
+    tensor,
+)
 
 
 def random_complex(rng, dim):

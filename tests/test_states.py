@@ -4,21 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from bellbench.operators import expectation, tensor
-from bellbench.states import (
-    SIGMA_X,
-    SIGMA_Y,
+from bellbench.states import SIGMA_X, SIGMA_Y, CorrelationTable, ghz_basis, phase_observable
+from dense_oracle import (
     X_PHASE,
     Y_PHASE,
-    CorrelationTable,
     bell_pair,
+    copies,
     correlation,
+    expectation,
     full_correlation_table,
-    ghz_basis,
     noisy_pair,
-    phase_observable,
+    tensor,
 )
-from dense_oracle import copies
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bellbench.operators import expectation
 from bellbench.rng import XorShift64Star
 from bellbench.states import ghz_basis
 from bellbench.mermin import (
     bell_relation_scale,
     modified_mermin_bound,
     threshold_visibility,
-    zukowski_bound_check,
+    local_bound_check,
     zukowski_from_mermin,
 )
 from bellbench.zukowski import (
@@ -25,6 +24,7 @@ from bellbench.zukowski import (
 from dense_oracle import (
     bell_relation_operator_gap,
     copies,
+    expectation,
     mermin_closed_form,
     mermin_operators,
     zukowski_aligned,
@@ -173,9 +173,9 @@ class TestThresholds:
 
 class TestBoundChecks:
     def test_zukowski_verdicts(self):
-        assert zukowski_bound_check(0.87237)
-        assert not zukowski_bound_check(1.076228575302513)
-        assert zukowski_bound_check(0.95**2 * SCALE[2])
+        assert local_bound_check(0.87237)
+        assert not local_bound_check(1.076228575302513)
+        assert local_bound_check(0.95**2 * SCALE[2])
 
 
 class TestStepFunctionals:
