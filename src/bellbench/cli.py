@@ -15,7 +15,10 @@ numerical failure.
 bellbench.mermin; the numpy-backed modules are imported by the subcommands
 that use them, on their first call. `correlators` reads its table from the
 pair's two amplitudes (mermin.pair_table); no subcommand builds a density
-matrix.
+matrix. `verify-appendix` draws its random step functions from the standard
+library's Mersenne Twister, random.Random(--seed), whose stream does not
+depend on the platform; every integer seed is accepted, and Python seeds by
+the seed's absolute value.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import functools
 import json
 import math
 import os
+import random
 import sys
 
 from .mermin import (
@@ -231,19 +235,29 @@ def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int])
     return "\n".join(lines) + "\n"
 
 
+def _signs(gen, count: int):
+    """count values in {-1, +1}: the bits of gen.getrandbits(count), least
+    significant first, a set bit giving +1."""
+    import numpy as np
+
+    raw = gen.getrandbits(count).to_bytes((count + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=count, bitorder="little") * 2.0 - 1.0
+
+
 def _step_integrals(gen, weights, trials: int, n: int):
     """z = integral of f(phi) e^{i phi} for `trials` draws of n random step
     functions each, yielded as (rows, n) blocks in draw order.
 
-    Every block but the last spans a whole number of generator words, so the
-    stream is consumed exactly as by one sign_matrix(trials * n, cells) draw.
+    getrandbits(k) consumes exactly k/32 generator words when 32 divides k,
+    and every block but the last spans a whole number of words, so the stream
+    is consumed exactly as by one _signs(gen, trials * n * cells) draw.
     """
     cells = len(weights)
-    step = 64 // math.gcd(n * cells, 64)  # fewest trials that fill whole words
+    step = 32 // math.gcd(n * cells, 32)  # fewest trials that fill whole words
     chunk = step * max(1, APPENDIX_CHUNK_CELLS // (step * n * cells))
     for start in range(0, trials, chunk):
         rows = min(chunk, trials - start)
-        yield (gen.sign_matrix(rows * n, cells) @ weights).reshape(rows, n)
+        yield (_signs(gen, rows * n * cells).reshape(rows * n, cells) @ weights).reshape(rows, n)
 
 
 def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
@@ -258,7 +272,6 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
     import numpy as np
 
     from . import zukowski as zk
-    from .rng import XorShift64Star
 
     quad_error = max(zk.closed_vs_quadrature_error(n) for n in (2, 3, 4))
     # diagonality is checked on the quadrature-built matrix (the integral route)
@@ -270,7 +283,7 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
     extremal_error = abs(extremal - 2.0)
 
     # Draw order is fixed: |z'| trials, then S assemblies for n = 2, 3.
-    gen = XorShift64Star(seed)
+    gen = random.Random(seed)
     weights = zk.cell_weights(grid_cells)
     max_z = max(float(np.abs(z).max()) for z in _step_integrals(gen, weights, trials, 1))
     s_max = {n: max(float(np.abs(z.prod(axis=1).real).max())

@@ -14,8 +14,9 @@ f(x, y) = e^{-i pi/4} (x + i y) / sqrt(2): the f-transform of the pair is the
 tensor product of the per-site f-transforms of X and Y, so
 B + i B' = F_PHASE^{-1} (f (x) ... (x) f) with f = f(X, Y). The state is a
 tensor power of one pair, hence <B> + i <B'> = t^N / F_PHASE with
-t = tr[rho_pair (f (x) f)]. mermin_expectation checks the closed form V^N
-against this contraction. The pair as a dense density matrix with its
+t = tr[rho_pair (f (x) f)], a sum over the pair's two-party table
+(pair_contraction). mermin_expectation checks the closed form V^N against
+this contraction. The pair as a dense density matrix with its
 correlator traces, the dense recursion, its 2N-qubit trace and the
 Bell-Zukowski operator identity are the test suite's reference routes
 (tests/dense_oracle.py).
@@ -59,13 +60,12 @@ class MerminExpectation(NamedTuple):
 def pair_contraction(v: float) -> complex:
     """t = tr[rho_pair (f (x) f)] for the noisy pair at visibility v.
 
-    f(X, Y) = 2 F_PHASE |0><1|, so f (x) f = 4 F_PHASE^2 |00><11| and the
-    trace reads the |11><00| entry of rho_pair = V |psi><psi| + (1-V) I/4,
-    which the white noise does not reach: V psi_11 conj(psi_00).
+    f = F_PHASE (X + iY) at each site, so f (x) f is F_PHASE^2 times the sum
+    of u_s1 u_s2 s1 (x) s2 over the settings, and t is the same sum over the
+    pair's two-party table: the contraction reads only the correlators.
     """
-    _check_visibility(v)
-    a00, a11 = PAIR_AMPLITUDES
-    return 4 * F_PHASE**2 * v * a11 * a00.conjugate()
+    return F_PHASE**2 * sum(SETTING_PHASORS[s1] * SETTING_PHASORS[s2] * e
+                            for (s1, s2), e in pair_table(v).items())
 
 
 def pair_table(v: float) -> dict[str, float]:
@@ -75,15 +75,11 @@ def pair_table(v: float) -> dict[str, float]:
     only the |00><11| coherence, which the white noise does not reach:
     E(s1 s2) = 2 V Re[a00 conj(a11) u_s1 u_s2] with u = e^{i phi}.
     """
-    _check_visibility(v)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {v}")
     a00, a11 = PAIR_AMPLITUDES
     return {s1 + s2: 2 * v * (a00 * a11.conjugate() * u1 * u2).real
             for s1, u1 in SETTING_PHASORS.items() for s2, u2 in SETTING_PHASORS.items()}
-
-
-def _check_visibility(v: float) -> None:
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {v}")
 
 
 def contracted_expectation(v: float, n_copies: int) -> complex:

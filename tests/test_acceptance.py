@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from bellbench.cli import main
-from bellbench.rng import XorShift64Star
 from bellbench.states import CorrelationTable
 from bellbench.mermin import (
     local_bound_check,
@@ -154,14 +153,14 @@ def test_criterion_6_lhv_oracle_with_conflict():
 def test_criterion_7_oracle_agreement():
     # lp_feasible is the test-side 4^n-strategy LP; lhv_feasible decides on
     # the complete inequality set in closed form.
-    gen = XorShift64Star(2024)
+    rng = np.random.default_rng(2024)
     for _ in range(500):
-        vals = 2 * gen.uniforms(4) - 1
+        vals = 2 * rng.random(4) - 1
         table = CorrelationTable(2, dict(zip(["XX", "XY", "YX", "YY"], vals)))
         assert lhv_feasible(table).feasible == lp_feasible(table)
     keys3 = sorted("".join(c) for c in itertools.product("XY", repeat=3))
     for _ in range(100):
-        vals = 2 * gen.uniforms(8) - 1
+        vals = 2 * rng.random(8) - 1
         table = CorrelationTable(3, dict(zip(keys3, vals)))
         assert lhv_feasible(table).feasible == lp_feasible(table)
     _report("criterion 7 (LP vs complete-set agreement, 600 tables): PASS")
@@ -170,12 +169,12 @@ def test_criterion_7_oracle_agreement():
 def test_criterion_8_functional_bounds():
     extremal = z_prime_functional(sign_cos_step(64))
     assert abs(extremal - 2.0) < 1e-14
-    gen = XorShift64Star(42)
+    rng = np.random.default_rng(42)
     weights = cell_weights(64)
-    zs = gen.sign_matrix(10_000, 64) @ weights
+    zs = rng.choice([-1.0, 1.0], size=(10_000, 64)) @ weights
     assert np.abs(zs).max() <= 2 + 1e-12
     for n in (2, 3):
-        signs = gen.sign_matrix(10_000 * n, 64)
+        signs = rng.choice([-1.0, 1.0], size=(10_000 * n, 64))
         z = (signs @ weights).reshape(10_000, n)
         s = np.abs(z.prod(axis=1).real)
         assert s.max() <= 2**n + 1e-9

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,10 +16,8 @@ import bellbench
 from bellbench.cli import MAX_APPENDIX_CELLS, cmd_correlators, main, sweep_grid
 from bellbench.mermin import pair_table
 from bellbench.report import render_json
-from bellbench.rng import XorShift64Star
 from bellbench.zukowski import cell_weights
 from test_lhv import ghz_type_table, mixture_table, settings
-from test_rng import scalar_signs
 
 
 def table_json(table):
@@ -46,12 +45,14 @@ def run_main(argv, stdin=""):
 
 def unchunked_appendix_maxima(grid, trials, seed):
     """max |z'|, max |S| (n = 2) and max |S| (n = 3) of verify-appendix, each
-    from one whole sign matrix built from the scalar stream."""
-    gen = XorShift64Star(seed)
+    from one whole getrandbits draw, its bits read least significant first."""
+    gen = random.Random(seed)
     weights = cell_weights(grid)
 
     def sign_matrix(rows):
-        return scalar_signs(gen, rows * grid).reshape(rows, grid)
+        count = rows * grid
+        bits = format(gen.getrandbits(count), f"0{count}b")[::-1]
+        return np.array([1.0 if bit == "1" else -1.0 for bit in bits]).reshape(rows, grid)
 
     max_z = float(np.abs(sign_matrix(trials) @ weights).max())
     s_max = [float(np.abs((sign_matrix(trials * n) @ weights).reshape(trials, n)
@@ -100,8 +101,9 @@ class TestCorrelators:
 
     def test_report_embeds_tolerances(self, capsys):
         report = run_json(capsys, "correlators", "--visibility", "0.5")
-        assert report["tolerances"]["hermiticity"] == 1e-12
-        assert report["tool_version"] == "0.1.0"
+        assert report["tolerances"] == {
+            "bound_slack": 1e-12, "comparison": 1e-10, "complete_set_slack": 1e-9}
+        assert report["tool_version"] == bellbench.__version__ == "0.2.0"
 
 
 class TestAnalyze:
@@ -253,12 +255,13 @@ class TestVerifyAppendix:
 
     @pytest.mark.parametrize("grid, trials", [(64, 65537), (2**23, 1), (2, 10**12)])
     def test_oversized_draw_exits_2_before_drawing(self, capsys, monkeypatch, grid, trials):
-        from bellbench import rng, zukowski
+        from bellbench import cli, zukowski
 
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the size check")
 
-        monkeypatch.setattr(rng, "XorShift64Star", refuse)
+        monkeypatch.setattr(random, "Random", refuse)
+        monkeypatch.setattr(cli, "_signs", refuse)
         monkeypatch.setattr(zukowski, "cell_weights", refuse)
         monkeypatch.setattr(zukowski, "sign_cos_step", refuse)
         assert grid * trials > MAX_APPENDIX_CELLS
@@ -276,9 +279,9 @@ class TestVerifyAppendix:
 
     def test_seed_42_default_results(self, capsys):
         _, out, _ = run_cli(capsys, "verify-appendix", "--seed", "42")
-        assert '"max_abs_z_prime": 1.12316831462' in out
-        assert '"max_abs_s_n2": 0.734782461223' in out
-        assert '"max_abs_s_n3": 0.296181193271' in out
+        assert '"max_abs_z_prime": 1.17155686505' in out
+        assert '"max_abs_s_n2": 0.648866350124' in out
+        assert '"max_abs_s_n3": 0.452053889748' in out
 
     @pytest.mark.parametrize("chunk_cells", [None, 1000, 64])
     @pytest.mark.parametrize("grid, trials, seed", [(2, 3001, 42), (130, 777, 5), (6, 259, -3)])
@@ -520,6 +523,14 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert json.loads(paths[0].read_text())["verdicts"]["lhv_feasible"] is feasible
 
+    @pytest.mark.parametrize("seed", ["0", "-3", str(2**70)])
+    def test_any_integer_seed_runs(self, seed):
+        argv = ["verify-appendix", "--seed", seed]
+        first = run_main(argv)
+        assert first[0] == 0, first[2]
+        assert all(json.loads(first[1])["verdicts"].values())
+        assert run_main(argv) == first
+
     def test_seed_changes_stream_not_verdicts(self, capsys):
         r1 = run_json(capsys, "verify-appendix", "--trials", "200", "--seed", "1")
         r2 = run_json(capsys, "verify-appendix", "--trials", "200", "--seed", "2")
@@ -528,8 +539,7 @@ class TestDeterminism:
 
 
 TOLERANCES_TEXT = ('"tolerances": {"bound_slack": 1e-12, "comparison": 1e-10, '
-                   '"complete_set_slack": 1e-09, "hermiticity": 1e-12, "lp_residual": 1e-09, '
-                   '"psd_floor": -1e-10}, "tool_version": "0.1.0"')
+                   '"complete_set_slack": 1e-09}, "tool_version": "0.2.0"')
 
 # Whole reports whose numbers need no numpy reduction: the two lhv tables are
 # dyadic, so the sign transform is exact, analyze uses Python floats only, and

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from bellbench.rng import XorShift64Star
 from bellbench.states import CorrelationTable
 from bellbench.lhv import (
     InequalityWitness,
@@ -162,9 +161,9 @@ class TestCompleteSet:
         assert lhv_feasible(pair_table(0.0, 0.0, 0.0, 0.0)).feasible
 
     def test_matches_quadruples_exactly_at_two_parties(self):
-        gen = XorShift64Star(99)
+        rng = np.random.default_rng(99)
         for _ in range(300):
-            e = 2 * gen.uniforms(4) - 1
+            e = 2 * rng.random(4) - 1
             table = pair_table(*e)
             _, quad_ok = fine_quadruple(e[0], e[3], e[1], e[2])
             assert quad_ok == lhv_feasible(table).feasible
@@ -205,27 +204,27 @@ class TestFeasibility:
             assert sum(w.coefficients[k] * table.values[k] for k in table.values) > w.bound
 
     def test_oracle_agreement_two_parties(self):
-        gen = XorShift64Star(2024)
+        rng = np.random.default_rng(2024)
         for _ in range(500):
-            e = 2 * gen.uniforms(4) - 1
+            e = 2 * rng.random(4) - 1
             self.assert_certificate_agrees(pair_table(*e))
 
     def test_oracle_agreement_three_parties(self):
-        gen = XorShift64Star(2025)
+        rng = np.random.default_rng(2025)
         for _ in range(100):
-            vals = 2 * gen.uniforms(8) - 1
+            vals = 2 * rng.random(8) - 1
             keys = sorted("".join(c) for c in itertools.product("XY", repeat=3))
             self.assert_certificate_agrees(CorrelationTable(3, dict(zip(keys, vals))))
 
     def test_mixtures_of_feasible_tables_are_feasible(self):
-        gen = XorShift64Star(77)
+        rng = np.random.default_rng(77)
         matrix = strategy_matrix(2)
         keys = ["XX", "XY", "YX", "YY"]
         for _ in range(20):
-            w1 = gen.uniforms(16)
-            w2 = gen.uniforms(16)
+            w1 = rng.random(16)
+            w2 = rng.random(16)
             w1, w2 = w1 / w1.sum(), w2 / w2.sum()
-            lam = gen.uniform()
+            lam = rng.random()
             mixed = matrix @ (lam * w1 + (1 - lam) * w2)
             table = CorrelationTable(2, dict(zip(keys, mixed)))
             assert lhv_feasible(table).feasible

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from bellbench.rng import XorShift64Star
 from bellbench.states import ghz_basis
 from bellbench.mermin import (
     bell_relation_scale,
@@ -195,8 +194,7 @@ class TestStepFunctionals:
         assert abs(z - 2.0) < 1e-15
 
     def test_random_functions_respect_bound(self):
-        gen = XorShift64Star(7)
-        signs = gen.sign_matrix(10_000, 64)
+        signs = np.random.default_rng(7).choice([-1.0, 1.0], size=(10_000, 64))
         zs = signs @ cell_weights(64)
         assert np.abs(zs).max() <= 2 + 1e-12
 
@@ -209,9 +207,9 @@ class TestStepFunctionals:
         assert abs(s) < 1e-12
 
     def test_s_functional_random_bound(self):
-        gen = XorShift64Star(8)
+        rng = np.random.default_rng(8)
         for n in (2, 3):
-            signs = gen.sign_matrix(2000 * n, 64)
+            signs = rng.choice([-1.0, 1.0], size=(2000 * n, 64))
             zs = (signs @ cell_weights(64)).reshape(2000, n)
             s = np.abs(zs.prod(axis=1).real)
             assert s.max() <= 2**n + 1e-9
