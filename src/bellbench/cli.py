@@ -15,10 +15,12 @@ numerical failure.
 bellbench.mermin; the numpy-backed modules are imported by the subcommands
 that use them, on their first call. `correlators` reads its table from the
 pair's two amplitudes (mermin.pair_table); no subcommand builds a density
-matrix. `verify-appendix` draws its random step functions from the standard
-library's Mersenne Twister, random.Random(--seed), whose stream does not
-depend on the platform; every integer seed is accepted, and Python seeds by
-the seed's absolute value.
+matrix or a dense operator: `verify-appendix` checks the Bell-Zukowski
+quadrature and its GHZ diagonality on the operator's n + 1 distinct entries
+(bellbench.zukowski). `verify-appendix` draws its random step functions from
+the standard library's Mersenne Twister, random.Random(--seed), whose stream
+does not depend on the platform; every integer seed is accepted, and Python
+seeds by the seed's absolute value.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import random
 import sys
 
 from .mermin import (
+    BOUND_SLACK,
+    COMPARISON_TOL,
     bell_relation_scale,
     local_bound_check,
     mermin_expectation,
@@ -142,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_correlators(visibility: float) -> dict:
-    from .lhv import fine_quadruple, lhv_feasible
-    from .states import CorrelationTable
+    from .lhv import CorrelationTable, fine_quadruple, lhv_feasible
 
     table = CorrelationTable(2, pair_table(visibility))
     e_xx, e_yy, e_xy, e_yx = (table.values[k] for k in ("XX", "YY", "XY", "YX"))
@@ -171,7 +174,7 @@ def cmd_correlators(visibility: float) -> dict:
 def cmd_analyze(visibility: float, n_copies: int) -> dict:
     if not 1 <= n_copies <= MAX_SWEEP_COPIES:
         raise CliError(f"copies must lie in [1, {MAX_SWEEP_COPIES}], got {n_copies}")
-    mermin_value = mermin_expectation(visibility, n_copies).analytic
+    mermin_value = mermin_expectation(visibility, n_copies)
     zukowski_value = zukowski_from_mermin(mermin_value, n_copies)
     mermin_ok = local_bound_check(mermin_value)
     zukowski_ok = local_bound_check(zukowski_value)
@@ -274,10 +277,8 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
     from . import zukowski as zk
 
     quad_error = max(zk.closed_vs_quadrature_error(n) for n in (2, 3, 4))
-    # diagonality is checked on the quadrature-built matrix (the integral route)
-    offdiag = max(
-        zk.ghz_offdiagonal_max(n, zk.zukowski_quadrature(n)) for n in (2, 3, 4)
-    )
+    # diagonality is checked on the quadrature operator (the integral route)
+    offdiag = max(zk.ghz_offdiagonal_max(n) for n in (2, 3, 4))
 
     extremal = zk.z_prime_functional(zk.sign_cos_step(grid_cells))
     extremal_error = abs(extremal - 2.0)
@@ -296,7 +297,7 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
             "grid_cells": grid_cells,
             "trials": trials,
             "seed": seed,
-            "quadrature_nodes": 8,
+            "quadrature_nodes": zk.NODES_PER_AXIS,
         },
         results={
             "quadrature_max_error": quad_error,
@@ -308,10 +309,10 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
             "max_abs_s_n3": s_max[3],
         },
         verdicts={
-            "quadrature_exact": quad_error < 1e-10,
-            "ghz_diagonal": offdiag < 1e-12,
-            "extremal_achieved": extremal_error <= 1e-12,
-            "z_prime_bounded": max_z <= 2 + 1e-12,
+            "quadrature_exact": quad_error < COMPARISON_TOL,
+            "ghz_diagonal": offdiag < BOUND_SLACK,
+            "extremal_achieved": extremal_error <= BOUND_SLACK,
+            "z_prime_bounded": max_z <= 2 + BOUND_SLACK,
             "s_bounded_n2": s_max[2] <= 2**2 + zk.S_BOUND_SLACK,
             "s_bounded_n3": s_max[3] <= 2**3 + zk.S_BOUND_SLACK,
         },
@@ -320,7 +321,7 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
 
 def load_table(text: str):
     """The CorrelationTable in `text`: a bare table, or a correlators report."""
-    from .states import CorrelationTable
+    from .lhv import CorrelationTable
 
     # json.loads raises ValueError on malformed text and on integer literals
     # over Python's digit limit, RecursionError on too deep a nesting; float()

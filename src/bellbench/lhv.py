@@ -1,4 +1,5 @@
-"""Local-hidden-variable oracle for full-correlation data.
+"""Local-hidden-variable oracle for full-correlation data, and the
+CorrelationTable it reads: the 2^n two-setting correlators of n parties.
 
 A deterministic strategy with outcomes (a_k, b_k) at (X, Y) has correlators
 E(r) = prod_k a_k * prod_k (a_k b_k)^{r_k}, with r_k = 1 when party k measures
@@ -13,12 +14,12 @@ rebuilt from its strategy labels, or an inequality evaluated on the table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mermin import COMPLETE_SET_SLACK
-from .states import CorrelationTable
+from .mermin import BOUND_SLACK, COMPARISON_TOL, COMPLETE_SET_SLACK
 
 WITNESS_TOL = 1e-8
 MAX_TRANSFORM_PARTIES = 12
@@ -35,6 +36,53 @@ QUADRUPLE_SIGNS = (
 )
 
 
+@dataclass(frozen=True)
+class CorrelationTable:
+    """All 2^n two-setting correlators of an n-party experiment.
+
+    Keys are strings over {X, Y}, one character per party; values are the
+    real correlation functions E in [-1, 1].
+    """
+
+    n_parties: int
+    values: dict[str, float]
+
+    def __post_init__(self):
+        n = self.n_parties
+        if n < 1:
+            raise ValueError(f"need at least one party, got {n}")
+        if len(self.values) != 2**n:
+            raise ValueError(f"expected {2**n} entries, got {len(self.values)}")
+        for key, val in self.values.items():
+            if len(key) != n or set(key) - {"X", "Y"}:
+                raise ValueError(f"bad setting key {key!r}")
+            if not math.isfinite(val) or abs(val) > 1 + COMPARISON_TOL:
+                raise ValueError(f"correlator {key} = {val} outside [-1, 1]")
+
+    def settings(self) -> list[str]:
+        """Setting keys in lexicographic order (X before Y)."""
+        return sorted(self.values)
+
+    def vector(self) -> np.ndarray:
+        """Values in setting order; index is the key read as binary, Y = 1."""
+        return np.array([self.values[k] for k in self.settings()], dtype=float)
+
+    def to_json_obj(self) -> dict[str, float]:
+        return {k: float(self.values[k]) for k in self.settings()}
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "CorrelationTable":
+        if not obj or not isinstance(obj, dict):
+            raise ValueError("correlation table must be a non-empty JSON object")
+        n = len(next(iter(obj)))
+        values = {}
+        for key, val in obj.items():
+            if not isinstance(val, (int, float)) or isinstance(val, bool):
+                raise ValueError(f"correlator {key!r} is not a number")
+            values[str(key)] = float(val)
+        return cls(n, values)
+
+
 def fine_quadruple(e_xx: float, e_yy: float, e_xy: float, e_yx: float):
     """The four CHSH-type combination values and their joint verdict.
 
@@ -42,13 +90,13 @@ def fine_quadruple(e_xx: float, e_yy: float, e_xy: float, e_yx: float):
     True iff every |combination| <= 2 (up to slack).
     """
     for name, e in (("xx", e_xx), ("yy", e_yy), ("xy", e_xy), ("yx", e_yx)):
-        if abs(e) > 1 + 1e-10:
+        if abs(e) > 1 + COMPARISON_TOL:
             raise ValueError(f"correlator {name} = {e} outside [-1, 1]")
     values = tuple(
         abs(sxx * e_xx + syy * e_yy + sxy * e_xy + syx * e_yx)
         for sxx, syy, sxy, syx in QUADRUPLE_SIGNS
     )
-    return values, all(v <= 2 + 1e-12 for v in values)
+    return values, all(v <= 2 + BOUND_SLACK for v in values)
 
 
 def strategy_label(strategy) -> str:
@@ -200,6 +248,7 @@ def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, flo
 
 
 __all__ = [
+    "CorrelationTable",
     "FeasibilityVerdict",
     "InequalityWitness",
     "fine_quadruple",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 # Agreement tolerance for derived quantities that two routes compute.
 COMPARISON_TOL = 1e-10
@@ -50,11 +49,6 @@ PAIR_AMPLITUDES = (1 / math.sqrt(2), 1j / math.sqrt(2))
 
 # e^{i phi} of the two settings: X at phi = 0, Y at phi = pi/2.
 SETTING_PHASORS = {"X": 1, "Y": 1j}
-
-
-class MerminExpectation(NamedTuple):
-    analytic: float
-    traced: float
 
 
 def pair_contraction(v: float) -> complex:
@@ -89,22 +83,21 @@ def contracted_expectation(v: float, n_copies: int) -> complex:
     return pair_contraction(v) ** n_copies / F_PHASE
 
 
-def mermin_expectation(v: float, n_copies: int) -> MerminExpectation:
-    """<B> on n_copies noisy pairs: analytic V^N next to the pair contraction.
+def mermin_expectation(v: float, n_copies: int) -> float:
+    """<B> = V^N on n_copies noisy pairs, checked against the pair contraction.
 
     Both <B> (the real part of contracted_expectation) and <B'> (its
     imaginary part) equal V^N and are required to agree with it within the
     comparison tolerance; a mismatch means a construction bug, not a
-    physical effect.
+    physical effect, and raises ArithmeticError.
     """
     analytic = v**n_copies
     z = contracted_expectation(v, n_copies)
-    traced = z.real
-    for name, value in (("B", traced), ("B'", z.imag)):
+    for name, value in (("B", z.real), ("B'", z.imag)):
         if abs(analytic - value) > COMPARISON_TOL:
             raise ArithmeticError(
                 f"analytic {analytic} and contracted <{name}> {value} Mermin values disagree")
-    return MerminExpectation(analytic, traced)
+    return analytic
 
 
 def local_bound_check(value: float) -> bool:

@@ -1,10 +1,16 @@
-"""Bell-Zukowski operator in closed form and by quadrature, its GHZ
+"""Bell-Zukowski operator by quadrature against its closed form, its GHZ
 diagonality, and the step-function bounds behind its local-realistic
-derivation: the numpy routes of `verify-appendix`, and the only dense
-operators `bellctl` builds (n <= 4, where the claim is about the operator
-itself). The scalar Bell relation
-to the Bell-Mermin average, its bound and the threshold visibility are
-closed forms in bellbench.mermin.
+derivation: the checks of `verify-appendix`. The scalar Bell relation to the
+Bell-Mermin average, its bound and the threshold visibility are closed forms
+in bellbench.mermin.
+
+Conventions, fixed once for the whole package:
+
+* Computational basis index 0 is the sigma_z eigenvector with eigenvalue +1.
+* Party k occupies tensor slot k, leftmost slot is party 1.
+* The in-plane observable at phase phi is cos(phi) sigma_x + sin(phi) sigma_y
+  = e^{-i phi} |0><1| + e^{i phi} |1><0|, so phi = 0 is X and phi = pi/2 is
+  Y; allowed phases are 0 <= phi < pi.
 
 The operator averages the all-angle correlation kernel cos(phi_1 + ... + phi_n)
 over the in-plane observables sigma_phi at every site,
@@ -12,53 +18,70 @@ over the in-plane observables sigma_phi at every site,
     Z_n = 2^{-n} * integral over [0, pi]^n of cos(sum phi) sigma_phi_1 x ... x sigma_phi_n,
 
 and collapses to the rank-2 corner form (pi/2)^n (P+ - P-)/2 on the extreme
-GHZ doublet. Every matrix-element integrand factorizes per axis into
-e^{i m phi} with m in {-2, 0, 2}, so an equispaced midpoint rule with at
-least two nodes per axis reproduces the integral exactly; the quadrature
-here is evaluated separably (per-axis 1-D sums, tensored), never as a dense
-n-dimensional grid walk.
+GHZ doublet. The kernel splits as (prod e^{i phi_k} + prod e^{-i phi_k})/2, so
+a midpoint rule with weight w at nodes phi_j gives
+2^{-(n+1)} (A^{x n} + (A^dag)^{x n}) with the per-site moment
+A = sum_j w e^{i phi_j} sigma_phi_j = m0 |0><1| + m2 |1><0|, where m0 = sum w
+and m2 = sum w e^{2 i phi_j}. Its only nonzero entries are (i, ~i), and their
+value depends only on the Hamming weight h of i (_antidiagonal). With at least
+two nodes m2 = 0, so the rule is exact. Both checks below read those n + 1
+entries in plain complex arithmetic; the dense 2^n x 2^n operators are the
+test suite's reference route (tests/dense_oracle.py).
 """
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 
 import numpy as np
 
-from .states import MAX_QUBITS, ghz_basis, phase_observable
-
 S_BOUND_SLACK = 1e-9
+NODES_PER_AXIS = 8
 
 
-def zukowski_closed(n: int) -> np.ndarray:
-    """Closed corner form (1/2)(pi/2)^n (P+ - P-), eigenvalues +-(1/2)(pi/2)^n."""
-    _check_sites(n)
-    plus, minus = ghz_basis(n)[:2]
-    return 0.5 * (math.pi / 2) ** n * (np.outer(plus, plus.conj()) - np.outer(minus, minus.conj()))
-
-
-def zukowski_quadrature(n: int, nodes_per_axis: int = 8) -> np.ndarray:
-    """Midpoint-rule evaluation of the defining integral, exact for M >= 2.
-
-    The kernel splits as cos(sum phi) = (prod e^{i phi_k} + prod e^{-i phi_k})/2,
-    so the full tensor-grid sum equals a tensor product of per-axis 2x2 moment
-    matrices; cost is O(n * M) plus one 2^n-dimensional tensor assembly.
-    """
-    _check_sites(n)
+def _site_moments(nodes_per_axis: int) -> tuple[complex, complex]:
+    """(m0, m2) of the midpoint rule on [0, pi]: the |0><1| and |1><0| entries
+    of the per-site moment sum_j w e^{i phi_j} sigma_phi_j."""
     if nodes_per_axis < 2:
         raise ValueError("midpoint rule needs at least 2 nodes per axis")
-    nodes = (np.arange(nodes_per_axis) + 0.5) * math.pi / nodes_per_axis
     weight = math.pi / nodes_per_axis
-    plus_moment = np.zeros((2, 2), dtype=complex)
-    minus_moment = np.zeros((2, 2), dtype=complex)
-    for phi in nodes:
-        obs = phase_observable(phi)
-        plus_moment += weight * np.exp(1j * phi) * obs
-        minus_moment += weight * np.exp(-1j * phi) * obs
-    stacked = (functools.reduce(np.kron, [plus_moment] * n)
-               + functools.reduce(np.kron, [minus_moment] * n))
-    return stacked / 2 ** (n + 1)
+    m0 = m2 = 0j
+    for j in range(nodes_per_axis):
+        u = cmath.exp(1j * (j + 0.5) * weight)
+        m0 += weight * u * u.conjugate()
+        m2 += weight * u * u
+    return m0, m2
+
+
+def _antidiagonal(n: int, m0: complex, m2: complex) -> list[complex]:
+    """Entry (i, ~i) of 2^{-(n+1)} (A^{x n} + (A^dag)^{x n}), indexed by the
+    Hamming weight h = 0..n of i, for A = m0 |0><1| + m2 |1><0|:
+    z_h = 2^{-(n+1)} (m0^{n-h} m2^h + conj(m0^h m2^{n-h}))."""
+    if n < 2:
+        raise ValueError(f"site count must be at least 2, got {n}")
+    a, b = m0 / 2, m2 / 2
+    return [(a ** (n - h) * b**h + (a**h * b ** (n - h)).conjugate()) / 2
+            for h in range(n + 1)]
+
+
+def closed_vs_quadrature_error(n: int, nodes_per_axis: int = NODES_PER_AXIS) -> float:
+    """Max-entry gap between the midpoint quadrature and the closed form,
+    whose only nonzero entries are (1/2)(pi/2)^n at h = 0 and h = n."""
+    corner = 0.5 * (math.pi / 2) ** n
+    z = _antidiagonal(n, *_site_moments(nodes_per_axis))
+    return max(abs(z_h - (corner if h in (0, n) else 0.0)) for h, z_h in enumerate(z))
+
+
+def ghz_offdiagonal_max(n: int) -> float:
+    """Largest off-diagonal magnitude of the quadrature operator in the GHZ basis.
+
+    The basis pairs |i> with |~i>, and the operator maps each such pair into
+    itself, so its only off-diagonal entries are the doublet's
+    (z_h - z_{n-h}) / 2.
+    """
+    z = _antidiagonal(n, *_site_moments(NODES_PER_AXIS))
+    return max(abs(z[h] - z[n - h]) / 2 for h in range(n + 1))
 
 
 # --- step-function functionals -------------------------------------------
@@ -77,18 +100,13 @@ def cell_weights(cells: int) -> np.ndarray:
     return (np.exp(1j * edges[1:]) - np.exp(1j * edges[:-1])) / 1j
 
 
-def validate_step_values(values) -> np.ndarray:
+def z_prime_functional(values) -> complex:
+    """z' = integral of f e^{i phi} over [0, pi] for a +-1 step function f."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim == 0 or vals.shape[-1] < 1:
         raise ValueError("step function needs at least one cell")
     if not np.all(np.abs(vals) == 1.0):
         raise ValueError("step-function values must be exactly +-1")
-    return vals
-
-
-def z_prime_functional(values) -> complex:
-    """z' = integral of f e^{i phi} over [0, pi] for a +-1 step function f."""
-    vals = validate_step_values(values)
     if vals.ndim != 1:
         raise ValueError("expected a single step function")
     return complex(vals @ cell_weights(len(vals)))
@@ -100,25 +118,3 @@ def sign_cos_step(cells: int) -> np.ndarray:
     if cells < 2 or cells % 2 != 0:
         raise ValueError("sign(cos) step function needs an even cell count")
     return np.where(np.arange(cells) < cells // 2, 1.0, -1.0)
-
-
-def _check_sites(n: int) -> None:
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"site count must lie in [2, {MAX_QUBITS}], got {n}")
-
-
-def closed_vs_quadrature_error(n: int, nodes_per_axis: int = 8) -> float:
-    """Max-entry gap between the closed form and the midpoint quadrature."""
-    return float(np.abs(zukowski_quadrature(n, nodes_per_axis) - zukowski_closed(n)).max())
-
-
-def ghz_offdiagonal_max(n: int, op: np.ndarray | None = None) -> float:
-    """Largest off-diagonal magnitude of Z_n in the GHZ basis.
-
-    Pass the quadrature-built matrix as op to check the integral route
-    directly; the default checks the closed form.
-    """
-    basis = np.column_stack(ghz_basis(n))
-    in_basis = basis.conj().T @ (zukowski_closed(n) if op is None else op) @ basis
-    off = in_basis - np.diag(np.diag(in_basis))
-    return float(np.abs(off).max())

@@ -12,8 +12,12 @@ with:
   a corner-phase alignment;
 * N independent noisy pairs as one dense 2N-qubit density matrix, and the
   pair contraction as a dense 4x4 trace;
-* the Bell-Zukowski operator in the phase convention of the recursion,
-  equal to the Bell-relation rescaling of the recursive B as operators.
+* the Bell-Zukowski operator as dense 2^n x 2^n matrices: its closed corner
+  form, its midpoint quadrature as a Kronecker power of per-site moments, and
+  its GHZ-basis off-diagonal mass, which bellbench.zukowski reads from the
+  n + 1 antidiagonal entries instead; and the operator in the phase convention
+  of the recursion, equal to the Bell-relation rescaling of the recursive B as
+  operators.
 """
 
 from __future__ import annotations
@@ -27,19 +31,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from bellbench.lhv import CorrelationTable
 from bellbench.mermin import COMPARISON_TOL, F_PHASE, bell_relation_scale
-from bellbench.states import (
-    MAX_QUBITS,
-    SIGMA_X,
-    SIGMA_Y,
-    CorrelationTable,
-    ghz_basis,
-    phase_observable,
-)
-from bellbench.zukowski import zukowski_closed
 
 IDENTITY_2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+MAX_QUBITS = 12
 
 X_PHASE = 0.0
 Y_PHASE = math.pi / 2
@@ -92,6 +92,40 @@ def projector(ket: Sequence[complex]) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def phase_observable(phi: float) -> np.ndarray:
+    """Dichotomic (+1/-1) observable in the xy plane at phase phi.
+
+    cos(phi) sigma_x + sin(phi) sigma_y; eigenvectors are
+    (|0> +- e^{i phi} |1>)/sqrt(2) with eigenvalues +-1.
+    """
+    if not 0.0 <= phi < math.pi:
+        raise ValueError(f"phase must lie in [0, pi), got {phi}")
+    return math.cos(phi) * SIGMA_X + math.sin(phi) * SIGMA_Y
+
+
+def ghz_basis(n: int) -> list[np.ndarray]:
+    """Orthonormal GHZ basis of the n-qubit space, no extra phases.
+
+    Basis kets pair an (n-1)-bit string j (followed by 0) with its bitwise
+    complement (followed by 1): (|j,0> +- |~j,1>)/sqrt(2). Order is
+    (j, +), (j, -) with j ascending.
+    """
+    if not 2 <= n <= MAX_QUBITS:
+        raise ValueError(f"party count must lie in [2, {MAX_QUBITS}], got {n}")
+    dim = 2**n
+    half = dim // 2
+    basis = []
+    for j in range(half):
+        hi = 2 * j                      # binary j followed by 0
+        lo = dim - 1 - hi               # bitwise complement
+        for sign in (+1.0, -1.0):
+            ket = np.zeros(dim, dtype=complex)
+            ket[hi] = 1 / math.sqrt(2)
+            ket[lo] = sign / math.sqrt(2)
+            basis.append(ket)
+    return basis
+
+
 # --- the shared pair as a density matrix -------------------------------------
 
 
@@ -127,6 +161,60 @@ def full_correlation_table(rho, n: int) -> CorrelationTable:
         key = "".join(combo)
         values[key] = correlation(rho, [SETTING_PHASES[c] for c in combo])
     return CorrelationTable(n, values)
+
+
+# --- the Bell-Zukowski operator as a dense matrix ----------------------------
+
+
+def _check_sites(n: int) -> None:
+    if not 2 <= n <= MAX_QUBITS:
+        raise ValueError(f"site count must lie in [2, {MAX_QUBITS}], got {n}")
+
+
+def zukowski_closed(n: int) -> np.ndarray:
+    """Closed corner form (1/2)(pi/2)^n (P+ - P-), eigenvalues +-(1/2)(pi/2)^n."""
+    _check_sites(n)
+    plus, minus = ghz_basis(n)[:2]
+    return 0.5 * (math.pi / 2) ** n * (np.outer(plus, plus.conj()) - np.outer(minus, minus.conj()))
+
+
+def zukowski_quadrature(n: int, nodes_per_axis: int = 8) -> np.ndarray:
+    """Midpoint-rule evaluation of the defining integral, exact for M >= 2.
+
+    The kernel splits as cos(sum phi) = (prod e^{i phi_k} + prod e^{-i phi_k})/2,
+    so the full tensor-grid sum equals a tensor product of per-axis 2x2 moment
+    matrices; cost is O(n * M) plus one 2^n-dimensional tensor assembly.
+    """
+    _check_sites(n)
+    if nodes_per_axis < 2:
+        raise ValueError("midpoint rule needs at least 2 nodes per axis")
+    nodes = (np.arange(nodes_per_axis) + 0.5) * math.pi / nodes_per_axis
+    weight = math.pi / nodes_per_axis
+    plus_moment = np.zeros((2, 2), dtype=complex)
+    minus_moment = np.zeros((2, 2), dtype=complex)
+    for phi in nodes:
+        obs = phase_observable(phi)
+        plus_moment += weight * np.exp(1j * phi) * obs
+        minus_moment += weight * np.exp(-1j * phi) * obs
+    return moment_power(n, plus_moment, minus_moment)
+
+
+def moment_power(n: int, plus_moment, minus_moment) -> np.ndarray:
+    """2^{-(n+1)} (plus^{x n} + minus^{x n}) for 2x2 per-site moments."""
+    stacked = reduce(np.kron, [plus_moment] * n) + reduce(np.kron, [minus_moment] * n)
+    return stacked / 2 ** (n + 1)
+
+
+def dense_ghz_offdiagonal_max(n: int, op: np.ndarray | None = None) -> float:
+    """Largest off-diagonal magnitude of op in the GHZ basis.
+
+    op defaults to the closed form; pass the quadrature-built matrix to check
+    the integral route.
+    """
+    basis = np.column_stack(ghz_basis(n))
+    in_basis = basis.conj().T @ (zukowski_closed(n) if op is None else op) @ basis
+    off = in_basis - np.diag(np.diag(in_basis))
+    return float(np.abs(off).max())
 
 
 # --- the Bell-Mermin recursion and the Bell-Zukowski identity ----------------

@@ -24,7 +24,7 @@ import itertools
 
 import numpy as np
 
-from bellbench.states import CorrelationTable
+from bellbench.lhv import CorrelationTable
 
 # Largest phase-1 residual the LP still calls feasible.
 LP_RESIDUAL_TOL = 1e-9

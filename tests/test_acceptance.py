@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from bellbench.cli import main
-from bellbench.states import CorrelationTable
 from bellbench.mermin import (
+    contracted_expectation,
     local_bound_check,
     mermin_expectation,
     threshold_visibility,
@@ -23,9 +23,8 @@ from bellbench.zukowski import (
     ghz_offdiagonal_max,
     sign_cos_step,
     z_prime_functional,
-    zukowski_closed,
 )
-from bellbench.lhv import fine_quadruple, lhv_feasible
+from bellbench.lhv import CorrelationTable, fine_quadruple, lhv_feasible
 from dense_oracle import (
     SETTING_PHASES,
     align_corner_phase,
@@ -39,6 +38,7 @@ from dense_oracle import (
     mermin_operators,
     noisy_pair,
     zukowski_aligned,
+    zukowski_closed,
 )
 from lp_oracle import lp_feasible
 
@@ -82,8 +82,8 @@ def test_criterion_2_mermin_identity():
         aligned = align_corner_phase(mermin_closed_form(n), phase)
         assert np.abs(pair.b - aligned).max() < 1e-10
         for v in V_GRID:
-            got = mermin_expectation(v, n_copies)
-            assert abs(got.traced - v**n_copies) < 1e-10
+            assert mermin_expectation(v, n_copies) == v**n_copies
+            assert abs(contracted_expectation(v, n_copies).real - v**n_copies) < 1e-10
             primed = expectation(copies(v, n_copies), pair.b_prime)
             assert abs(primed - v**n_copies) < 1e-10
     _report("criterion 2 (Mermin recursion vs closed form, <B> = V^N): PASS")

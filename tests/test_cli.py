@@ -103,7 +103,7 @@ class TestCorrelators:
         report = run_json(capsys, "correlators", "--visibility", "0.5")
         assert report["tolerances"] == {
             "bound_slack": 1e-12, "comparison": 1e-10, "complete_set_slack": 1e-9}
-        assert report["tool_version"] == bellbench.__version__ == "0.2.0"
+        assert report["tool_version"] == bellbench.__version__ == "0.3.0"
 
 
 class TestAnalyze:
@@ -539,7 +539,7 @@ class TestDeterminism:
 
 
 TOLERANCES_TEXT = ('"tolerances": {"bound_slack": 1e-12, "comparison": 1e-10, '
-                   '"complete_set_slack": 1e-09}, "tool_version": "0.2.0"')
+                   '"complete_set_slack": 1e-09}, "tool_version": "0.3.0"')
 
 # Whole reports whose numbers need no numpy reduction: the two lhv tables are
 # dyadic, so the sign transform is exact, analyze uses Python floats only, and

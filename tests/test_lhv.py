@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bellbench.states import CorrelationTable
 from bellbench.lhv import (
+    CorrelationTable,
     InequalityWitness,
     fine_quadruple,
     lhv_feasible,

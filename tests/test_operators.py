@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from bellbench.states import SIGMA_X, SIGMA_Y
-from bellbench.zukowski import zukowski_closed
 from dense_oracle import (
     IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     expectation,
     hermitian_split,
@@ -12,6 +12,7 @@ from dense_oracle import (
     noisy_pair,
     projector,
     tensor,
+    zukowski_closed,
 )
 
 

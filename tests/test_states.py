@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from bellbench.states import SIGMA_X, SIGMA_Y, CorrelationTable, ghz_basis, phase_observable
+from bellbench.lhv import CorrelationTable
 from dense_oracle import (
+    SIGMA_X,
+    SIGMA_Y,
     X_PHASE,
     Y_PHASE,
     bell_pair,
@@ -13,7 +15,9 @@ from dense_oracle import (
     correlation,
     expectation,
     full_correlation_table,
+    ghz_basis,
     noisy_pair,
+    phase_observable,
     tensor,
 )
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from bellbench.states import ghz_basis
 from bellbench.mermin import (
     bell_relation_scale,
     modified_mermin_bound,
@@ -11,22 +10,28 @@ from bellbench.mermin import (
     local_bound_check,
     zukowski_from_mermin,
 )
+from bellbench import zukowski
 from bellbench.zukowski import (
+    _antidiagonal,
+    _site_moments,
     cell_weights,
     closed_vs_quadrature_error,
     ghz_offdiagonal_max,
     sign_cos_step,
     z_prime_functional,
-    zukowski_closed,
-    zukowski_quadrature,
 )
 from dense_oracle import (
     bell_relation_operator_gap,
     copies,
+    dense_ghz_offdiagonal_max,
     expectation,
+    ghz_basis,
     mermin_closed_form,
     mermin_operators,
+    moment_power,
     zukowski_aligned,
+    zukowski_closed,
+    zukowski_quadrature,
 )
 
 def ghz_diagonal(n, op):
@@ -58,13 +63,13 @@ class TestOperatorForms:
             assert abs(val + 0.5 * (math.pi / 2) ** n) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("nodes", [2, 4, 8])
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 8, 9])
     def test_quadrature_is_exact(self, n, nodes):
         assert closed_vs_quadrature_error(n, nodes) < 1e-10
 
     def test_quadrature_against_dense_grid_oracle(self):
         # independent oracle: walk the full 2-d midpoint grid
-        from bellbench.states import phase_observable
+        from dense_oracle import phase_observable
 
         m = 16
         nodes = (np.arange(m) + 0.5) * math.pi / m
@@ -79,6 +84,7 @@ class TestOperatorForms:
     def test_ghz_diagonality(self):
         for n in (2, 3, 4):
             assert ghz_offdiagonal_max(n) < 1e-12
+            assert dense_ghz_offdiagonal_max(n) < 1e-12
             diag = ghz_diagonal(n, zukowski_closed(n))
             top = 0.5 * (math.pi / 2) ** n
             assert abs(diag[0] - top) < 1e-12
@@ -89,7 +95,7 @@ class TestOperatorForms:
         # the integral route is diagonal in the GHZ basis on its own
         for n in (2, 3):
             op = zukowski_quadrature(n, nodes_per_axis=8)
-            assert ghz_offdiagonal_max(n, op) < 1e-12
+            assert dense_ghz_offdiagonal_max(n, op) < 1e-12
             diag = ghz_diagonal(n, op)
             assert np.abs(diag[2:]).max() < 1e-12
 
@@ -99,6 +105,49 @@ class TestOperatorForms:
                 zukowski_closed(bad)
         with pytest.raises(ValueError):
             zukowski_quadrature(2, nodes_per_axis=1)
+
+    def test_structured_checks_validate_arguments(self):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            closed_vs_quadrature_error(2, nodes_per_axis=1)
+        with pytest.raises(ValueError, match="at least 2"):
+            ghz_offdiagonal_max(1)
+
+    def test_structured_checks_have_no_site_cap(self):
+        # above the dense oracle's 12-qubit cap the n + 1 entries still suffice
+        for n in (13, 40):
+            scale = 0.5 * (math.pi / 2) ** n
+            assert closed_vs_quadrature_error(n) < 1e-14 * scale
+            assert ghz_offdiagonal_max(n) < 1e-14 * scale
+
+
+def assert_antidiagonal(n, entries, dense):
+    # entry (i, ~i) is entries[popcount(i)]; every other entry is zero
+    expected = np.zeros_like(dense)
+    for i in range(2**n):
+        expected[i, (2**n - 1) ^ i] = entries[bin(i).count("1")]
+    assert np.abs(expected - dense).max() <= 1e-14
+
+
+class TestStructuredQuadrature:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("nodes", range(2, 10))
+    def test_entries_match_dense_quadrature(self, n, nodes):
+        entries = _antidiagonal(n, *_site_moments(nodes))
+        assert_antidiagonal(n, entries, zukowski_quadrature(n, nodes))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_non_exact_moment_matches_dense(self, monkeypatch, n):
+        # a defective moment: both checks must report the dense operator's gaps
+        m0, m2 = 3.1, 0.1 + 0.05j
+        moment = np.array([[0, m0], [m2, 0]], dtype=complex)
+        dense = moment_power(n, moment, moment.conj().T)
+        assert_antidiagonal(n, _antidiagonal(n, m0, m2), dense)
+        monkeypatch.setattr(zukowski, "_site_moments", lambda nodes: (m0, m2))
+        quad_gap = np.abs(dense - zukowski_closed(n)).max()
+        off_gap = dense_ghz_offdiagonal_max(n, dense)
+        assert quad_gap > 1e-3 and off_gap > 1e-3
+        assert abs(closed_vs_quadrature_error(n) - quad_gap) <= 1e-14
+        assert abs(ghz_offdiagonal_max(n) - off_gap) <= 1e-14
 
 
 class TestBellRelation:
