@@ -11,16 +11,18 @@ Exit codes: 0 success (verdicts are data, not errors), 2 usage or parse
 errors and unwritable output (a closed standard output included), 3 internal
 numerical failure.
 
-`analyze`, `sweep` and usage errors run on the numpy-free closed forms of
-bellbench.mermin; the numpy-backed modules are imported by the subcommands
-that use them, on their first call. `correlators` reads its table from the
-pair's two amplitudes (mermin.pair_table); no subcommand builds a density
-matrix or a dense operator: `verify-appendix` checks the Bell-Zukowski
-quadrature and its GHZ diagonality on the operator's n + 1 distinct entries
-(bellbench.zukowski). `verify-appendix` draws its random step functions from
-the standard library's Mersenne Twister, random.Random(--seed), whose stream
-does not depend on the platform; every integer seed is accepted, and Python
-seeds by the seed's absolute value.
+`analyze`, `sweep`, `correlators` and usage errors do not import numpy, and
+neither does an `lhv` request whose table is infeasible. numpy is loaded only
+by the two bulk kernels, on their first call: the witness rebuild of a
+feasible `lhv` verdict (lhv.witness_reconstruction_error) and the sign draw
+of `verify-appendix`. `correlators` reads its table from the pair's two
+amplitudes (mermin.pair_table); no subcommand builds a density matrix or a
+dense operator: `verify-appendix` checks the Bell-Zukowski quadrature and its
+GHZ diagonality on the operator's n + 1 distinct entries (bellbench.zukowski).
+`verify-appendix` draws its random step functions from the standard library's
+Mersenne Twister, random.Random(--seed), whose stream does not depend on the
+platform; every integer seed is accepted, and Python seeds by the seed's
+absolute value.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import os
 import random
 import sys
 
+from . import zukowski as zk
 from .mermin import (
     BOUND_SLACK,
     COMPARISON_TOL,
@@ -272,16 +275,14 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
         raise CliError(f"trials x grid cells must not exceed {MAX_APPENDIX_CELLS}, "
                        f"got {trials} x {grid_cells}")
 
-    import numpy as np
-
-    from . import zukowski as zk
-
     quad_error = max(zk.closed_vs_quadrature_error(n) for n in (2, 3, 4))
     # diagonality is checked on the quadrature operator (the integral route)
     offdiag = max(zk.ghz_offdiagonal_max(n) for n in (2, 3, 4))
 
     extremal = zk.z_prime_functional(zk.sign_cos_step(grid_cells))
     extremal_error = abs(extremal - 2.0)
+
+    import numpy as np
 
     # Draw order is fixed: |z'| trials, then S assemblies for n = 2, 3.
     gen = random.Random(seed)
@@ -313,8 +314,8 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
             "ghz_diagonal": offdiag < BOUND_SLACK,
             "extremal_achieved": extremal_error <= BOUND_SLACK,
             "z_prime_bounded": max_z <= 2 + BOUND_SLACK,
-            "s_bounded_n2": s_max[2] <= 2**2 + zk.S_BOUND_SLACK,
-            "s_bounded_n3": s_max[3] <= 2**3 + zk.S_BOUND_SLACK,
+            "s_bounded_n2": s_max[2] <= 2**2 + BOUND_SLACK,
+            "s_bounded_n3": s_max[3] <= 2**3 + BOUND_SLACK,
         },
     )
 

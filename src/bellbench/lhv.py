@@ -10,6 +10,10 @@ correlation inequalities (Werner & Wolf, PRA 64, 032112 (2001); Zukowski &
 Brukner, PRL 88, 210401 (2002)). lhv_feasible decides it in closed form and
 returns a certificate whose check does not use the sign transform: a witness
 rebuilt from its strategy labels, or an inequality evaluated on the table.
+
+The decision is plain Python, its sums correctly rounded by math.fsum, so
+they do not depend on summation order. Only the witness rebuild, a blocked
+Kronecker product, imports numpy, on its first call.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .mermin import BOUND_SLACK, COMPARISON_TOL, COMPLETE_SET_SLACK
 
+# Looser than COMPLETE_SET_SLACK: lhv_feasible drops weights of up to 1e-12
+# each, at most 2^n + 2 of them, so a 12-party rebuild may be off by 4.1e-9.
 WITNESS_TOL = 1e-8
 MAX_TRANSFORM_PARTIES = 12
 # Strategies per block of Kronecker products when a witness is rebuilt.
@@ -63,9 +67,9 @@ class CorrelationTable:
         """Setting keys in lexicographic order (X before Y)."""
         return sorted(self.values)
 
-    def vector(self) -> np.ndarray:
+    def vector(self) -> list[float]:
         """Values in setting order; index is the key read as binary, Y = 1."""
-        return np.array([self.values[k] for k in self.settings()], dtype=float)
+        return [self.values[k] for k in self.settings()]
 
     def to_json_obj(self) -> dict[str, float]:
         return {k: float(self.values[k]) for k in self.settings()}
@@ -106,17 +110,17 @@ def strategy_label(strategy) -> str:
     )
 
 
-def sign_transform(vector: np.ndarray) -> np.ndarray:
-    """Fast transform E_hat(s) = sum_r prod_k s_k^{r_k} E(r) over the hypercube."""
-    out = np.asarray(vector, dtype=float).copy()
-    size = out.shape[0]
-    h = 1
-    while h < size:
-        blocks = out.reshape(-1, 2, h)
-        top = blocks[:, 0, :] + blocks[:, 1, :]
-        bottom = blocks[:, 0, :] - blocks[:, 1, :]
-        out = np.stack([top, bottom], axis=1).reshape(size)
-        h *= 2
+def sign_transform(vector) -> list[float]:
+    """Fast transform E_hat(s) = sum_r prod_k s_k^{r_k} E(r) over the hypercube.
+
+    Each level maps (2j, 2j + 1) to their sum at j and difference at
+    j + size/2: bit for bit the in-place (i, i + h) butterfly, h = 1, 2, 4, ...
+    """
+    out = [float(x) for x in vector]
+    for _ in range(len(out).bit_length() - 1):
+        even, odd = out[0::2], out[1::2]
+        out = [a + b for a, b in zip(even, odd)]
+        out += [a - b for a, b in zip(even, odd)]
     return out
 
 
@@ -144,26 +148,19 @@ class FeasibilityVerdict:
     sign_sum: float
 
 
-def _violated_inequality(table: CorrelationTable, hat: np.ndarray) -> InequalityWitness:
-    signs = np.where(hat >= 0, 1.0, -1.0)
-    coeffs = sign_transform(signs)
-    settings = table.settings()
-    value = float(coeffs @ table.vector())
+def _violated_inequality(table: CorrelationTable, hat: list[float]) -> InequalityWitness:
+    coeffs = sign_transform([1.0 if x >= 0 else -1.0 for x in hat])
+    value = math.fsum(c * e for c, e in zip(coeffs, table.vector()))
     bound = float(2**table.n_parties)
     quadruple_index = None
     if table.n_parties == 2:
         # settings order XX, XY, YX, YY; quadruple patterns are over
         # (xx, yy, xy, yx) up to overall sign and a factor 2^{n-1}.
-        reduced = coeffs / 2 ** (table.n_parties - 1)
-        pattern = (reduced[0], reduced[3], reduced[1], reduced[2])
-        for i, q in enumerate(QUADRUPLE_SIGNS):
-            if all(pattern[j] == q[j] for j in range(4)) or all(
-                pattern[j] == -q[j] for j in range(4)
-            ):
-                quadruple_index = i
-                break
+        pattern = tuple(coeffs[j] / 2 for j in (0, 3, 1, 2))
+        quadruple_index = next((i for i, q in enumerate(QUADRUPLE_SIGNS)
+                                if pattern in (q, tuple(-x for x in q))), None)
     return InequalityWitness(
-        coefficients={k: float(c) for k, c in zip(settings, coeffs)},
+        coefficients=dict(zip(table.settings(), coeffs)),
         value=value,
         bound=bound,
         quadruple_index=quadruple_index,
@@ -196,14 +193,14 @@ def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
         raise ValueError(f"sign transform capped at {MAX_TRANSFORM_PARTIES} parties")
     hat = sign_transform(table.vector())
     scale = float(2**n)
-    total = float(np.abs(hat).sum())
+    total = math.fsum(abs(x) for x in hat)
     residual = max(0.0, total / scale - 1.0)
     if total > scale + COMPLETE_SET_SLACK:
         return FeasibilityVerdict(False, _violated_inequality(table, hat), residual, total)
 
     half_leftover = max(0.0, 1.0 - total / scale) / 2
     weights = {(1.0, 0): half_leftover, (-1.0, 0): half_leftover}
-    for t, value in enumerate(hat.tolist()):
+    for t, value in enumerate(hat):
         vertex = (1.0 if value >= 0 else -1.0, t)
         weights[vertex] = weights.get(vertex, 0.0) + abs(value) / scale
     witness = {
@@ -232,6 +229,8 @@ def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, flo
     of the max correlator deviation, |total weight - 1| and the most negative
     weight.
     """
+    import numpy as np
+
     n = table.n_parties
     weights = np.array(list(witness.values()), dtype=float)
     outcomes = np.array([_strategy_outcomes(label, n) for label in witness],

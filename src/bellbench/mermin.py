@@ -106,11 +106,9 @@ def local_bound_check(value: float) -> bool:
 
 
 def bell_relation_scale(n_copies: int) -> float:
-    """Factor (1/2)(pi/2)^{2N} 2^{-(2N-1)/2} linking <Z_{2N}> to <B>."""
-    if n_copies < 1:
-        raise ValueError("need at least one copy")
-    n = 2 * n_copies
-    return 0.5 * (math.pi / 2) ** n / 2 ** ((n - 1) / 2)
+    """Factor (1/2)(pi/2)^{2N} 2^{-(2N-1)/2} linking <Z_{2N}> to <B>: the
+    reciprocal of the modified bound, 1 / (sqrt2 c^N) with c = 8/pi^2."""
+    return 1 / modified_mermin_bound(n_copies)
 
 
 def zukowski_from_mermin(mermin_value: float, n_copies: int) -> float:
@@ -119,19 +117,20 @@ def zukowski_from_mermin(mermin_value: float, n_copies: int) -> float:
 
 
 def modified_mermin_bound(n_copies: int) -> float:
-    """Bound on |<B>| implied by |<Z_{2N}>| <= 1: 2 (2/pi)^{2N} 2^{(2N-1)/2}."""
+    """Bound on |<B>| implied by |<Z_{2N}>| <= 1: 2 (2/pi)^{2N} 2^{(2N-1)/2},
+    computed as sqrt2 c^N with c = 8/pi^2, which stays finite at large N."""
     if n_copies < 1:
         raise ValueError("need at least one copy")
-    n = 2 * n_copies
-    return 2 * (2 / math.pi) ** n * 2 ** ((n - 1) / 2)
+    return math.sqrt(2) * (8 / math.pi**2) ** n_copies
 
 
 def threshold_visibility(n_copies: int) -> float:
-    """Smallest visibility whose computed |<Z_{2N}>| reaches 1.
+    """Smallest visibility whose computed |<Z_{2N}>| reaches 1: the N-th root
+    of the modified bound, c 2^{1/(2N)} with c = 8/pi^2.
 
     Defined for N >= 2 only; at N = 1 the bound exceeds 1 and no visibility
     produces a violation.
     """
     if n_copies < 2:
         raise ValueError("threshold visibility is defined for n_copies >= 2")
-    return modified_mermin_bound(n_copies) ** (1.0 / n_copies)
+    return 8 / math.pi**2 * 2 ** (1 / (2 * n_copies))

@@ -25,8 +25,9 @@ A = sum_j w e^{i phi_j} sigma_phi_j = m0 |0><1| + m2 |1><0|, where m0 = sum w
 and m2 = sum w e^{2 i phi_j}. Its only nonzero entries are (i, ~i), and their
 value depends only on the Hamming weight h of i (_antidiagonal). With at least
 two nodes m2 = 0, so the rule is exact. Both checks below read those n + 1
-entries in plain complex arithmetic; the dense 2^n x 2^n operators are the
-test suite's reference route (tests/dense_oracle.py).
+entries; the dense 2^n x 2^n operators are the test suite's reference route
+(tests/dense_oracle.py). The step functions below are lists of +-1 over the
+cells. The module is plain Python arithmetic and imports no numpy.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
-S_BOUND_SLACK = 1e-9
 NODES_PER_AXIS = 8
 
 
@@ -92,29 +90,27 @@ def ghz_offdiagonal_max(n: int) -> float:
 # rather than about a discretization.
 
 
-def cell_weights(cells: int) -> np.ndarray:
+def cell_weights(cells: int) -> list[complex]:
     """Exact per-cell integrals of e^{i phi} on a uniform partition of [0, pi]."""
     if cells < 1:
         raise ValueError("need at least one cell")
-    edges = np.arange(cells + 1) * math.pi / cells
-    return (np.exp(1j * edges[1:]) - np.exp(1j * edges[:-1])) / 1j
+    edges = [cmath.exp(1j * (k * math.pi / cells)) for k in range(cells + 1)]
+    return [(b - a) / 1j for a, b in zip(edges, edges[1:])]
 
 
 def z_prime_functional(values) -> complex:
     """z' = integral of f e^{i phi} over [0, pi] for a +-1 step function f."""
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim == 0 or vals.shape[-1] < 1:
+    if len(values) < 1:
         raise ValueError("step function needs at least one cell")
-    if not np.all(np.abs(vals) == 1.0):
+    if any(abs(v) != 1.0 for v in values):
         raise ValueError("step-function values must be exactly +-1")
-    if vals.ndim != 1:
-        raise ValueError("expected a single step function")
-    return complex(vals @ cell_weights(len(vals)))
+    terms = [v * w for v, w in zip(values, cell_weights(len(values)))]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
-def sign_cos_step(cells: int) -> np.ndarray:
+def sign_cos_step(cells: int) -> list[float]:
     """Extremal step function sign(cos phi); needs an even cell count so the
     sign change at pi/2 falls on a cell boundary and |z'| = 2 is hit exactly."""
     if cells < 2 or cells % 2 != 0:
         raise ValueError("sign(cos) step function needs an even cell count")
-    return np.where(np.arange(cells) < cells // 2, 1.0, -1.0)
+    return [1.0] * (cells // 2) + [-1.0] * (cells // 2)

@@ -1,11 +1,15 @@
-"""In-process smoke run of the benchmark's workloads.
+"""Smoke runs of the benchmark's workloads: in-process, and through the
+worker as the benchmark starts it.
 
-bench/worker.py and bench/workloads.py are imported from the checkout, as
-they are, and their requests run through bellbench.cli.main with the
-benchmark's own checks. A request that fails here would count as a failed
-operation of the benchmark. Timings are not looked at.
+bench/worker.py and bench/workloads.py are used from the checkout, as they
+are, and their requests run through bellbench.cli.main with the benchmark's
+own checks. A request that fails here would count as a failed operation of
+the benchmark. Timings are not looked at.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,3 +62,19 @@ def test_traced_session_has_no_failed_requests(bench):
     assert run.failed == 0, run.failures
     assert run.attempted == len(requests)
     assert tracer.self_times()[0]["cli.main"] > 0
+
+
+@pytest.mark.parametrize("name", ["analyze-ladder", "lhv-tables"])
+def test_worker_run_end_to_end(name):
+    # The worker as the benchmark starts it, in a fresh interpreter, for a
+    # fraction of a second of sessions. Timings are not looked at.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(BENCH / "worker.py"), "run", name, "1", "0.2", "0"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert {"attempted", "failed", "failures", "numpy", "peak_rss_kib", "probe",
+            "sessions"} <= result.keys()
+    assert result["failed"] == 0, result["failures"]
+    assert result["probe"]["failed"] == 0, result["probe"]["failures"]
+    assert result["attempted"] > 0 and result["sessions"]

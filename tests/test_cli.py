@@ -103,7 +103,7 @@ class TestCorrelators:
         report = run_json(capsys, "correlators", "--visibility", "0.5")
         assert report["tolerances"] == {
             "bound_slack": 1e-12, "comparison": 1e-10, "complete_set_slack": 1e-9}
-        assert report["tool_version"] == bellbench.__version__ == "0.3.0"
+        assert report["tool_version"] == bellbench.__version__ == "0.4.0"
 
 
 class TestAnalyze:
@@ -539,11 +539,12 @@ class TestDeterminism:
 
 
 TOLERANCES_TEXT = ('"tolerances": {"bound_slack": 1e-12, "comparison": 1e-10, '
-                   '"complete_set_slack": 1e-09}, "tool_version": "0.3.0"')
+                   '"complete_set_slack": 1e-09}, "tool_version": "0.4.0"')
 
-# Whole reports whose numbers need no numpy reduction: the two lhv tables are
-# dyadic, so the sign transform is exact, analyze uses Python floats only, and
-# the correlators table is read from the pair's amplitudes.
+# Whole reports whose numbers do not depend on summation order: the two lhv
+# tables are dyadic, so the sign transform and the witness rebuild are exact,
+# analyze uses Python floats only, and the correlators table is read from the
+# pair's amplitudes.
 PINNED_REPORTS = {
     "correlators": (
         ["correlators", "--visibility", "0.9"], "",

@@ -139,6 +139,20 @@ class TestSignTransform:
             expected = vec[0] + s2 * vec[1] + s1 * vec[2] + s1 * s2 * vec[3]
             assert abs(hat[t] - expected) < 1e-14
 
+    def test_matches_in_place_butterfly_bit_for_bit(self):
+        rng = np.random.default_rng(52)
+        for n in range(13):
+            vec = rng.uniform(-1, 1, 2**n).tolist()
+            expected = list(vec)
+            h = 1
+            while h < len(expected):
+                for i in range(len(expected)):
+                    if not i & h:
+                        a, b = expected[i], expected[i + h]
+                        expected[i], expected[i + h] = a + b, a - b
+                h *= 2
+            assert sign_transform(vec) == expected
+
     def test_involution(self):
         rng = np.random.default_rng(51)
         vec = rng.normal(size=8)

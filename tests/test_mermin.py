@@ -215,10 +215,11 @@ def test_contraction_needs_a_visibility_in_the_unit_interval():
             contracted_expectation(bad, 1)
 
 
-# Run in a fresh interpreter: the analyze, sweep, usage-error and help paths
-# first, then every subcommand that needs numpy, then analyze again. Prints
-# whether numpy was imported after the first four, and each (code, stdout,
-# stderr).
+# Run in a fresh interpreter: the analyze, sweep, usage-error, help,
+# correlators and infeasible-lhv paths first, then the two that need numpy
+# (verify-appendix's draw, a feasible lhv's witness rebuild), then analyze
+# again. Prints whether numpy was imported after the first six, and each
+# (code, stdout, stderr).
 GUARD_SCRIPT = '''
 import contextlib, io, json, sys
 from unittest import mock
@@ -235,9 +236,9 @@ def call(argv, stdin):
     return [code, out.getvalue(), err.getvalue()]
 
 calls = json.loads(sys.argv[1])
-outcomes = [call(argv, stdin) for argv, stdin in calls[:4]]
+outcomes = [call(argv, stdin) for argv, stdin in calls[:6]]
 numpy_free = "numpy" not in sys.modules
-outcomes += [call(argv, stdin) for argv, stdin in calls[4:]]
+outcomes += [call(argv, stdin) for argv, stdin in calls[6:]]
 print(json.dumps({"numpy_free": numpy_free, "outcomes": outcomes}))
 '''
 
@@ -248,17 +249,19 @@ GUARD_CALLS = [
     (["analyze", "--visibility", "2", "--copies", "1"], ""),
     (["--help"], ""),
     (["correlators", "--visibility", "0.9"], ""),
-    (["verify-appendix", "--trials", "200", "--grid", "8"], ""),
     (["lhv"], '{"XX": 1, "XY": 1, "YX": 1, "YY": -1}'),
+    (["verify-appendix", "--trials", "200", "--grid", "8"], ""),
+    (["lhv"], '{"XX": 0.5, "XY": 0.25, "YX": 0.25, "YY": -0.5}'),
     (["analyze", "--visibility", "1", "--copies", "3"], ""),
 ]
 
 
 def test_hot_path_builds_no_dense_operator():
     # Without numpy no dense operator can be built: analyze, sweep, usage
-    # errors and --help must not import it. The lazy imports of the other
-    # subcommands must not depend on call order: one process running them
-    # all answers as a fresh process per call does.
+    # errors, --help, correlators and an infeasible lhv table must not import
+    # it. The lazy imports of the two bulk kernels must not depend on call
+    # order: one process running them all answers as a fresh process per
+    # call does.
     src = str(Path(bellbench.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
     proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT, json.dumps(GUARD_CALLS)],
@@ -269,7 +272,7 @@ def test_hot_path_builds_no_dense_operator():
         fresh = subprocess.run([sys.executable, "-m", "bellbench", *argv], input=stdin,
                                capture_output=True, text=True, env=env, timeout=120)
         assert outcome == [fresh.returncode, fresh.stdout, fresh.stderr], argv
-    assert [code for code, _, _ in result["outcomes"]] == [0, 0, 2, 0, 0, 0, 0, 0]
+    assert [code for code, _, _ in result["outcomes"]] == [0, 0, 2, 0, 0, 0, 0, 0, 0]
 
 
 def test_analyze_has_bounded_memory():

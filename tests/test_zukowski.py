@@ -218,6 +218,26 @@ class TestThresholds:
         assert threshold_visibility(20) - limit < 0.02
         assert threshold_visibility(50) - limit < 0.01
 
+    @pytest.mark.parametrize("n_copies", [900, 2000])
+    def test_closed_forms_stay_finite_at_large_n(self, n_copies):
+        # (2/pi)^{2N} underflows at N = 900 and (pi/2)^{2N} overflows well
+        # before N = 2000; base c = 8/pi^2 keeps both forms in range
+        log_bound = n_copies * math.log(8 / math.pi**2) + math.log(2) / 2
+        assert math.isclose(modified_mermin_bound(n_copies), math.exp(log_bound),
+                            rel_tol=1e-12)
+        assert math.isclose(bell_relation_scale(n_copies), math.exp(-log_bound),
+                            rel_tol=1e-12)
+        assert math.isclose(threshold_visibility(n_copies),
+                            math.exp(log_bound / n_copies), rel_tol=1e-14)
+        assert threshold_visibility(n_copies) > 0.81
+
+    def test_threshold_approaches_limit_at_rate_ln2_over_2n(self):
+        # c 2^{1/(2N)} - c = c ln2 / (2N) (1 + ln2 / (4N) + ...)
+        limit = 8 / math.pi**2
+        for n in range(10, 501):
+            rate = (threshold_visibility(n) - limit) * 2 * n / (limit * math.log(2))
+            assert abs(rate - 1) < 1 / n
+
 
 class TestBoundChecks:
     def test_zukowski_verdicts(self):
