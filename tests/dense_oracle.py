@@ -18,6 +18,11 @@ with:
   n + 1 antidiagonal entries instead; and the operator in the phase convention
   of the recursion, equal to the Bell-relation rescaling of the recursive B as
   operators.
+
+It imports nothing from bellbench: the constants it shares with the package
+are restated here from their definitions, and a route that needs a package
+function takes it as an argument, so a defect in the package cannot enter
+both sides of a comparison.
 """
 
 from __future__ import annotations
@@ -27,12 +32,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from bellbench.lhv import CorrelationTable
-from bellbench.mermin import COMPARISON_TOL, F_PHASE, bell_relation_scale
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,6 +47,12 @@ X_PHASE = 0.0
 Y_PHASE = math.pi / 2
 
 SETTING_PHASES = {"X": X_PHASE, "Y": Y_PHASE}
+
+# Phase of the site f-transform f(x, y) = e^{-i pi/4} (x + i y) / sqrt(2).
+F_PHASE = cmath.exp(-1j * math.pi / 4) / math.sqrt(2)
+
+# Largest imaginary residue an expectation value may carry.
+REALNESS_TOL = 1e-10
 
 
 # --- dense linear algebra --------------------------------------------------
@@ -82,7 +90,7 @@ def expectation(rho, o) -> float:
         raise ValueError(f"dimension mismatch: state {r.shape} vs observable {a.shape}")
     # tr[R O] without forming the product matrix
     val = complex(np.sum(r * a.T))
-    if abs(val.imag) >= COMPARISON_TOL:
+    if abs(val.imag) >= REALNESS_TOL:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
@@ -154,13 +162,10 @@ def correlation(rho, phases) -> float:
     return expectation(r, obs)
 
 
-def full_correlation_table(rho, n: int) -> CorrelationTable:
-    """Correlators for every X/Y setting tuple of an n-party state."""
-    values = {}
-    for combo in itertools.product("XY", repeat=n):
-        key = "".join(combo)
-        values[key] = correlation(rho, [SETTING_PHASES[c] for c in combo])
-    return CorrelationTable(n, values)
+def full_correlation_table(rho, n: int) -> dict[str, float]:
+    """Correlators for every X/Y setting string of an n-party state."""
+    return {"".join(combo): correlation(rho, [SETTING_PHASES[c] for c in combo])
+            for combo in itertools.product("XY", repeat=n)}
 
 
 # --- the Bell-Zukowski operator as a dense matrix ----------------------------
@@ -205,14 +210,19 @@ def moment_power(n: int, plus_moment, minus_moment) -> np.ndarray:
     return stacked / 2 ** (n + 1)
 
 
+def in_ghz_basis(n: int, op: np.ndarray) -> np.ndarray:
+    """The matrix of op in the GHZ basis of ghz_basis(n)."""
+    basis = np.column_stack(ghz_basis(n))
+    return basis.conj().T @ op @ basis
+
+
 def dense_ghz_offdiagonal_max(n: int, op: np.ndarray | None = None) -> float:
     """Largest off-diagonal magnitude of op in the GHZ basis.
 
     op defaults to the closed form; pass the quadrature-built matrix to check
     the integral route.
     """
-    basis = np.column_stack(ghz_basis(n))
-    in_basis = basis.conj().T @ (zukowski_closed(n) if op is None else op) @ basis
+    in_basis = in_ghz_basis(n, zukowski_closed(n) if op is None else op)
     off = in_basis - np.diag(np.diag(in_basis))
     return float(np.abs(off).max())
 
@@ -338,12 +348,13 @@ def zukowski_aligned(n_copies: int) -> np.ndarray:
     return align_corner_phase(zukowski_closed(n), expected_alignment_phase(n))
 
 
-def bell_relation_operator_gap(n_copies: int) -> float:
-    """Max-entry gap between zukowski_aligned and the rescaled recursive B.
+def bell_relation_operator_gap(n_copies: int, scale: Callable[[int], float]) -> float:
+    """Max-entry gap between zukowski_aligned and the recursive B rescaled by
+    scale(n_copies), the Bell-relation factor under test.
 
     Zero (to rounding) by the operator identity behind the Bell relation.
     """
-    scaled = bell_relation_scale(n_copies) * mermin_operators(2 * n_copies).b
+    scaled = scale(n_copies) * mermin_operators(2 * n_copies).b
     return float(np.abs(zukowski_aligned(n_copies) - scaled).max())
 
 

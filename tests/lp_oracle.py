@@ -16,6 +16,11 @@ with vectorized row operations is the simplest reliable choice.
 Pivoting uses Dantzig's rule with first-index tie-breaking, falling back to
 Bland's rule if an iteration cap is hit, which rules out cycling. Both rules
 are deterministic, so identical inputs give identical solutions.
+
+Tables here are plain dicts keyed by setting strings over {X, Y}, and this
+module imports nothing from bellbench, so it shares no code with the oracle
+it checks: the vector order, the strategy correlators and the witness
+rebuild (witness_table) are all derived below.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-
-from bellbench.lhv import CorrelationTable
 
 # Largest phase-1 residual the LP still calls feasible.
 LP_RESIDUAL_TOL = 1e-9
@@ -119,20 +122,45 @@ def enumerate_strategies(n: int) -> list[tuple[tuple[int, int], ...]]:
     return [combo for combo in itertools.product(pairs, repeat=n)]
 
 
-def strategy_correlations(strategy) -> CorrelationTable:
+def settings(n: int) -> list[str]:
+    """The 2^n setting strings, X before Y, leftmost party most significant."""
+    return ["".join(combo) for combo in itertools.product("XY", repeat=n)]
+
+
+def strategy_correlations(strategy) -> dict[str, float]:
     """Correlation table of one deterministic strategy: E = product of outcomes."""
-    n = len(strategy)
     values = {}
-    for combo in itertools.product("XY", repeat=n):
+    for key in settings(len(strategy)):
         e = 1
-        for (x_out, y_out), setting in zip(strategy, combo):
+        for (x_out, y_out), setting in zip(strategy, key):
             e *= x_out if setting == "X" else y_out
-        values["".join(combo)] = float(e)
-    return CorrelationTable(n, values)
+        values[key] = float(e)
+    return values
+
+
+_SIGNS = {"+": 1, "-": -1}
+
+
+def witness_table(witness: dict[str, float], n: int) -> dict[str, float]:
+    """The table a witness distribution reproduces, mixed strategy by strategy.
+
+    Each label lists, per party and comma-separated, the outcome at X and
+    then at Y, e.g. '+-,++'.
+    """
+    table = dict.fromkeys(settings(n), 0.0)
+    for label, weight in witness.items():
+        parties = label.split(",")
+        if len(parties) != n or any(len(p) != 2 or set(p) - _SIGNS.keys() for p in parties):
+            raise ValueError(f"witness label {label!r} is not an {n}-party strategy")
+        strategy = [(_SIGNS[p[0]], _SIGNS[p[1]]) for p in parties]
+        for key, e in strategy_correlations(strategy).items():
+            table[key] += weight * e
+    return table
 
 
 def strategy_matrix(n: int) -> np.ndarray:
-    """Matrix of strategy correlators, settings (sorted keys) by strategies."""
+    """Strategy correlators: rows in settings(n) order, columns in
+    enumerate_strategies(n) order."""
     idx = np.arange(4**n)
     # Per party: two bits of the base-4 digit select the X and Y outcomes.
     outcomes = np.empty((2, n, 4**n))
@@ -147,10 +175,11 @@ def strategy_matrix(n: int) -> np.ndarray:
     return rows
 
 
-def lp_feasible(table: CorrelationTable) -> bool:
-    """LP membership of the table in the hull of the 4^n strategies."""
-    n = table.n_parties
+def lp_feasible(values: dict[str, float]) -> bool:
+    """LP membership of a table, keyed by setting string, in the hull of the
+    4^n strategies."""
+    n = len(next(iter(values)))
     a = np.vstack([strategy_matrix(n), np.ones(4**n)])
-    b = np.concatenate([table.vector(), [1.0]])
+    b = [values[key] for key in settings(n)] + [1.0]
     _, residual = phase1_feasibility(a, b)
     return residual <= LP_RESIDUAL_TOL

@@ -138,12 +138,12 @@ def test_criterion_5_thresholds():
 
 def test_criterion_6_lhv_oracle_with_conflict():
     for v in V_GRID:
-        assert lhv_feasible(full_correlation_table(noisy_pair(v), 2)).feasible
-        assert lhv_feasible(full_correlation_table(copies(v, 2), 4)).feasible
+        assert lhv_feasible(CorrelationTable(2, full_correlation_table(noisy_pair(v), 2))).feasible
+        assert lhv_feasible(CorrelationTable(4, full_correlation_table(copies(v, 2), 4))).feasible
     # the central conflict, as one combined check at V = 1, N = 2:
     # the measured data admits a local model, yet the computed Zukowski
     # average violates its bound
-    table = full_correlation_table(copies(1.0, 2), 4)
+    table = CorrelationTable(4, full_correlation_table(copies(1.0, 2), 4))
     feasible = lhv_feasible(table).feasible
     violated = not local_bound_check(zukowski_from_mermin(1.0, 2))
     assert feasible and violated
@@ -155,14 +155,12 @@ def test_criterion_7_oracle_agreement():
     # the complete inequality set in closed form.
     rng = np.random.default_rng(2024)
     for _ in range(500):
-        vals = 2 * rng.random(4) - 1
-        table = CorrelationTable(2, dict(zip(["XX", "XY", "YX", "YY"], vals)))
-        assert lhv_feasible(table).feasible == lp_feasible(table)
+        values = dict(zip(["XX", "XY", "YX", "YY"], 2 * rng.random(4) - 1))
+        assert lhv_feasible(CorrelationTable(2, values)).feasible == lp_feasible(values)
     keys3 = sorted("".join(c) for c in itertools.product("XY", repeat=3))
     for _ in range(100):
-        vals = 2 * rng.random(8) - 1
-        table = CorrelationTable(3, dict(zip(keys3, vals)))
-        assert lhv_feasible(table).feasible == lp_feasible(table)
+        values = dict(zip(keys3, 2 * rng.random(8) - 1))
+        assert lhv_feasible(CorrelationTable(3, values)).feasible == lp_feasible(values)
     _report("criterion 7 (LP vs complete-set agreement, 600 tables): PASS")
 
 

@@ -493,6 +493,81 @@ def test_closed_stdout_exits_2(case):
     assert out.endswith("\n")
 
 
+# Run in a fresh interpreter: the analyze, sweep, usage-error, help,
+# correlators and infeasible-lhv paths first, then the two that need numpy
+# (verify-appendix's draw, a feasible lhv's witness rebuild), then analyze
+# again. Prints whether numpy was imported after the first six, and each
+# (code, stdout, stderr).
+GUARD_SCRIPT = '''
+import contextlib, io, json, sys
+from unittest import mock
+from bellbench.cli import main
+
+def call(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \\
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+calls = json.loads(sys.argv[1])
+outcomes = [call(argv, stdin) for argv, stdin in calls[:6]]
+numpy_free = "numpy" not in sys.modules
+outcomes += [call(argv, stdin) for argv, stdin in calls[6:]]
+print(json.dumps({"numpy_free": numpy_free, "outcomes": outcomes}))
+'''
+
+GUARD_CALLS = [
+    (["analyze", "--visibility", "0.9", "--copies", "2"], ""),
+    (["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.01",
+      "--copies", "1,2,3,4,5,6"], ""),
+    (["analyze", "--visibility", "2", "--copies", "1"], ""),
+    (["--help"], ""),
+    (["correlators", "--visibility", "0.9"], ""),
+    (["lhv"], '{"XX": 1, "XY": 1, "YX": 1, "YY": -1}'),
+    (["verify-appendix", "--trials", "200", "--grid", "8"], ""),
+    (["lhv"], '{"XX": 0.5, "XY": 0.25, "YX": 0.25, "YY": -0.5}'),
+    (["analyze", "--visibility", "1", "--copies", "3"], ""),
+]
+
+
+def test_hot_path_builds_no_dense_operator():
+    # Without numpy no dense operator can be built: analyze, sweep, usage
+    # errors, --help, correlators and an infeasible lhv table must not import
+    # it. The lazy imports of the two bulk kernels must not depend on call
+    # order: one process running them all answers as a fresh process per
+    # call does.
+    src = str(Path(bellbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT, json.dumps(GUARD_CALLS)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result["numpy_free"]
+    for (argv, stdin), outcome in zip(GUARD_CALLS, result["outcomes"], strict=True):
+        fresh = subprocess.run([sys.executable, "-m", "bellbench", *argv], input=stdin,
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert outcome == [fresh.returncode, fresh.stdout, fresh.stderr], argv
+    assert [code for code, _, _ in result["outcomes"]] == [0, 0, 2, 0, 0, 0, 0, 0, 0]
+
+
+def test_analyze_has_bounded_memory():
+    run_main(["analyze", "--visibility", "0.9", "--copies", "6"])  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code, out, err = run_main(["analyze", "--visibility", "0.9", "--copies", "6"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert '"mermin_value": 0.531441' in out
+    # a 6-qubit complex operator alone is 64 KiB; the 12-qubit one 256 MiB
+    assert peak - before < 64 * 1024
+
+
 class TestDeterminism:
     def test_sweep_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -14,7 +14,7 @@ from bellbench.lhv import (
     witness_reconstruction_error,
 )
 from dense_oracle import copies, full_correlation_table, noisy_pair
-from lp_oracle import enumerate_strategies, lp_feasible, strategy_correlations, strategy_matrix
+from lp_oracle import lp_feasible, strategy_matrix, witness_table
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 
@@ -57,13 +57,22 @@ def ghz_type_table(rng, n, scale):
     return CorrelationTable(n, values)
 
 
+def assert_witness_rebuilds(table, witness):
+    # bellbench's rebuild, and up to six parties lp_oracle's, which parses the
+    # labels itself and compares key by key
+    assert witness_reconstruction_error(table, witness) < 1e-8
+    if table.n_parties <= 6:
+        rebuilt = witness_table(witness, table.n_parties)
+        assert max(abs(rebuilt[key] - e) for key, e in table.values.items()) < 1e-8
+
+
 def assert_valid_witness(table):
     verdict = lhv_feasible(table)
     assert verdict.feasible
     weights = np.array(list(verdict.witness.values()))
     assert weights.min() >= 0
     assert abs(weights.sum() - 1) < 1e-9
-    assert witness_reconstruction_error(table, verdict.witness) < 1e-8
+    assert_witness_rebuilds(table, verdict.witness)
     return verdict
 
 
@@ -89,41 +98,33 @@ class TestFineQuadruple:
             fine_quadruple(1.5, 0, 0, 0)
 
 
-class TestStrategies:
-    def test_counts(self):
-        assert len(enumerate_strategies(1)) == 4
-        assert len(enumerate_strategies(2)) == 16
+class TestCorrelationTable:
+    def test_json_round_trip(self):
+        table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
+        again = CorrelationTable.from_json_obj(table.to_json_obj())
+        assert again.n_parties == 2
+        assert again.values == pytest.approx(table.values)
+
+    def test_settings_sorted(self):
+        table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
+        assert table.settings() == ["XX", "XY", "YX", "YY"]
+
+    def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):
-            enumerate_strategies(9)
+            CorrelationTable(2, {"XX": 0.0})
+        with pytest.raises(ValueError):
+            CorrelationTable(1, {"X": 1.5, "Y": 0.0})
+        with pytest.raises(ValueError):
+            CorrelationTable(1, {"X": 0.0, "Z": 0.0})
 
-    def test_correlators_are_signs(self):
-        for strategy in enumerate_strategies(2):
-            table = strategy_correlations(strategy)
-            assert set(table.values.values()) <= {-1.0, 1.0}
+    def test_rejects_zero_parties(self):
+        with pytest.raises(ValueError, match="at least one party"):
+            CorrelationTable(0, {"": 0.5})
+        with pytest.raises(ValueError, match="at least one party"):
+            CorrelationTable.from_json_obj({"": 0.5})
 
-    def test_explicit_product(self):
-        table = strategy_correlations(((1, -1), (1, 1)))
-        assert table.values["YX"] == -1.0
-        assert table.values["XX"] == 1.0
 
-    def test_all_plus_strategy(self):
-        table = strategy_correlations(((1, 1), (1, 1)))
-        assert all(v == 1.0 for v in table.values.values())
-
-    def test_party_negation_flips_all(self):
-        base = strategy_correlations(((1, -1), (-1, 1)))
-        flipped = strategy_correlations(((-1, 1), (-1, 1)))
-        for key in base.values:
-            assert flipped.values[key] == -base.values[key]
-
-    def test_matrix_matches_enumeration(self):
-        for n in (1, 2, 3):
-            matrix = strategy_matrix(n)
-            strategies = enumerate_strategies(n)
-            for col, strategy in enumerate(strategies):
-                table = strategy_correlations(strategy)
-                np.testing.assert_array_equal(matrix[:, col], table.vector())
-
+class TestStrategies:
     def test_labels(self):
         assert strategy_label(((1, -1), (-1, -1))) == "+-,--"
 
@@ -186,13 +187,13 @@ class TestCompleteSet:
 class TestFeasibility:
     def test_quantum_pair_tables_feasible(self):
         for v in V_GRID:
-            verdict = lhv_feasible(full_correlation_table(noisy_pair(v), 2))
+            verdict = lhv_feasible(CorrelationTable(2, full_correlation_table(noisy_pair(v), 2)))
             assert verdict.feasible
             assert verdict.residual <= 1e-9
 
     def test_two_copy_tables_feasible(self):
         for v in V_GRID:
-            verdict = lhv_feasible(full_correlation_table(copies(v, 2), 4))
+            verdict = lhv_feasible(CorrelationTable(4, full_correlation_table(copies(v, 2), 4)))
             assert verdict.feasible
 
     def test_extreme_point_infeasible_with_quadruple_witness(self):
@@ -204,7 +205,7 @@ class TestFeasibility:
 
     def test_witness_reconstructs_table(self):
         for v in V_GRID:
-            assert_valid_witness(full_correlation_table(noisy_pair(v), 2))
+            assert_valid_witness(CorrelationTable(2, full_correlation_table(noisy_pair(v), 2)))
 
     @staticmethod
     def assert_certificate_agrees(table):
@@ -212,7 +213,7 @@ class TestFeasibility:
         # rebuilt from its labels, or an inequality evaluated entrywise.
         verdict = lhv_feasible(table)
         if verdict.feasible:
-            assert witness_reconstruction_error(table, verdict.witness) < 1e-8
+            assert_witness_rebuilds(table, verdict.witness)
         else:
             w = verdict.witness
             assert sum(w.coefficients[k] * table.values[k] for k in table.values) > w.bound
@@ -304,5 +305,5 @@ class TestClosedFormWitness:
             scale = min(1.0, (1 + ratio) * 2**n / lhv_feasible(unit).sign_sum)
             tables.append(CorrelationTable(n, {k: scale * v for k, v in unit.values.items()}))
         verdicts = [lhv_feasible(t).feasible for t in tables]
-        assert verdicts == [lp_feasible(t) for t in tables]
+        assert verdicts == [lp_feasible(t.values) for t in tables]
         assert any(verdicts) and not all(verdicts)
