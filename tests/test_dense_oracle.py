@@ -1,13 +1,11 @@
-"""Checks of tests/dense_oracle.py on its own: its linear algebra, the dense
-pair and its correlators, the Bell-Mermin recursion against its closed form,
-and the dense Bell-Zukowski forms. The tests that compare bellbench with
-these routes live in the test file of the bellbench module they check.
+"""Checks of tests/dense_oracle.py on its own: that it imports nothing from
+bellbench, and its dense linear algebra. Its pair, copies and correlators are
+checked in test_states.py, its Bell-Mermin recursion in test_mermin.py and
+its dense Bell-Zukowski forms in test_zukowski.py, next to the tests that
+compare bellbench with them.
 """
 
 import ast
-import cmath
-import itertools
-import math
 from pathlib import Path
 
 import numpy as np
@@ -18,37 +16,14 @@ from dense_oracle import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    X_PHASE,
-    Y_PHASE,
-    MerminPair,
-    align_corner_phase,
-    bell_pair,
-    compose,
-    copies,
-    corner_phase,
-    correlation,
-    dense_ghz_offdiagonal_max,
     expectation,
-    expected_alignment_phase,
-    full_correlation_table,
-    ghz_basis,
     hermitian_split,
-    in_ghz_basis,
-    local_f,
     mermin_closed_form,
-    mermin_operators,
     noisy_pair,
-    phase_observable,
     projector,
-    site_pair,
     tensor,
-    tensor_all,
-    zukowski_aligned,
     zukowski_closed,
-    zukowski_quadrature,
 )
-
-V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 
 
 def test_imports_nothing_from_bellbench():
@@ -188,323 +163,3 @@ class TestSpectralCheck:
         np.testing.assert_allclose(eigs[-1], 2**1.5, atol=1e-12)
         assert np.abs(eigs[1:-1]).max() < 1e-12
         assert len(eigs) == 16
-
-
-# --- the pair, its copies and its correlators --------------------------------
-
-
-def test_bell_pair_norm_and_correlators():
-    ket = bell_pair()
-    assert abs(np.linalg.norm(ket) - 1) < 1e-12
-    rho = np.outer(ket, ket.conj())
-    assert abs(expectation(rho, tensor(SIGMA_X, SIGMA_Y)) - 1) < 1e-12
-    assert abs(expectation(rho, tensor(SIGMA_X, SIGMA_X))) < 1e-12
-
-
-def test_noisy_pair_limits():
-    np.testing.assert_allclose(noisy_pair(0.0), np.eye(4) / 4, atol=1e-15)
-    ket = bell_pair()
-    np.testing.assert_allclose(noisy_pair(1.0), np.outer(ket, ket.conj()), atol=1e-15)
-    assert abs(correlation(noisy_pair(0.5), [X_PHASE, Y_PHASE]) - 0.5) < 1e-12
-
-
-def test_noisy_pair_rejects_out_of_range():
-    for bad in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            noisy_pair(bad)
-
-
-def test_noisy_pair_is_valid_density_matrix_on_fine_grid():
-    for v in np.linspace(0, 1, 101):
-        rho = noisy_pair(float(v))
-        assert np.abs(rho - rho.conj().T).max() <= 1e-12
-        assert abs(np.trace(rho) - 1) <= 1e-12
-        assert np.linalg.eigvalsh(rho).min() >= -1e-10
-
-
-def test_copies():
-    np.testing.assert_array_equal(copies(0.7, 1), noisy_pair(0.7))
-    np.testing.assert_allclose(copies(0.0, 2), np.eye(16) / 16, atol=1e-15)
-    assert abs(np.trace(copies(0.9, 2)) - 1) < 1e-12
-    with pytest.raises(ValueError):
-        copies(0.5, 7)  # would need 14 qubits
-
-
-class TestPhaseObservable:
-    def test_x_and_y(self):
-        np.testing.assert_array_equal(phase_observable(0.0), SIGMA_X)
-        np.testing.assert_allclose(phase_observable(math.pi / 2), SIGMA_Y, atol=1e-15)
-
-    def test_eigensystem(self):
-        # equal-weight superpositions with relative phase e^{i phi}
-        rng = np.random.default_rng(21)
-        for phi in rng.uniform(0, math.pi, 25):
-            obs = phase_observable(phi)
-            for sign in (+1, -1):
-                vec = np.array([1, sign * np.exp(1j * phi)]) / math.sqrt(2)
-                np.testing.assert_allclose(obs @ vec, sign * vec, atol=1e-14)
-
-    def test_squares_to_identity(self):
-        rng = np.random.default_rng(22)
-        for phi in rng.uniform(0, math.pi, 100):
-            obs = phase_observable(phi)
-            np.testing.assert_allclose(obs @ obs, np.eye(2), atol=1e-15)
-
-    def test_rejects_out_of_range(self):
-        for bad in (-0.1, math.pi, 4.0):
-            with pytest.raises(ValueError):
-                phase_observable(bad)
-
-
-class TestGhzBasis:
-    def test_two_party_doublet(self):
-        basis = ghz_basis(2)
-        expected_plus = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        expected_minus = np.array([1, 0, 0, -1]) / math.sqrt(2)
-        np.testing.assert_allclose(basis[0], expected_plus, atol=1e-15)
-        np.testing.assert_allclose(basis[1], expected_minus, atol=1e-15)
-
-    def test_index_arithmetic_three_party(self):
-        # j = 1 (binary 01) pairs |010> with |101>; hand-computed oracle
-        basis = ghz_basis(3)
-        plus, minus = basis[2], basis[3]
-        assert abs(plus[0b010] - 1 / math.sqrt(2)) < 1e-15
-        assert abs(plus[0b101] - 1 / math.sqrt(2)) < 1e-15
-        assert abs(minus[0b101] + 1 / math.sqrt(2)) < 1e-15
-        assert np.count_nonzero(plus) == 2
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_gram_matrix_is_identity(self, n):
-        basis = np.column_stack(ghz_basis(n))
-        gram = basis.conj().T @ basis
-        np.testing.assert_allclose(gram, np.eye(2**n), atol=1e-12)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ghz_basis(1)
-        with pytest.raises(ValueError):
-            ghz_basis(13)
-
-
-class TestCorrelation:
-    def test_pair_correlators(self):
-        for v in V_GRID:
-            rho = noisy_pair(v)
-            assert abs(correlation(rho, [X_PHASE, Y_PHASE]) - v) < 1e-12
-            assert abs(correlation(rho, [X_PHASE, X_PHASE])) < 1e-12
-
-    def test_two_copies_factorize(self):
-        rho = copies(0.8, 2)
-        phases = [X_PHASE, Y_PHASE, X_PHASE, Y_PHASE]
-        assert abs(correlation(rho, phases) - 0.8**2) < 1e-12
-
-    def test_affine_in_visibility(self):
-        pure = noisy_pair(1.0)
-        for phases in itertools.product([X_PHASE, Y_PHASE], repeat=2):
-            base = correlation(pure, list(phases))
-            for v in V_GRID:
-                val = correlation(noisy_pair(v), list(phases))
-                assert abs(val - v * base) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            correlation(noisy_pair(0.5), [X_PHASE] * 3)
-
-
-class TestFullCorrelationTable:
-    def test_pair_table(self):
-        for v in V_GRID:
-            table = full_correlation_table(noisy_pair(v), 2)
-            assert abs(table["XX"]) < 1e-12
-            assert abs(table["YY"]) < 1e-12
-            assert abs(table["XY"] - v) < 1e-12
-            assert abs(table["YX"] - v) < 1e-12
-
-    def test_zero_visibility_all_zero(self):
-        table = full_correlation_table(noisy_pair(0.0), 2)
-        assert max(abs(x) for x in table.values()) < 1e-12
-
-    def test_two_copy_entries(self):
-        table = full_correlation_table(copies(0.9, 2), 4)
-        assert len(table) == 16
-        assert abs(table["XYXY"] - 0.81) < 1e-12
-        assert abs(table["XXXY"]) < 1e-12
-
-
-# --- the Bell-Mermin recursion and its closed form ---------------------------
-
-
-class TestMerminRecursion:
-    def test_local_f_of_xy_is_scaled_raising_operator(self):
-        f = local_f(SIGMA_X, SIGMA_Y)
-        expected = cmath.exp(-1j * math.pi / 4) * math.sqrt(2) * np.array(
-            [[0, 1], [0, 0]], dtype=complex)
-        np.testing.assert_allclose(f, expected, atol=1e-15)
-
-    def test_local_f_of_identity_pair(self):
-        f = local_f(np.eye(2), np.eye(2))
-        np.testing.assert_allclose(f, np.eye(2), atol=1e-15)
-
-    def test_local_f_inverts_via_hermitian_split(self):
-        re, im = hermitian_split(
-            math.sqrt(2) * cmath.exp(1j * math.pi / 4) * local_f(SIGMA_X, SIGMA_Y))
-        np.testing.assert_allclose(re, SIGMA_X, atol=1e-15)
-        np.testing.assert_allclose(im, SIGMA_Y, atol=1e-15)
-
-    def test_compose_two_sites_explicit(self):
-        pair = compose(site_pair(1), site_pair(2))
-        expected_b = 0.5 * (np.kron(SIGMA_X, SIGMA_X + SIGMA_Y)
-                            + np.kron(SIGMA_Y, SIGMA_X - SIGMA_Y))
-        np.testing.assert_allclose(pair.b, expected_b, atol=1e-15)
-        assert pair.parties == (1, 2)
-
-    def test_compose_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            compose(site_pair(1), site_pair(1))
-
-    def test_compose_matches_f_product_oracle(self):
-        # oracle: tensor the local f-transforms, then split (odd sizes
-        # included, since compose is defined for any disjoint subsets)
-        for n in (2, 3, 4):
-            pair = site_pair(1)
-            for k in range(2, n + 1):
-                pair = compose(pair, site_pair(k))
-            target = tensor_all([local_f(SIGMA_X, SIGMA_Y)] * n)
-            g = math.sqrt(2) * cmath.exp(1j * math.pi / 4) * target
-            b_expected, b_prime_expected = hermitian_split(g)
-            np.testing.assert_allclose(pair.b, b_expected, atol=1e-12)
-            np.testing.assert_allclose(pair.b_prime, b_prime_expected, atol=1e-12)
-
-    def test_compose_expectation_identity_on_product_state(self):
-        alpha = compose(site_pair(1), site_pair(2))
-        beta = compose(site_pair(3), site_pair(4))
-        rho_a, rho_b = noisy_pair(0.7), noisy_pair(0.4)
-        rho = np.kron(rho_a, rho_b)
-        lhs = expectation(rho, compose(alpha, beta).b)
-        ea = expectation(rho_a, alpha.b)
-        eap = expectation(rho_a, alpha.b_prime)
-        eb = expectation(rho_b, beta.b)
-        ebp = expectation(rho_b, beta.b_prime)
-        rhs = 0.5 * ea * (eb + ebp) + 0.5 * eap * (eb - ebp)
-        assert abs(lhs - rhs) < 1e-12
-
-    def test_grouping_independence(self):
-        rng = np.random.default_rng(31)
-        reference = {n: mermin_operators(n) for n in (2, 4, 6)}
-        for n in (2, 4, 6):
-            for _ in range(5):
-                pairs = [site_pair(k) for k in range(1, n + 1)]
-                while len(pairs) > 1:
-                    idx = int(rng.integers(len(pairs) - 1))
-                    merged = compose(pairs[idx], pairs[idx + 1])
-                    pairs = pairs[:idx] + [merged] + pairs[idx + 2:]
-                np.testing.assert_allclose(pairs[0].b, reference[n].b, atol=1e-12)
-                np.testing.assert_allclose(pairs[0].b_prime, reference[n].b_prime,
-                                           atol=1e-12)
-
-    def test_f_consistency_of_built_pairs(self):
-        for n in (2, 4, 6):
-            pair = mermin_operators(n)
-            target = tensor_all([local_f(SIGMA_X, SIGMA_Y)] * n)
-            assert np.abs(local_f(pair.b, pair.b_prime) - target).max() < 1e-12
-            np.testing.assert_array_equal(pair.b, pair.b.conj().T)
-            np.testing.assert_array_equal(pair.b_prime, pair.b_prime.conj().T)
-
-    @pytest.mark.parametrize("n_copies", [1, 2, 3])
-    def test_recursion_matches_closed_form_after_alignment(self, n_copies):
-        n = 2 * n_copies
-        pair = mermin_operators(n)
-        phase = corner_phase(pair.b)
-        assert abs(phase - expected_alignment_phase(n)) < 1e-12
-        aligned = align_corner_phase(mermin_closed_form(n), phase)
-        np.testing.assert_allclose(pair.b, aligned, atol=1e-10)
-
-    def test_two_party_spectrum(self):
-        eigs = np.linalg.eigvalsh(mermin_operators(2).b)
-        np.testing.assert_allclose(eigs, [-math.sqrt(2), 0, 0, math.sqrt(2)], atol=1e-12)
-
-    @pytest.mark.parametrize("n_copies", [1, 2, 3])
-    def test_full_spectrum_structure(self, n_copies):
-        n = 2 * n_copies
-        eigs = np.linalg.eigvalsh(mermin_operators(n).b)
-        top = 2 ** ((n - 1) / 2)
-        assert abs(eigs[0] + top) < 1e-10
-        assert abs(eigs[-1] - top) < 1e-10
-        assert np.abs(eigs[1:-1]).max() < 1e-10
-
-    def test_closed_form_norm_and_trace(self):
-        for n in (2, 4, 6):
-            op = mermin_closed_form(n)
-            assert abs(np.trace(op)) < 1e-12
-            assert abs(np.linalg.norm(op, 2) - 2 ** ((n - 1) / 2)) < 1e-12
-
-    def test_party_count_validation(self):
-        for bad in (3, 0, 14):
-            with pytest.raises(ValueError):
-                mermin_operators(bad)
-            with pytest.raises(ValueError):
-                mermin_closed_form(bad)
-
-    def test_pair_is_dataclass_with_parties(self):
-        pair = mermin_operators(4)
-        assert isinstance(pair, MerminPair)
-        assert pair.parties == (1, 2, 3, 4)
-
-
-# --- the dense Bell-Zukowski forms -------------------------------------------
-
-
-class TestZukowskiForms:
-    def test_closed_form_eigenvalues(self):
-        for n in (2, 3, 4):
-            eigs = np.linalg.eigvalsh(zukowski_closed(n))
-            top = 0.5 * (math.pi / 2) ** n
-            assert abs(eigs[-1] - top) < 1e-12
-            assert abs(eigs[0] + top) < 1e-12
-            assert np.abs(eigs[1:-1]).max() < 1e-12
-
-    def test_closed_form_trace(self):
-        for n in (2, 3):
-            assert abs(np.trace(zukowski_closed(n))) < 1e-14
-
-    def test_minus_doublet_value(self):
-        for n in (2, 3):
-            minus = ghz_basis(n)[1]
-            val = (minus.conj() @ zukowski_closed(n) @ minus).real
-            assert abs(val + 0.5 * (math.pi / 2) ** n) < 1e-12
-
-    def test_quadrature_against_dense_grid_oracle(self):
-        # independent oracle: walk the full 2-d midpoint grid
-        m = 16
-        nodes = (np.arange(m) + 0.5) * math.pi / m
-        acc = np.zeros((4, 4), dtype=complex)
-        for p1 in nodes:
-            for p2 in nodes:
-                acc += (math.pi / m) ** 2 * math.cos(p1 + p2) * np.kron(
-                    phase_observable(p1), phase_observable(p2))
-        acc /= 4
-        np.testing.assert_allclose(zukowski_quadrature(2, m), acc, atol=1e-13)
-
-    def test_ghz_diagonality_of_quadrature_matrix(self):
-        # the integral route is diagonal in the GHZ basis on its own
-        for n in (2, 3):
-            op = zukowski_quadrature(n, nodes_per_axis=8)
-            assert dense_ghz_offdiagonal_max(n, op) < 1e-12
-            diag = np.real(np.diag(in_ghz_basis(n, op)))
-            assert np.abs(diag[2:]).max() < 1e-12
-
-    def test_site_count_validation(self):
-        for bad in (1, 13):
-            with pytest.raises(ValueError):
-                zukowski_closed(bad)
-        with pytest.raises(ValueError):
-            zukowski_quadrature(2, nodes_per_axis=1)
-
-    def test_aligned_operator_matches_closed_up_to_corner_phase(self):
-        for n_copies in (1, 2):
-            a = zukowski_aligned(n_copies)
-            c = zukowski_closed(2 * n_copies)
-            assert abs(abs(a[0, -1]) - abs(c[0, -1])) < 1e-14
-            mask = np.ones_like(a, dtype=bool)
-            mask[0, -1] = mask[-1, 0] = False
-            np.testing.assert_allclose(a[mask], c[mask], atol=1e-14)

@@ -98,32 +98,6 @@ class TestFineQuadruple:
             fine_quadruple(1.5, 0, 0, 0)
 
 
-class TestCorrelationTable:
-    def test_json_round_trip(self):
-        table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
-        again = CorrelationTable.from_json_obj(table.to_json_obj())
-        assert again.n_parties == 2
-        assert again.values == pytest.approx(table.values)
-
-    def test_settings_sorted(self):
-        table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
-        assert table.settings() == ["XX", "XY", "YX", "YY"]
-
-    def test_rejects_bad_tables(self):
-        with pytest.raises(ValueError):
-            CorrelationTable(2, {"XX": 0.0})
-        with pytest.raises(ValueError):
-            CorrelationTable(1, {"X": 1.5, "Y": 0.0})
-        with pytest.raises(ValueError):
-            CorrelationTable(1, {"X": 0.0, "Z": 0.0})
-
-    def test_rejects_zero_parties(self):
-        with pytest.raises(ValueError, match="at least one party"):
-            CorrelationTable(0, {"": 0.5})
-        with pytest.raises(ValueError, match="at least one party"):
-            CorrelationTable.from_json_obj({"": 0.5})
-
-
 class TestStrategies:
     def test_labels(self):
         assert strategy_label(((1, -1), (-1, -1))) == "+-,--"

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -12,16 +13,142 @@ from bellbench.mermin import (
     pair_table,
 )
 from dense_oracle import (
+    SIGMA_X,
+    SIGMA_Y,
+    MerminPair,
+    align_corner_phase,
+    compose,
     copies,
+    corner_phase,
     dense_pair_contraction,
     expectation,
+    expected_alignment_phase,
     full_correlation_table,
+    hermitian_split,
+    local_f,
+    mermin_closed_form,
     mermin_operators,
     noisy_pair,
+    site_pair,
+    tensor_all,
 )
 from test_cli import run_main
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
+
+
+def test_local_f_of_xy_is_scaled_raising_operator():
+    f = local_f(SIGMA_X, SIGMA_Y)
+    expected = cmath.exp(-1j * math.pi / 4) * math.sqrt(2) * np.array(
+        [[0, 1], [0, 0]], dtype=complex)
+    np.testing.assert_allclose(f, expected, atol=1e-15)
+
+
+def test_local_f_of_identity_pair():
+    f = local_f(np.eye(2), np.eye(2))
+    np.testing.assert_allclose(f, np.eye(2), atol=1e-15)
+
+
+def test_local_f_inverts_via_hermitian_split():
+    re, im = hermitian_split(math.sqrt(2) * cmath.exp(1j * math.pi / 4) * local_f(SIGMA_X, SIGMA_Y))
+    np.testing.assert_allclose(re, SIGMA_X, atol=1e-15)
+    np.testing.assert_allclose(im, SIGMA_Y, atol=1e-15)
+
+
+def test_compose_two_sites_explicit():
+    pair = compose(site_pair(1), site_pair(2))
+    expected_b = 0.5 * (np.kron(SIGMA_X, SIGMA_X + SIGMA_Y)
+                        + np.kron(SIGMA_Y, SIGMA_X - SIGMA_Y))
+    np.testing.assert_allclose(pair.b, expected_b, atol=1e-15)
+    assert pair.parties == (1, 2)
+
+
+def test_compose_rejects_overlap():
+    with pytest.raises(ValueError):
+        compose(site_pair(1), site_pair(1))
+
+
+def test_compose_matches_f_product_oracle():
+    # oracle: tensor the local f-transforms, then split (odd sizes included,
+    # since compose is defined for any disjoint subsets)
+    for n in (2, 3, 4):
+        pair = site_pair(1)
+        for k in range(2, n + 1):
+            pair = compose(pair, site_pair(k))
+        target = tensor_all([local_f(SIGMA_X, SIGMA_Y)] * n)
+        g = math.sqrt(2) * cmath.exp(1j * math.pi / 4) * target
+        b_expected, b_prime_expected = hermitian_split(g)
+        np.testing.assert_allclose(pair.b, b_expected, atol=1e-12)
+        np.testing.assert_allclose(pair.b_prime, b_prime_expected, atol=1e-12)
+
+
+def test_compose_expectation_identity_on_product_state():
+    alpha = compose(site_pair(1), site_pair(2))
+    beta = compose(site_pair(3), site_pair(4))
+    rho_a, rho_b = noisy_pair(0.7), noisy_pair(0.4)
+    rho = np.kron(rho_a, rho_b)
+    lhs = expectation(rho, compose(alpha, beta).b)
+    ea = expectation(rho_a, alpha.b)
+    eap = expectation(rho_a, alpha.b_prime)
+    eb = expectation(rho_b, beta.b)
+    ebp = expectation(rho_b, beta.b_prime)
+    rhs = 0.5 * ea * (eb + ebp) + 0.5 * eap * (eb - ebp)
+    assert abs(lhs - rhs) < 1e-12
+
+
+def test_grouping_independence():
+    rng = np.random.default_rng(31)
+    reference = {n: mermin_operators(n) for n in (2, 4, 6)}
+    for n in (2, 4, 6):
+        for _ in range(5):
+            pairs = [site_pair(k) for k in range(1, n + 1)]
+            while len(pairs) > 1:
+                idx = int(rng.integers(len(pairs) - 1))
+                merged = compose(pairs[idx], pairs[idx + 1])
+                pairs = pairs[:idx] + [merged] + pairs[idx + 2:]
+            np.testing.assert_allclose(pairs[0].b, reference[n].b, atol=1e-12)
+            np.testing.assert_allclose(pairs[0].b_prime, reference[n].b_prime, atol=1e-12)
+
+
+def test_f_consistency_of_built_pairs():
+    for n in (2, 4, 6):
+        pair = mermin_operators(n)
+        target = tensor_all([local_f(SIGMA_X, SIGMA_Y)] * n)
+        assert np.abs(local_f(pair.b, pair.b_prime) - target).max() < 1e-12
+        np.testing.assert_array_equal(pair.b, pair.b.conj().T)
+        np.testing.assert_array_equal(pair.b_prime, pair.b_prime.conj().T)
+
+
+@pytest.mark.parametrize("n_copies", [1, 2, 3])
+def test_recursion_matches_closed_form_after_alignment(n_copies):
+    n = 2 * n_copies
+    pair = mermin_operators(n)
+    phase = corner_phase(pair.b)
+    assert abs(phase - expected_alignment_phase(n)) < 1e-12
+    aligned = align_corner_phase(mermin_closed_form(n), phase)
+    np.testing.assert_allclose(pair.b, aligned, atol=1e-10)
+
+
+def test_two_party_spectrum():
+    eigs = np.linalg.eigvalsh(mermin_operators(2).b)
+    np.testing.assert_allclose(eigs, [-math.sqrt(2), 0, 0, math.sqrt(2)], atol=1e-12)
+
+
+@pytest.mark.parametrize("n_copies", [1, 2, 3])
+def test_full_spectrum_structure(n_copies):
+    n = 2 * n_copies
+    eigs = np.linalg.eigvalsh(mermin_operators(n).b)
+    top = 2 ** ((n - 1) / 2)
+    assert abs(eigs[0] + top) < 1e-10
+    assert abs(eigs[-1] - top) < 1e-10
+    assert np.abs(eigs[1:-1]).max() < 1e-10
+
+
+def test_closed_form_norm_and_trace():
+    for n in (2, 4, 6):
+        op = mermin_closed_form(n)
+        assert abs(np.trace(op)) < 1e-12
+        assert abs(np.linalg.norm(op, 2) - 2 ** ((n - 1) / 2)) < 1e-12
 
 
 @pytest.mark.parametrize("n_copies", [1, 2, 3, 4])
@@ -110,3 +237,17 @@ def test_bound_check():
     for v in np.linspace(0, 1, 21):
         for n in (1, 2, 3):
             assert local_bound_check(float(v) ** n)
+
+
+def test_party_count_validation():
+    for bad in (3, 0, 14):
+        with pytest.raises(ValueError):
+            mermin_operators(bad)
+        with pytest.raises(ValueError):
+            mermin_closed_form(bad)
+
+
+def test_pair_is_dataclass_with_parties():
+    pair = mermin_operators(4)
+    assert isinstance(pair, MerminPair)
+    assert pair.parties == (1, 2, 3, 4)

@@ -146,29 +146,29 @@ class TestCorrelationTable:
     def test_pair_table(self):
         for v in V_GRID:
             table = full_correlation_table(noisy_pair(v), 2)
-            assert abs(table.values["XX"]) < 1e-12
-            assert abs(table.values["YY"]) < 1e-12
-            assert abs(table.values["XY"] - v) < 1e-12
-            assert abs(table.values["YX"] - v) < 1e-12
+            assert abs(table["XX"]) < 1e-12
+            assert abs(table["YY"]) < 1e-12
+            assert abs(table["XY"] - v) < 1e-12
+            assert abs(table["YX"] - v) < 1e-12
 
     def test_zero_visibility_all_zero(self):
         table = full_correlation_table(noisy_pair(0.0), 2)
-        assert max(abs(x) for x in table.values.values()) < 1e-12
+        assert max(abs(x) for x in table.values()) < 1e-12
 
     def test_two_copy_entries(self):
         table = full_correlation_table(copies(0.9, 2), 4)
-        assert len(table.values) == 16
-        assert abs(table.values["XYXY"] - 0.81) < 1e-12
-        assert abs(table.values["XXXY"]) < 1e-12
+        assert len(table) == 16
+        assert abs(table["XYXY"] - 0.81) < 1e-12
+        assert abs(table["XXXY"]) < 1e-12
 
     def test_json_round_trip(self):
-        table = full_correlation_table(noisy_pair(0.5), 2)
+        table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
         again = CorrelationTable.from_json_obj(table.to_json_obj())
         assert again.n_parties == 2
         assert again.values == pytest.approx(table.values)
 
     def test_settings_sorted(self):
-        table = full_correlation_table(noisy_pair(0.5), 2)
+        table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
         assert table.settings() == ["XX", "XY", "YX", "YY"]
 
     def test_rejects_bad_tables(self):

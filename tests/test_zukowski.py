@@ -25,6 +25,7 @@ from dense_oracle import (
     copies,
     dense_ghz_offdiagonal_max,
     expectation,
+    ghz_basis,
     in_ghz_basis,
     mermin_closed_form,
     mermin_operators,
@@ -34,26 +35,76 @@ from dense_oracle import (
     zukowski_quadrature,
 )
 
+def ghz_diagonal(n, op):
+    return np.real(np.diag(in_ghz_basis(n, op)))
+
 
 # frozen from the closed factor (1/2)(pi/2)^{2N} 2^{-(2N-1)/2}
 SCALE = {1: 0.8723580249548598, 2: 1.076228575302513, 3: 1.3277437854229766}
 
 
 class TestOperatorForms:
+    def test_closed_form_eigenvalues(self):
+        for n in (2, 3, 4):
+            eigs = np.linalg.eigvalsh(zukowski_closed(n))
+            top = 0.5 * (math.pi / 2) ** n
+            assert abs(eigs[-1] - top) < 1e-12
+            assert abs(eigs[0] + top) < 1e-12
+            assert np.abs(eigs[1:-1]).max() < 1e-12
+
+    def test_closed_form_trace(self):
+        for n in (2, 3):
+            assert abs(np.trace(zukowski_closed(n))) < 1e-14
+
+    def test_minus_doublet_value(self):
+        for n in (2, 3):
+            minus = ghz_basis(n)[1]
+            val = (minus.conj() @ zukowski_closed(n) @ minus).real
+            assert abs(val + 0.5 * (math.pi / 2) ** n) < 1e-12
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("nodes", [2, 3, 4, 8, 9])
     def test_quadrature_is_exact(self, n, nodes):
         assert closed_vs_quadrature_error(n, nodes) < 1e-10
 
+    def test_quadrature_against_dense_grid_oracle(self):
+        # independent oracle: walk the full 2-d midpoint grid
+        from dense_oracle import phase_observable
+
+        m = 16
+        nodes = (np.arange(m) + 0.5) * math.pi / m
+        acc = np.zeros((4, 4), dtype=complex)
+        for p1 in nodes:
+            for p2 in nodes:
+                acc += (math.pi / m) ** 2 * math.cos(p1 + p2) * np.kron(
+                    phase_observable(p1), phase_observable(p2))
+        acc /= 4
+        np.testing.assert_allclose(zukowski_quadrature(2, m), acc, atol=1e-13)
+
     def test_ghz_diagonality(self):
         for n in (2, 3, 4):
             assert ghz_offdiagonal_max(n) < 1e-12
             assert dense_ghz_offdiagonal_max(n) < 1e-12
-            diag = np.real(np.diag(in_ghz_basis(n, zukowski_closed(n))))
+            diag = ghz_diagonal(n, zukowski_closed(n))
             top = 0.5 * (math.pi / 2) ** n
             assert abs(diag[0] - top) < 1e-12
             assert abs(diag[1] + top) < 1e-12
             assert np.abs(diag[2:]).max() < 1e-12  # mixed-index doublets vanish
+
+    def test_ghz_diagonality_of_quadrature_matrix(self):
+        # the integral route is diagonal in the GHZ basis on its own
+        for n in (2, 3):
+            op = zukowski_quadrature(n, nodes_per_axis=8)
+            assert dense_ghz_offdiagonal_max(n, op) < 1e-12
+            diag = ghz_diagonal(n, op)
+            assert np.abs(diag[2:]).max() < 1e-12
+
+    def test_site_count_validation(self):
+        for bad in (1, 13):
+            with pytest.raises(ValueError):
+                zukowski_closed(bad)
+        with pytest.raises(ValueError):
+            zukowski_quadrature(2, nodes_per_axis=1)
 
     def test_structured_checks_validate_arguments(self):
         with pytest.raises(ValueError, match="at least 2 nodes"):
@@ -237,6 +288,16 @@ class TestStepFunctionals:
             z_prime_functional(np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             sign_cos_step(5)
+
+
+def test_aligned_operator_matches_closed_up_to_corner_phase():
+    for n_copies in (1, 2):
+        a = zukowski_aligned(n_copies)
+        c = zukowski_closed(2 * n_copies)
+        assert abs(abs(a[0, -1]) - abs(c[0, -1])) < 1e-14
+        mask = np.ones_like(a, dtype=bool)
+        mask[0, -1] = mask[-1, 0] = False
+        np.testing.assert_allclose(a[mask], c[mask], atol=1e-14)
 
 
 def test_rescaled_recursion_expectation_equals_bridge():
