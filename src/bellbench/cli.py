@@ -14,15 +14,18 @@ numerical failure.
 `analyze`, `sweep`, `correlators` and usage errors do not import numpy, and
 neither does an `lhv` request whose table is infeasible. numpy is loaded only
 by the two bulk kernels, on their first call: the witness rebuild of a
-feasible `lhv` verdict (lhv.witness_reconstruction_error) and the sign draw
-of `verify-appendix`. `correlators` reads its table from the pair's two
+feasible `lhv` verdict (lhv.witness_reconstruction_error) and the draw of
+`verify-appendix`. `correlators` reads its table from the pair's two
 amplitudes (mermin.pair_table); no subcommand builds a density matrix or a
 dense operator: `verify-appendix` checks the Bell-Zukowski quadrature and its
 GHZ diagonality on the operator's n + 1 distinct entries (bellbench.zukowski).
 `verify-appendix` draws its random step functions from the standard library's
 Mersenne Twister, random.Random(--seed), whose stream does not depend on the
 platform; every integer seed is accepted, and Python seeds by the seed's
-absolute value.
+absolute value. It reads the drawn bytes as k-bit digits, k = gcd(cells, 8),
+and sums each trial's z' from a table of every digit's contribution, so no
+sign matrix and no matrix product is formed; the table sets the grid cap,
+MAX_APPENDIX_GRID. `sweep` fills one row template per copy count.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ MAX_SWEEP_STEPS = 100_000
 # Signs one verify-appendix check may draw (trials x grid cells); the default
 # 10000 x 64 is 640000. The n = 3 S-check draws three times this.
 MAX_APPENDIX_CELLS = 2**22
+# Step-function cells: the digit table holds up to 32 x cells complex values,
+# 2 MiB at the cap.
+MAX_APPENDIX_GRID = 2**12
 # Signs drawn and reduced at a time (rounded to whole trials and generator
 # words), so memory stays bounded however many trials are requested.
 APPENDIX_CHUNK_CELLS = 2**16
@@ -224,46 +230,75 @@ def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int])
     Values use the closed forms <B> = V^N and <Z_2N> = scale(N) <B>, the
     numbers zukowski_from_mermin gives; the agreement of V^N with the
     per-pair contraction is enforced by the mermin_expectation contract and
-    does not need to be recomputed per row. Each float is rendered as
-    format_float renders it.
+    does not need to be recomputed per row. Each copy count fills one
+    %-template that holds N and the rendered bound; "%.12g" renders a float
+    as format_float does, and the violation test is local_bound_check's.
     """
     grid = sweep_grid(v_min, v_max, v_step)
     v_texts = [format_float(v) for v in grid]
-    lines = ["V,N,mermin,zukowski,modified_bound,violated"]
+    limit = 1.0 + BOUND_SLACK
+    parts = ["V,N,mermin,zukowski,modified_bound,violated\n"]
     for n in copies_list:
         scale = bell_relation_scale(n)
-        bound = format_float(modified_mermin_bound(n))
-        for v, v_text in zip(grid, v_texts):
-            mermin = v**n
-            zukowski = scale * mermin
-            violated = "false" if local_bound_check(zukowski) else "true"
-            lines.append(f"{v_text},{n},{mermin:.12g},{zukowski:.12g},{bound},{violated}")
-    return "\n".join(lines) + "\n"
+        row = f"%s,{n},%.12g,%.12g,{format_float(modified_mermin_bound(n))},%s\n"
+        parts += [row % (v_text, m, z, "false" if abs(z) <= limit else "true")
+                  for v_text, m in zip(v_texts, [v**n for v in grid]) for z in [scale * m]]
+    return "".join(parts)
 
 
-def _signs(gen, count: int):
-    """count values in {-1, +1}: the bits of gen.getrandbits(count), least
-    significant first, a set bit giving +1."""
+def _digits(gen, count: int, width: int):
+    """count digits of `width` bits (width divides 8), uint8: the bits of
+    gen.getrandbits(count * width), least significant first, each run of
+    `width` bits read least significant first."""
     import numpy as np
 
-    raw = gen.getrandbits(count).to_bytes((count + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, np.uint8), count=count, bitorder="little") * 2.0 - 1.0
+    bits = count * width
+    raw = np.frombuffer(gen.getrandbits(bits).to_bytes((bits + 7) // 8, "little"), np.uint8)
+    if width == 8:  # one digit per byte, as at the default 64 cells
+        return raw
+    mask = 2**width - 1
+    return np.stack([(raw >> shift) & mask for shift in range(0, 8, width)], axis=1).ravel()[:count]
 
 
-def _step_integrals(gen, weights, trials: int, n: int):
+def _digit_table(weights):
+    """table[p, d] = sum_i s_i w[p k + i], s_i = +1 where bit i of d is set:
+    the part of z' that cells p k .. p k + k - 1 give when one k-bit digit
+    draws their signs. k = gcd(cells, 8), so a row of cells is a whole
+    number of digits. Built by k doubling steps, t -> (t - w_i, t + w_i).
+    """
+    import numpy as np
+
+    width = math.gcd(len(weights), 8)
+    w = np.array(weights).reshape(-1, width)
+    table = np.zeros((len(w), 1), complex)
+    for i in range(width):
+        table = np.concatenate((table - w[:, i, None], table + w[:, i, None]), axis=1)
+    return table
+
+
+def _step_integrals(gen, table, trials: int, n: int):
     """z = integral of f(phi) e^{i phi} for `trials` draws of n random step
     functions each, yielded as (rows, n) blocks in draw order.
 
-    getrandbits(k) consumes exactly k/32 generator words when 32 divides k,
-    and every block but the last spans a whole number of words, so the stream
-    is consumed exactly as by one _signs(gen, trials * n * cells) draw.
+    A row of cells is drawn as digits and summed from the digit table in
+    digit order, so no sign matrix is formed. getrandbits(k) consumes exactly
+    k/32 generator words when 32 divides k, and every block but the last
+    spans a whole number of words, so the stream is consumed exactly as by
+    one getrandbits(trials * n * cells) draw.
     """
-    cells = len(weights)
+    import numpy as np
+
+    per_row, size = table.shape  # 2^k entries per k-bit digit
+    width = size.bit_length() - 1
+    cells = per_row * width
+    offsets = np.arange(per_row, dtype=np.intp)[:, None] << width
+    flat = table.ravel()
     step = 32 // math.gcd(n * cells, 32)  # fewest trials that fill whole words
     chunk = step * max(1, APPENDIX_CHUNK_CELLS // (step * n * cells))
     for start in range(0, trials, chunk):
         rows = min(chunk, trials - start)
-        yield (_signs(gen, rows * n * cells).reshape(rows * n, cells) @ weights).reshape(rows, n)
+        digits = _digits(gen, rows * n * per_row, width).reshape(rows * n, per_row)
+        yield flat.take(digits.T + offsets).sum(axis=0).reshape(rows, n)
 
 
 def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
@@ -271,6 +306,8 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
         raise CliError(f"grid cells must be even and >= 2, got {grid_cells}")
     if trials < 1:
         raise CliError(f"trials must be >= 1, got {trials}")
+    if grid_cells > MAX_APPENDIX_GRID:
+        raise CliError(f"grid cells must not exceed {MAX_APPENDIX_GRID}, got {grid_cells}")
     if trials * grid_cells > MAX_APPENDIX_CELLS:
         raise CliError(f"trials x grid cells must not exceed {MAX_APPENDIX_CELLS}, "
                        f"got {trials} x {grid_cells}")
@@ -286,10 +323,10 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
 
     # Draw order is fixed: |z'| trials, then S assemblies for n = 2, 3.
     gen = random.Random(seed)
-    weights = zk.cell_weights(grid_cells)
-    max_z = max(float(np.abs(z).max()) for z in _step_integrals(gen, weights, trials, 1))
+    table = _digit_table(zk.cell_weights(grid_cells))
+    max_z = max(float(np.abs(z).max()) for z in _step_integrals(gen, table, trials, 1))
     s_max = {n: max(float(np.abs(z.prod(axis=1).real).max())
-                    for z in _step_integrals(gen, weights, trials, n))
+                    for z in _step_integrals(gen, table, trials, n))
              for n in (2, 3)}
 
     return envelope(

@@ -18,6 +18,7 @@ Kronecker product, imports numpy, on its first call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -221,13 +222,22 @@ def _strategy_outcomes(label: str, n: int) -> list[tuple[float, float]]:
     return [_OUTCOMES[p] for p in parties]
 
 
+@functools.cache
+def _kronecker_keys(n: int) -> list[str]:
+    """Setting key of each Kronecker-product index i: party k (from 0) reads
+    bit n - 1 - k of i, and a set bit is Y."""
+    return ["".join("XY"[(i >> (n - 1 - k)) & 1] for k in range(n)) for i in range(2**n)]
+
+
 def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, float]) -> float:
     """How far the witness is from a distribution reproducing the table.
 
     A strategy's correlators are the Kronecker product, in party order, of
-    the outcome pairs (x_k, y_k) parsed from its label. Returns the largest
-    of the max correlator deviation, |total weight - 1| and the most negative
-    weight.
+    the outcome pairs (x_k, y_k) parsed from its label. Entry i is compared
+    with the table's value at the key spelt by the bits of i, not through
+    CorrelationTable.settings(), whose order the sign transform reads.
+    Returns the largest of the max correlator deviation, |total weight - 1|
+    and the most negative weight.
     """
     import numpy as np
 
@@ -242,7 +252,8 @@ def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, flo
         for k in range(n):
             products = (products[:, :, None] * block[:, k, None, :]).reshape(len(block), -1)
         rebuilt += weights[start:start + RECONSTRUCTION_BLOCK] @ products
-    deviation = float(np.abs(rebuilt - table.vector()).max())
+    expected = [table.values[key] for key in _kronecker_keys(n)]
+    deviation = float(np.abs(rebuilt - expected).max())
     return max(deviation, abs(float(weights.sum()) - 1.0), -float(weights.min(initial=0.0)))
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import bellbench
-from bellbench.cli import MAX_APPENDIX_CELLS, cmd_correlators, main, sweep_grid
+from bellbench.cli import (MAX_APPENDIX_CELLS, MAX_APPENDIX_GRID, cmd_correlators, main,
+                           sweep_grid)
 from bellbench.mermin import pair_table
 from bellbench.report import render_json
 from bellbench.zukowski import cell_weights
@@ -253,7 +254,7 @@ class TestVerifyAppendix:
         code, _, _ = run_cli(capsys, "verify-appendix", "--grid", "63")
         assert code == 2
 
-    @pytest.mark.parametrize("grid, trials", [(64, 65537), (2**23, 1), (2, 10**12)])
+    @pytest.mark.parametrize("grid, trials", [(64, 65537), (2**23, 1), (2, 10**12), (4098, 1)])
     def test_oversized_draw_exits_2_before_drawing(self, capsys, monkeypatch, grid, trials):
         from bellbench import cli, zukowski
 
@@ -261,10 +262,11 @@ class TestVerifyAppendix:
             raise AssertionError("allocated before the size check")
 
         monkeypatch.setattr(random, "Random", refuse)
-        monkeypatch.setattr(cli, "_signs", refuse)
+        monkeypatch.setattr(cli, "_digits", refuse)
+        monkeypatch.setattr(cli, "_digit_table", refuse)
         monkeypatch.setattr(zukowski, "cell_weights", refuse)
         monkeypatch.setattr(zukowski, "sign_cos_step", refuse)
-        assert grid * trials > MAX_APPENDIX_CELLS
+        assert grid > MAX_APPENDIX_GRID or grid * trials > MAX_APPENDIX_CELLS
         code, out, err = run_cli(capsys, "verify-appendix", "--grid", str(grid),
                                  "--trials", str(trials))
         assert code == 2
@@ -292,10 +294,15 @@ class TestVerifyAppendix:
             monkeypatch.setattr(cli, "APPENDIX_CHUNK_CELLS", chunk_cells)
         results = cli.cmd_verify_appendix(grid, trials, seed)["results"]
         expected = unchunked_appendix_maxima(grid, trials, seed)
+        # The reference sums in zgemv's order, the digit tables in their own:
+        # the two may differ in the last bit (grid 6, seed -3, by one ulp). A
+        # stream shifted by one word, or digits read in the wrong bit order,
+        # move some maximum by 0.4 % or more at grids 6 and 130 (at grid 2 the
+        # maxima are the exact extremes 2, 4 and 8 under any stream).
         assert (results["max_abs_z_prime"], results["max_abs_s_n2"],
-                results["max_abs_s_n3"]) == expected
+                results["max_abs_s_n3"]) == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.parametrize("grid", [2, 64])
+    @pytest.mark.parametrize("grid", [2, 64, 4096])
     def test_draw_at_the_cap_has_bounded_memory(self, grid):
         argv = ["verify-appendix", "--grid", str(grid),
                 "--trials", str(MAX_APPENDIX_CELLS // grid)]
@@ -309,7 +316,8 @@ class TestVerifyAppendix:
             tracemalloc.stop()
         assert code == 0, err
         assert '"s_bounded_n3": true' in out
-        # one whole n = 3 sign matrix at the cap is 96 MiB of float64
+        # one whole n = 3 sign matrix at the cap is 96 MiB of float64; the
+        # digit table at grid 4096 is 2 MiB
         assert peak - before < 16 * 2**20
 
 
@@ -328,6 +336,22 @@ class TestLhv:
         path.write_text(out)
         report = run_json(capsys, "lhv", "--input", str(path))
         assert report["verdicts"]["lhv_feasible"] is True
+
+    def test_witness_check_does_not_share_the_settings_order(self, capsys, monkeypatch):
+        # 0.7 "+-,++,++" + 0.3 "--,+-,++" is not symmetric under party
+        # reversal, so a reversed key order yields a witness for the reversed
+        # table, and the check must see that it does not rebuild this one.
+        from bellbench.lhv import CorrelationTable
+
+        monkeypatch.setattr(CorrelationTable, "settings",
+                            lambda self: sorted(self.values, key=lambda k: k[::-1]))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+            {"XXX": 0.4, "XXY": 0.4, "XYX": 1.0, "XYY": 1.0,
+             "YXX": -1.0, "YXY": -1.0, "YYX": -0.4, "YYY": -0.4})))
+        report = run_json(capsys, "lhv")
+        assert report["verdicts"]["lhv_feasible"] is True
+        assert report["results"]["witness_error"] > 1
+        assert report["verdicts"]["oracles_agree"] is False
 
     def test_infeasible_witness(self, capsys, tmp_path):
         path = tmp_path / "pr.json"

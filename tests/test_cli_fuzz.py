@@ -42,8 +42,10 @@ COPY_LIST = st.one_of(
     st.lists(st.integers(-1, 8), max_size=8),
 ).map(lambda ns: ",".join(map(str, ns))) | st.sampled_from(
     ["6,6", "1,,2", ",", "1;2", "2," * 50, "nan"] + HUGE_INTS)
-# Valid draws stay small; the huge values are over the trials x grid cap.
-GRID = st.sampled_from(["2", "4", "8", "63", "64", "0", "-2", str(2**23)] + BAD_NUMBERS + HUGE_INTS)
+# Valid draws stay small; 4098 is over the grid cap, the huge values over
+# the trials x grid cap.
+GRID = st.sampled_from(["2", "4", "8", "63", "64", "4096", "4098", "0", "-2", str(2**23)]
+                       + BAD_NUMBERS + HUGE_INTS)
 TRIALS = st.one_of(_ints(1, 300), _ints(-1, 0), st.sampled_from(BAD_NUMBERS + HUGE_INTS))
 SEED = st.one_of(st.integers(-(2**70), 2**70).map(str), st.sampled_from(BAD_NUMBERS))
 
