@@ -11,10 +11,11 @@ Exit codes: 0 success (verdicts are data, not errors), 2 usage or parse
 errors and unwritable output (a closed standard output included), 3 internal
 numerical failure.
 
-`analyze`, `sweep`, `correlators` and usage errors do not import numpy, and
-neither does an `lhv` request whose table is infeasible. numpy is loaded only
-by the two bulk kernels, on their first call: the witness rebuild of a
-feasible `lhv` verdict (lhv.witness_reconstruction_error) and the draw of
+`lhv` parses its table, decides it (lhv.lhv_feasible) and checks the verdict's
+certificate (lhv.certify). `analyze`, `sweep`, `correlators`, usage errors
+and an infeasible `lhv` table import neither numpy nor inspect. numpy is
+loaded only by the two bulk kernels, on their first call: the witness rebuild
+of a feasible `lhv` verdict (lhv.witness_reconstruction_error) and the draw of
 `verify-appendix`. `correlators` reads its table from the pair's two
 amplitudes (mermin.pair_table); no subcommand builds a density matrix or a
 dense operator: `verify-appendix` checks the Bell-Zukowski quadrature and its
@@ -378,45 +379,27 @@ def load_table(text: str):
 
 
 def cmd_lhv(text: str) -> dict:
-    from .lhv import WITNESS_TOL, lhv_feasible, witness_reconstruction_error
+    from .lhv import certify, lhv_feasible
 
     table = load_table(text)
     try:
         verdict = lhv_feasible(table)
     except ValueError as exc:  # the party cap
         raise CliError(str(exc))
-
-    results = {
-        "parties": table.n_parties,
-        "lhv_residual": verdict.residual,
-        "complete_set_sum": verdict.sign_sum,
-        "complete_set_bound": float(2**table.n_parties),
-    }
-    # The certificate is checked without the sign transform: the witness is
-    # rebuilt from its strategy labels, the inequality evaluated entrywise.
-    # The complete-set verdict is the feasibility verdict: both compare the
-    # same sign sum with 2^n + COMPLETE_SET_SLACK.
-    if verdict.feasible:
-        error = witness_reconstruction_error(table, verdict.witness)
-        results["witness_distribution"] = dict(verdict.witness)
-        results["witness_error"] = error
-        certified = error <= WITNESS_TOL
-    else:
-        witness = verdict.witness
-        results["witness_inequality"] = {
-            "coefficients": witness.coefficients,
-            "value": witness.value,
-            "bound": witness.bound,
-            "quadruple_index": witness.quadruple_index,
-        }
-        certified = witness.value > witness.bound
+    certificate, certified = certify(table, verdict)
     return envelope(
         command="lhv",
         parameters={},
-        results=results,
+        results={
+            "parties": table.n_parties,
+            "lhv_residual": verdict.residual,
+            "complete_set_sum": verdict.sign_sum,
+            "complete_set_bound": float(2**table.n_parties),
+            **certificate,
+        },
         verdicts={
             "lhv_feasible": verdict.feasible,
-            "complete_set_satisfied": verdict.feasible,
+            "complete_set_satisfied": verdict.feasible,  # the same sign-sum test
             "oracles_agree": certified,
         },
     )

@@ -8,8 +8,9 @@ the 4^n strategies give only 2^(n+1) vectors, and the local polytope is the
 cross-polytope sum_s |E_hat(s)| <= 2^n, the complete set of two-setting
 correlation inequalities (Werner & Wolf, PRA 64, 032112 (2001); Zukowski &
 Brukner, PRL 88, 210401 (2002)). lhv_feasible decides it in closed form and
-returns a certificate whose check does not use the sign transform: a witness
-rebuilt from its strategy labels, or an inequality evaluated on the table.
+certify checks the certificate without the sign transform or the settings()
+order: a witness is rebuilt from its strategy labels, an inequality is
+evaluated on the table and maximised over every deterministic strategy.
 
 The decision is plain Python, its sums correctly rounded by math.fsum, so
 they do not depend on summation order. Only the witness rebuild, a blocked
@@ -18,9 +19,9 @@ Kronecker product, imports numpy, on its first call.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
-from dataclasses import dataclass
 
 from .mermin import BOUND_SLACK, COMPARISON_TOL, COMPLETE_SET_SLACK
 
@@ -41,7 +42,6 @@ QUADRUPLE_SIGNS = (
 )
 
 
-@dataclass(frozen=True)
 class CorrelationTable:
     """All 2^n two-setting correlators of an n-party experiment.
 
@@ -49,16 +49,16 @@ class CorrelationTable:
     real correlation functions E in [-1, 1].
     """
 
-    n_parties: int
-    values: dict[str, float]
+    __slots__ = ("n_parties", "values")
 
-    def __post_init__(self):
-        n = self.n_parties
+    def __init__(self, n_parties: int, values: dict[str, float]):
+        self.n_parties = n = n_parties
+        self.values = values
         if n < 1:
             raise ValueError(f"need at least one party, got {n}")
-        if len(self.values) != 2**n:
-            raise ValueError(f"expected {2**n} entries, got {len(self.values)}")
-        for key, val in self.values.items():
+        if len(values) != 2**n:
+            raise ValueError(f"expected {2**n} entries, got {len(values)}")
+        for key, val in values.items():
             if len(key) != n or set(key) - {"X", "Y"}:
                 raise ValueError(f"bad setting key {key!r}")
             if not math.isfinite(val) or abs(val) > 1 + COMPARISON_TOL:
@@ -125,34 +125,22 @@ def sign_transform(vector) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class InequalityWitness:
+# witness: strategy label -> weight, or the violated inequality's report dict;
+# sign_sum: sum_s |E_hat(s)|, the left-hand side of the bound 2^n.
+FeasibilityVerdict = collections.namedtuple(
+    "FeasibilityVerdict", ("feasible", "witness", "residual", "sign_sum"))
+
+
+def _violated_inequality(table: CorrelationTable, hat: list[float]) -> dict:
     """A violated member of the complete set, in correlator coefficients.
 
     The inequality reads sum_key coefficients[key] * E[key] <= bound; value is
-    the left-hand side at the rejected table. For two parties the coefficient
-    pattern reduces to one of the four quadruple checks (quadruple_index).
+    the left-hand side at the table, evaluated key by key. For two parties the
+    coefficient pattern reduces to one of the four quadruple checks
+    (quadruple_index, else None).
     """
-
-    coefficients: dict[str, float]
-    value: float
-    bound: float
-    quadruple_index: int | None = None
-
-
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    feasible: bool
-    witness: dict[str, float] | InequalityWitness
-    residual: float
-    # sum_s |E_hat(s)|, the left-hand side of the cross-polytope bound 2^n
-    sign_sum: float
-
-
-def _violated_inequality(table: CorrelationTable, hat: list[float]) -> InequalityWitness:
     coeffs = sign_transform([1.0 if x >= 0 else -1.0 for x in hat])
-    value = math.fsum(c * e for c, e in zip(coeffs, table.vector()))
-    bound = float(2**table.n_parties)
+    coefficients = dict(zip(table.settings(), coeffs))
     quadruple_index = None
     if table.n_parties == 2:
         # settings order XX, XY, YX, YY; quadruple patterns are over
@@ -160,12 +148,12 @@ def _violated_inequality(table: CorrelationTable, hat: list[float]) -> Inequalit
         pattern = tuple(coeffs[j] / 2 for j in (0, 3, 1, 2))
         quadruple_index = next((i for i, q in enumerate(QUADRUPLE_SIGNS)
                                 if pattern in (q, tuple(-x for x in q))), None)
-    return InequalityWitness(
-        coefficients=dict(zip(table.settings(), coeffs)),
-        value=value,
-        bound=bound,
-        quadruple_index=quadruple_index,
-    )
+    return {
+        "coefficients": coefficients,
+        "value": math.fsum(c * table.values[key] for key, c in coefficients.items()),
+        "bound": float(2**table.n_parties),
+        "quadruple_index": quadruple_index,
+    }
 
 
 def _vertex_label(n: int, sigma: float, t: int) -> str:
@@ -257,10 +245,38 @@ def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, flo
     return max(deviation, abs(float(weights.sum()) - 1.0), -float(weights.min(initial=0.0)))
 
 
+def _local_maximum(coefficients: dict[str, float], n: int) -> float:
+    """max over deterministic strategies of sum_r c(r) E(r), that is
+    max_s |sum_r c(r) prod_k s_k^{r_k}|: an in-place (i, i + h) butterfly
+    over the coefficients read at the keys spelt by the bits of i."""
+    c = [coefficients[key] for key in _kronecker_keys(n)]
+    for h in (2**k for k in range(n)):
+        for start in range(0, len(c), 2 * h):
+            for i in range(start, start + h):
+                c[i], c[i + h] = c[i] + c[i + h], c[i] - c[i + h]
+    return max(map(abs, c))
+
+
+def certify(table: CorrelationTable, verdict: FeasibilityVerdict) -> tuple[dict, bool]:
+    """Report fields of the verdict's certificate, and whether it holds: a
+    witness rebuilds the table within WITNESS_TOL; an inequality's value
+    exceeds its bound, which no deterministic strategy exceeds by more than
+    COMPLETE_SET_SLACK. Neither check reads sign_transform or settings().
+    """
+    if verdict.feasible:
+        error = witness_reconstruction_error(table, verdict.witness)
+        return {"witness_distribution": verdict.witness, "witness_error": error}, \
+            error <= WITNESS_TOL
+    inequality, n = verdict.witness, table.n_parties
+    bound = inequality["bound"]
+    return {"witness_inequality": inequality}, inequality["value"] > bound and \
+        _local_maximum(inequality["coefficients"], n) <= bound + COMPLETE_SET_SLACK
+
+
 __all__ = [
     "CorrelationTable",
     "FeasibilityVerdict",
-    "InequalityWitness",
+    "certify",
     "fine_quadruple",
     "lhv_feasible",
     "sign_transform",

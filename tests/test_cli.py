@@ -353,6 +353,25 @@ class TestLhv:
         assert report["results"]["witness_error"] > 1
         assert report["verdicts"]["oracles_agree"] is False
 
+    def test_inequality_check_does_not_share_the_settings_order(self, capsys, monkeypatch):
+        # Ordering by Y count is not a party permutation, so the transform
+        # reads a scrambled vector: the same local table comes out infeasible,
+        # with coefficients keyed to the wrong settings. Its "violated
+        # inequality" has value 11.2 against bound 8, but one deterministic
+        # strategy reaches 16 on it, and the check must see that.
+        from bellbench.lhv import CorrelationTable
+
+        monkeypatch.setattr(CorrelationTable, "settings",
+                            lambda self: sorted(self.values, key=lambda k: (k.count("Y"), k)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+            {"XXX": 0.4, "XXY": 0.4, "XYX": 1.0, "XYY": 1.0,
+             "YXX": -1.0, "YXY": -1.0, "YYX": -0.4, "YYY": -0.4})))
+        report = run_json(capsys, "lhv")
+        assert report["verdicts"]["lhv_feasible"] is False
+        inequality = report["results"]["witness_inequality"]
+        assert inequality["value"] > inequality["bound"]
+        assert report["verdicts"]["oracles_agree"] is False
+
     def test_infeasible_witness(self, capsys, tmp_path):
         path = tmp_path / "pr.json"
         path.write_text('{"XX": 1, "XY": 1, "YX": 1, "YY": -1}')
@@ -575,6 +594,29 @@ def test_hot_path_builds_no_dense_operator():
                                capture_output=True, text=True, env=env, timeout=120)
         assert outcome == [fresh.returncode, fresh.stdout, fresh.stderr], argv
     assert [code for code, _, _ in result["outcomes"]] == [0, 0, 2, 0, 0, 0, 0, 0, 0]
+
+
+# A plain script, without unittest.mock: mock imports inspect by itself.
+LIGHT_IMPORT_SCRIPT = '''
+import contextlib, io, json, sys
+from bellbench.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["correlators", "--visibility", "0.9"])]
+    sys.stdin = io.StringIO(sys.argv[1])
+    codes.append(main(["lhv"]))
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in ("dataclasses", "numpy") if m in sys.modules]}))
+'''
+
+
+def test_correlators_and_infeasible_lhv_import_neither_dataclasses_nor_numpy():
+    src = str(Path(bellbench.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", LIGHT_IMPORT_SCRIPT,
+                           '{"XX": 1, "XY": 1, "YX": 1, "YY": -1}'],
+                          capture_output=True, text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": []}
 
 
 def test_analyze_has_bounded_memory():

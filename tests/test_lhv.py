@@ -6,7 +6,6 @@ import pytest
 
 from bellbench.lhv import (
     CorrelationTable,
-    InequalityWitness,
     fine_quadruple,
     lhv_feasible,
     sign_transform,
@@ -74,6 +73,32 @@ def assert_valid_witness(table):
     assert abs(weights.sum() - 1) < 1e-9
     assert_witness_rebuilds(table, verdict.witness)
     return verdict
+
+
+class TestCorrelationTable:
+    def test_json_round_trip(self):
+        table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
+        again = CorrelationTable.from_json_obj(table.to_json_obj())
+        assert again.n_parties == 2
+        assert again.values == pytest.approx(table.values)
+
+    def test_settings_sorted(self):
+        table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
+        assert table.settings() == ["XX", "XY", "YX", "YY"]
+
+    def test_rejects_bad_tables(self):
+        with pytest.raises(ValueError):
+            CorrelationTable(2, {"XX": 0.0})
+        with pytest.raises(ValueError):
+            CorrelationTable(1, {"X": 1.5, "Y": 0.0})
+        with pytest.raises(ValueError):
+            CorrelationTable(1, {"X": 0.0, "Z": 0.0})
+
+    def test_rejects_zero_parties(self):
+        with pytest.raises(ValueError, match="at least one party"):
+            CorrelationTable(0, {"": 0.5})
+        with pytest.raises(ValueError, match="at least one party"):
+            CorrelationTable.from_json_obj({"": 0.5})
 
 
 class TestFineQuadruple:
@@ -173,9 +198,9 @@ class TestFeasibility:
     def test_extreme_point_infeasible_with_quadruple_witness(self):
         verdict = lhv_feasible(pair_table(1.0, 1.0, 1.0, -1.0))
         assert not verdict.feasible
-        assert isinstance(verdict.witness, InequalityWitness)
-        assert verdict.witness.quadruple_index == 0
-        assert verdict.witness.value > verdict.witness.bound
+        assert set(verdict.witness) == {"coefficients", "value", "bound", "quadruple_index"}
+        assert verdict.witness["quadruple_index"] == 0
+        assert verdict.witness["value"] > verdict.witness["bound"]
 
     def test_witness_reconstructs_table(self):
         for v in V_GRID:
@@ -190,7 +215,7 @@ class TestFeasibility:
             assert_witness_rebuilds(table, verdict.witness)
         else:
             w = verdict.witness
-            assert sum(w.coefficients[k] * table.values[k] for k in table.values) > w.bound
+            assert sum(w["coefficients"][k] * table.values[k] for k in table.values) > w["bound"]
 
     def test_oracle_agreement_two_parties(self):
         rng = np.random.default_rng(2024)
