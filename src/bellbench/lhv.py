@@ -15,6 +15,12 @@ evaluated on the table and maximised over every deterministic strategy.
 The decision is plain Python, its sums correctly rounded by math.fsum, so
 they do not depend on summation order. Only the witness rebuild, a blocked
 Kronecker product, imports numpy, on its first call.
+
+Per-entry work runs as whole-table passes over builtins: a table is accepted
+by its set of key lengths, one translate of the joined keys, isfinite and the
+largest |E| over all values; witness labels are parsed by one split of their
+join. Only input that fails such a pass is read entry by entry, so an error
+names the first offending entry in input order, as the loop alone did.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+from operator import add, mul, sub
 
 from .mermin import BOUND_SLACK, COMPARISON_TOL, COMPLETE_SET_SLACK
 
@@ -31,6 +38,9 @@ WITNESS_TOL = 1e-8
 MAX_TRANSFORM_PARTIES = 12
 # Strategies per block of Kronecker products when a witness is rebuilt.
 RECONSTRUCTION_BLOCK = 256
+
+# Deletes the setting letters: a key string is valid iff nothing is left.
+_NOT_XY = str.maketrans("", "", "XY")
 
 # The four two-party combination checks, as sign patterns over
 # (E_xx, E_yy, E_xy, E_yx); each absolute combination is bounded by 2.
@@ -58,6 +68,11 @@ class CorrelationTable:
             raise ValueError(f"need at least one party, got {n}")
         if len(values) != 2**n:
             raise ValueError(f"expected {2**n} entries, got {len(values)}")
+        if set(map(len, values)) == {n} and not "".join(values).translate(_NOT_XY) \
+                and all(map(math.isfinite, values.values())) \
+                and max(map(abs, values.values())) <= 1 + COMPARISON_TOL:
+            return
+        # Name the first offending entry in input order.
         for key, val in values.items():
             if len(key) != n or set(key) - {"X", "Y"}:
                 raise ValueError(f"bad setting key {key!r}")
@@ -80,11 +95,14 @@ class CorrelationTable:
         if not obj or not isinstance(obj, dict):
             raise ValueError("correlation table must be a non-empty JSON object")
         n = len(next(iter(obj)))
-        values = {}
-        for key, val in obj.items():
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ValueError(f"correlator {key!r} is not a number")
-            values[str(key)] = float(val)
+        if set(map(type, obj.values())) <= {int, float}:
+            values = dict(zip(map(str, obj), map(float, obj.values())))
+        else:  # name the first entry that is not a number
+            values = {}
+            for key, val in obj.items():
+                if not isinstance(val, (int, float)) or isinstance(val, bool):
+                    raise ValueError(f"correlator {key!r} is not a number")
+                values[str(key)] = float(val)
         return cls(n, values)
 
 
@@ -117,11 +135,10 @@ def sign_transform(vector) -> list[float]:
     Each level maps (2j, 2j + 1) to their sum at j and difference at
     j + size/2: bit for bit the in-place (i, i + h) butterfly, h = 1, 2, 4, ...
     """
-    out = [float(x) for x in vector]
+    out = list(map(float, vector))
     for _ in range(len(out).bit_length() - 1):
         even, odd = out[0::2], out[1::2]
-        out = [a + b for a, b in zip(even, odd)]
-        out += [a - b for a, b in zip(even, odd)]
+        out = [*map(add, even, odd), *map(sub, even, odd)]
     return out
 
 
@@ -150,10 +167,15 @@ def _violated_inequality(table: CorrelationTable, hat: list[float]) -> dict:
                                 if pattern in (q, tuple(-x for x in q))), None)
     return {
         "coefficients": coefficients,
-        "value": math.fsum(c * table.values[key] for key, c in coefficients.items()),
+        "value": math.fsum(map(mul, coefficients.values(),
+                               map(table.values.__getitem__, coefficients))),
         "bound": float(2**table.n_parties),
         "quadruple_index": quadruple_index,
     }
+
+
+# A party after the first plays "++" (s_k = 1, bit clear) or "+-" (bit set).
+_OTHER_PARTIES = str.maketrans({"0": ",++", "1": ",+-"})
 
 
 def _vertex_label(n: int, sigma: float, t: int) -> str:
@@ -162,8 +184,9 @@ def _vertex_label(n: int, sigma: float, t: int) -> str:
     Party 1 plays (sigma, sigma s_1), every other party (+1, s_k), where
     s_k = -1 iff bit n-1-k of t is set (party 1 is the most significant).
     """
-    s = [-1 if (t >> (n - 1 - k)) & 1 else 1 for k in range(n)]
-    return strategy_label([(sigma, sigma * s[0])] + [(1, s_k) for s_k in s[1:]])
+    bits = format(t, f"0{n}b")
+    first = ("++", "+-") if sigma > 0 else ("--", "-+")
+    return first[bits[0] == "1"] + bits[1:].translate(_OTHER_PARTIES)
 
 
 def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
@@ -182,7 +205,7 @@ def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
         raise ValueError(f"sign transform capped at {MAX_TRANSFORM_PARTIES} parties")
     hat = sign_transform(table.vector())
     scale = float(2**n)
-    total = math.fsum(abs(x) for x in hat)
+    total = math.fsum(map(abs, hat))
     residual = max(0.0, total / scale - 1.0)
     if total > scale + COMPLETE_SET_SLACK:
         return FeasibilityVerdict(False, _violated_inequality(table, hat), residual, total)
@@ -230,14 +253,19 @@ def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, flo
     import numpy as np
 
     n = table.n_parties
-    weights = np.array(list(witness.values()), dtype=float)
-    outcomes = np.array([_strategy_outcomes(label, n) for label in witness],
-                        dtype=float).reshape(-1, n, 2)
+    weights = np.fromiter(witness.values(), float, len(witness))
+    pairs = ",".join(witness).split(",")
+    if set(map(len, witness)) == {3 * n - 1} and set(pairs) <= _OUTCOMES.keys():
+        # "+" and "-" are the bytes 43 and 45, either side of 44.
+        outcomes = 44.0 - np.frombuffer("".join(pairs).encode(), np.uint8)
+    else:  # name the first malformed label
+        outcomes = np.array([_strategy_outcomes(label, n) for label in witness], dtype=float)
+    outcomes = outcomes.reshape(-1, n, 2)
     rebuilt = np.zeros(2**n)
     for start in range(0, len(weights), RECONSTRUCTION_BLOCK):
         block = outcomes[start:start + RECONSTRUCTION_BLOCK]
-        products = np.ones((len(block), 1))
-        for k in range(n):
+        products = block[:, 0]
+        for k in range(1, n):
             products = (products[:, :, None] * block[:, k, None, :]).reshape(len(block), -1)
         rebuilt += weights[start:start + RECONSTRUCTION_BLOCK] @ products
     expected = [table.values[key] for key in _kronecker_keys(n)]

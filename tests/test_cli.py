@@ -415,6 +415,29 @@ class TestLhv:
         assert message in err
         assert "Traceback" not in err
 
+    # A valid table is accepted by whole-table checks; a rejected one is read
+    # entry by entry, key before value, so the message names the first
+    # offending entry in input order.
+    @pytest.mark.parametrize("text, message", [
+        ('{"XX": 0.5, "XZ": 0, "YX": 0, "YY": 0}', "bad setting key 'XZ'"),
+        ('{"XX": 0.5, "XYY": 0, "YX": 0, "YY": 0}', "bad setting key 'XYY'"),
+        ('{"XX": 0.5, "XY": "0.5", "YX": 0, "YY": 0}', "correlator 'XY' is not a number"),
+        ('{"XX": 0.5, "XY": true, "YX": 0, "YY": 0}', "correlator 'XY' is not a number"),
+        ('{"XX": 0.5, "XY": -1.5, "YX": 0, "YY": 0}', "correlator XY = -1.5 outside [-1, 1]"),
+        ('{"XX": 0.5, "XY": 1e400, "YX": 0, "YY": 0}', "correlator XY = inf outside [-1, 1]"),
+        ('{"XX": 2, "XZ": 1, "YX": 1, "YY": -1}', "correlator XX = 2.0 outside [-1, 1]"),
+        ('{"XX": 0.5, "XY": -1.5, "YZ": 0, "YY": 0}', "correlator XY = -1.5 outside [-1, 1]"),
+        ('{"YZ": 0, "XY": -1.5, "XX": 0.5, "YY": 0}', "bad setting key 'YZ'"),
+        ('{"XX": 0.5, "XY": 1e400, "YX": "a", "YY": 0}', "correlator 'YX' is not a number"),
+        ('{"XX": 0.5, "XY": 0.5, "YX": 1.0000000002, "YY": 7}',
+         "correlator YX = 1.0000000002 outside [-1, 1]"),
+    ], ids=["bad-key", "ragged-keys", "string", "true", "out-of-range", "1e400",
+            "out-of-range-before-bad-key", "value-before-later-key", "key-before-later-value",
+            "non-number-after-overflow", "first-of-two-out-of-range"])
+    def test_malformed_table_message_names_first_offending_entry(self, text, message):
+        assert run_main(["lhv"], stdin=text) == \
+            (2, "", f"bellctl: error: invalid correlation table: {message}\n")
+
     # An infeasible verdict transforms its sign pattern once more to get the
     # violated inequality's coefficients.
     @pytest.mark.parametrize("text, transforms", [
