@@ -19,8 +19,8 @@ Kronecker product, imports numpy, on its first call.
 Per-entry work runs as whole-table passes over builtins: a table is accepted
 by its set of key lengths, one translate of the joined keys, isfinite and the
 largest |E| over all values; witness labels are parsed by one split of their
-join. Only input that fails such a pass is read entry by entry, so an error
-names the first offending entry in input order, as the loop alone did.
+join. Only a table that fails its pass is read entry by entry, so the error
+names its first offending entry in input order; a witness that fails is rejected.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ class CorrelationTable:
         if n < 1:
             raise ValueError(f"need at least one party, got {n}")
         if len(values) != 2**n:
+            if n > MAX_TRANSFORM_PARTIES:  # 2**n may have too many digits to print
+                raise ValueError(f"key length {n} exceeds the {MAX_TRANSFORM_PARTIES}-party cap")
             raise ValueError(f"expected {2**n} entries, got {len(values)}")
         if set(map(len, values)) == {n} and not "".join(values).translate(_NOT_XY) \
                 and all(map(math.isfinite, values.values())) \
@@ -223,16 +225,6 @@ def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
     return FeasibilityVerdict(True, witness, residual, total)
 
 
-_OUTCOMES = {"++": (1.0, 1.0), "+-": (1.0, -1.0), "-+": (-1.0, 1.0), "--": (-1.0, -1.0)}
-
-
-def _strategy_outcomes(label: str, n: int) -> list[tuple[float, float]]:
-    parties = label.split(",")
-    if len(parties) != n or not set(parties) <= _OUTCOMES.keys():
-        raise ValueError(f"witness label {label!r} is not an {n}-party strategy")
-    return [_OUTCOMES[p] for p in parties]
-
-
 @functools.cache
 def _kronecker_keys(n: int) -> list[str]:
     """Setting key of each Kronecker-product index i: party k (from 0) reads
@@ -248,19 +240,18 @@ def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, flo
     with the table's value at the key spelt by the bits of i, not through
     CorrelationTable.settings(), whose order the sign transform reads.
     Returns the largest of the max correlator deviation, |total weight - 1|
-    and the most negative weight.
+    and the most negative weight. Raises ValueError unless every label is an
+    n-party strategy as strategy_label spells it.
     """
     import numpy as np
 
     n = table.n_parties
-    weights = np.fromiter(witness.values(), float, len(witness))
     pairs = ",".join(witness).split(",")
-    if set(map(len, witness)) == {3 * n - 1} and set(pairs) <= _OUTCOMES.keys():
-        # "+" and "-" are the bytes 43 and 45, either side of 44.
-        outcomes = 44.0 - np.frombuffer("".join(pairs).encode(), np.uint8)
-    else:  # name the first malformed label
-        outcomes = np.array([_strategy_outcomes(label, n) for label in witness], dtype=float)
-    outcomes = outcomes.reshape(-1, n, 2)
+    if set(map(len, witness)) != {3 * n - 1} or not set(pairs) <= {"++", "+-", "-+", "--"}:
+        raise ValueError(f"witness labels are not all {n}-party strategies")
+    weights = np.fromiter(witness.values(), float, len(witness))
+    # "+" and "-" are the bytes 43 and 45, either side of 44.
+    outcomes = (44.0 - np.frombuffer("".join(pairs).encode(), np.uint8)).reshape(-1, n, 2)
     rebuilt = np.zeros(2**n)
     for start in range(0, len(weights), RECONSTRUCTION_BLOCK):
         block = outcomes[start:start + RECONSTRUCTION_BLOCK]

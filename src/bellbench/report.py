@@ -4,12 +4,12 @@ Reports serialize to a single JSON object with sorted keys; every float is
 rendered with 12 significant digits via the same formatter, so identical
 inputs produce identical bytes regardless of platform or dict build order.
 
-render_json is one pass that dispatches on the exact type of each value;
-strings and keys are quoted by the encoder json.dumps itself calls, and a
-dict of str keys and float values (a witness, its coefficients, the
-tolerances) renders in one comprehension. Subclasses (np.float64, a str or
-dict subclass) and non-str keys take the isinstance chain, which renders
-them as their base type.
+render_json is one pass that dispatches on the exact type of each value:
+float, int, bool, str, None, list, tuple, and dict with str keys, quoted by
+the encoder json.dumps itself calls; an all-float dict (a witness, its
+coefficients, the tolerances) renders in one comprehension. Anything else,
+a subclass such as np.float64 or a dict with a non-str key included, raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -56,25 +56,7 @@ def _render(obj) -> str:
         return "[" + ", ".join([_render(v) for v in obj]) + "]"
     if obj is None:
         return "null"
-    return _render_instance(obj)
-
-
-def _render_instance(obj) -> str:
-    """Subclasses, rendered as their base type, and dicts with a key that is
-    not an exact str, each key through str(). bool and None, which cannot be
-    subclassed, never get here."""
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, dict):
-        items = ", ".join([f"{_quote(str(k))}: {_render(v)}" for k, v in sorted(obj.items())])
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join([_render(v) for v in obj]) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def envelope(command: str, parameters: dict, results: dict, verdicts: dict) -> dict:

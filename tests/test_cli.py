@@ -431,9 +431,11 @@ class TestLhv:
         ('{"XX": 0.5, "XY": 1e400, "YX": "a", "YY": 0}', "correlator 'YX' is not a number"),
         ('{"XX": 0.5, "XY": 0.5, "YX": 1.0000000002, "YY": 7}',
          "correlator YX = 1.0000000002 outside [-1, 1]"),
+        # 2**15000 has more digits than Python converts to a string by default.
+        (json.dumps({"X" * 15000: 0.5}), "key length 15000 exceeds the 12-party cap"),
     ], ids=["bad-key", "ragged-keys", "string", "true", "out-of-range", "1e400",
             "out-of-range-before-bad-key", "value-before-later-key", "key-before-later-value",
-            "non-number-after-overflow", "first-of-two-out-of-range"])
+            "non-number-after-overflow", "first-of-two-out-of-range", "long-key"])
     def test_malformed_table_message_names_first_offending_entry(self, text, message):
         assert run_main(["lhv"], stdin=text) == \
             (2, "", f"bellctl: error: invalid correlation table: {message}\n")

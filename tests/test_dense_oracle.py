@@ -1,11 +1,12 @@
 """Checks of tests/dense_oracle.py on its own: that it imports nothing from
-bellbench, and its dense linear algebra. Its pair, copies and correlators are
-checked in test_states.py, its Bell-Mermin recursion in test_mermin.py and
-its dense Bell-Zukowski forms in test_zukowski.py, next to the tests that
-compare bellbench with them.
+bellbench, its dense linear algebra, the noisy pair, its copies and the GHZ
+basis. Its phase observables and correlators are checked in test_states.py,
+its Bell-Mermin recursion in test_mermin.py and its dense Bell-Zukowski forms
+in test_zukowski.py, next to the tests that compare bellbench with them.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,13 @@ from dense_oracle import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    X_PHASE,
+    Y_PHASE,
+    bell_pair,
+    copies,
+    correlation,
     expectation,
+    ghz_basis,
     hermitian_split,
     mermin_closed_form,
     noisy_pair,
@@ -163,3 +170,73 @@ class TestSpectralCheck:
         np.testing.assert_allclose(eigs[-1], 2**1.5, atol=1e-12)
         assert np.abs(eigs[1:-1]).max() < 1e-12
         assert len(eigs) == 16
+
+
+# --- the noisy pair, its copies and the GHZ basis ---------------------------
+
+
+def test_bell_pair_norm_and_correlators():
+    ket = bell_pair()
+    assert abs(np.linalg.norm(ket) - 1) < 1e-12
+    rho = np.outer(ket, ket.conj())
+    assert abs(expectation(rho, tensor(SIGMA_X, SIGMA_Y)) - 1) < 1e-12
+    assert abs(expectation(rho, tensor(SIGMA_X, SIGMA_X))) < 1e-12
+
+
+def test_noisy_pair_limits():
+    np.testing.assert_allclose(noisy_pair(0.0), np.eye(4) / 4, atol=1e-15)
+    ket = bell_pair()
+    np.testing.assert_allclose(noisy_pair(1.0), np.outer(ket, ket.conj()), atol=1e-15)
+    assert abs(correlation(noisy_pair(0.5), [X_PHASE, Y_PHASE]) - 0.5) < 1e-12
+
+
+def test_noisy_pair_rejects_out_of_range():
+    for bad in (-0.1, 1.1):
+        with pytest.raises(ValueError):
+            noisy_pair(bad)
+
+
+def test_noisy_pair_is_valid_density_matrix_on_fine_grid():
+    for v in np.linspace(0, 1, 101):
+        rho = noisy_pair(float(v))
+        assert np.abs(rho - rho.conj().T).max() <= 1e-12
+        assert abs(np.trace(rho) - 1) <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+
+def test_copies():
+    np.testing.assert_array_equal(copies(0.7, 1), noisy_pair(0.7))
+    np.testing.assert_allclose(copies(0.0, 2), np.eye(16) / 16, atol=1e-15)
+    assert abs(np.trace(copies(0.9, 2)) - 1) < 1e-12
+    with pytest.raises(ValueError):
+        copies(0.5, 7)  # would need 14 qubits
+
+
+class TestGhzBasis:
+    def test_two_party_doublet(self):
+        basis = ghz_basis(2)
+        expected_plus = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        expected_minus = np.array([1, 0, 0, -1]) / math.sqrt(2)
+        np.testing.assert_allclose(basis[0], expected_plus, atol=1e-15)
+        np.testing.assert_allclose(basis[1], expected_minus, atol=1e-15)
+
+    def test_index_arithmetic_three_party(self):
+        # j = 1 (binary 01) pairs |010> with |101>; hand-computed oracle
+        basis = ghz_basis(3)
+        plus, minus = basis[2], basis[3]
+        assert abs(plus[0b010] - 1 / math.sqrt(2)) < 1e-15
+        assert abs(plus[0b101] - 1 / math.sqrt(2)) < 1e-15
+        assert abs(minus[0b101] + 1 / math.sqrt(2)) < 1e-15
+        assert np.count_nonzero(plus) == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gram_matrix_is_identity(self, n):
+        basis = np.column_stack(ghz_basis(n))
+        gram = basis.conj().T @ basis
+        np.testing.assert_allclose(gram, np.eye(2**n), atol=1e-12)
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            ghz_basis(1)
+        with pytest.raises(ValueError):
+            ghz_basis(13)
