@@ -1,7 +1,7 @@
 """bellctl: command-line front end for the workbench.
 
 One subcommand per claim cluster: `correlators` (the shared pair's
-two-party table and its CHSH-type checks), `analyze` (Bell-Mermin /
+two-party table and its CHSH quadruples), `analyze` (Bell-Mermin /
 Bell-Zukowski pipeline for N shared copies), `sweep` (visibility grid as
 CSV), `verify-appendix` (quadrature exactness, GHZ diagonality,
 step-function bounds), and `lhv` (local-model feasibility of a correlation
@@ -12,14 +12,16 @@ errors and unwritable output (a closed standard output included), 3 internal
 numerical failure.
 
 `lhv` parses its table, decides it (lhv.lhv_feasible) and checks the verdict's
-certificate (lhv.certify). `analyze`, `sweep`, `correlators`, usage errors
-and an infeasible `lhv` table import neither numpy nor inspect. numpy is
-loaded only by the two bulk kernels, on their first call: the witness rebuild
-of a feasible `lhv` verdict (lhv.witness_reconstruction_error) and the draw of
-`verify-appendix`. `correlators` reads its table from the pair's two
-amplitudes (mermin.pair_table); no subcommand builds a density matrix or a
-dense operator: `verify-appendix` checks the Bell-Zukowski quadrature and its
-GHZ diagonality on the operator's n + 1 distinct entries (bellbench.zukowski).
+certificate (lhv.certify); `correlators` reads its quadruples and their
+verdict from the same sign transform (lhv.quadruple_values, lhv.lhv_feasible).
+`analyze`, `sweep`, `correlators`, usage errors and an infeasible `lhv` table
+import neither numpy nor inspect. numpy is loaded only by the two bulk
+kernels, on their first call: the witness rebuild of a feasible `lhv` verdict
+(lhv.witness_reconstruction_error) and the draw of `verify-appendix`.
+`correlators` reads its table from the pair's two amplitudes
+(mermin.pair_table); no subcommand builds a density matrix or a dense
+operator: `verify-appendix` checks the Bell-Zukowski quadrature and its GHZ
+diagonality on the operator's n + 1 distinct entries (bellbench.zukowski).
 `verify-appendix` draws its random step functions from the standard library's
 Mersenne Twister, random.Random(--seed), whose stream does not depend on the
 platform; every integer seed is accepted, and Python seeds by the seed's
@@ -156,11 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_correlators(visibility: float) -> dict:
-    from .lhv import CorrelationTable, fine_quadruple, lhv_feasible
+    from .lhv import CorrelationTable, lhv_feasible, quadruple_values
 
     table = CorrelationTable(2, pair_table(visibility))
     e_xx, e_yy, e_xy, e_yx = (table.values[k] for k in ("XX", "YY", "XY", "YX"))
-    quadruples, fine_ok = fine_quadruple(e_xx, e_yy, e_xy, e_yx)
     verdict = lhv_feasible(table)
     return envelope(
         command="correlators",
@@ -170,12 +171,12 @@ def cmd_correlators(visibility: float) -> dict:
             "e_yy": e_yy,
             "e_xy": e_xy,
             "e_yx": e_yx,
-            "quadruples": list(quadruples),
-            "table": table.to_json_obj(),
+            "quadruples": quadruple_values(table),
+            "table": table.values,
             "lhv_residual": verdict.residual,
         },
         verdicts={
-            "quadruples_satisfied": fine_ok,
+            "quadruples_satisfied": verdict.feasible,  # the same polytope at two parties
             "lhv_feasible": verdict.feasible,
         },
     )

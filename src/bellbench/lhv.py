@@ -7,10 +7,11 @@ Y: the vector sigma * h_t, h_t the Hadamard column of signs s_k = a_k b_k. So
 the 4^n strategies give only 2^(n+1) vectors, and the local polytope is the
 cross-polytope sum_s |E_hat(s)| <= 2^n, the complete set of two-setting
 correlation inequalities (Werner & Wolf, PRA 64, 032112 (2001); Zukowski &
-Brukner, PRL 88, 210401 (2002)). lhv_feasible decides it in closed form and
-certify checks the certificate without the sign transform or the settings()
-order: a witness is rebuilt from its strategy labels, an inequality is
-evaluated on the table and maximised over every deterministic strategy.
+Brukner, PRL 88, 210401 (2002)), at two parties the CHSH quadruples
+(quadruple_values). lhv_feasible decides it in closed form and certify checks
+the certificate without the sign transform or the settings() order: a witness
+is rebuilt from its strategy labels, an inequality is evaluated on the table
+and maximised over every deterministic strategy.
 
 The decision is plain Python, its sums correctly rounded by math.fsum, so
 they do not depend on summation order. Only the witness rebuild, a blocked
@@ -30,7 +31,7 @@ import functools
 import math
 from operator import add, mul, sub
 
-from .mermin import BOUND_SLACK, COMPARISON_TOL, COMPLETE_SET_SLACK
+from .mermin import COMPARISON_TOL, COMPLETE_SET_SLACK
 
 # Looser than COMPLETE_SET_SLACK: lhv_feasible drops weights of up to 1e-12
 # each, at most 2^n + 2 of them, so a 12-party rebuild may be off by 4.1e-9.
@@ -41,15 +42,6 @@ RECONSTRUCTION_BLOCK = 256
 
 # Deletes the setting letters: a key string is valid iff nothing is left.
 _NOT_XY = str.maketrans("", "", "XY")
-
-# The four two-party combination checks, as sign patterns over
-# (E_xx, E_yy, E_xy, E_yx); each absolute combination is bounded by 2.
-QUADRUPLE_SIGNS = (
-    (1, -1, 1, 1),
-    (1, 1, -1, 1),
-    (1, 1, 1, -1),
-    (1, -1, -1, -1),
-)
 
 
 class CorrelationTable:
@@ -89,9 +81,6 @@ class CorrelationTable:
         """Values in setting order; index is the key read as binary, Y = 1."""
         return [self.values[k] for k in self.settings()]
 
-    def to_json_obj(self) -> dict[str, float]:
-        return {k: float(self.values[k]) for k in self.settings()}
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CorrelationTable":
         if not obj or not isinstance(obj, dict):
@@ -106,22 +95,6 @@ class CorrelationTable:
                     raise ValueError(f"correlator {key!r} is not a number")
                 values[str(key)] = float(val)
         return cls(n, values)
-
-
-def fine_quadruple(e_xx: float, e_yy: float, e_xy: float, e_yx: float):
-    """The four CHSH-type combination values and their joint verdict.
-
-    Values come back in the fixed order of QUADRUPLE_SIGNS; the verdict is
-    True iff every |combination| <= 2 (up to slack).
-    """
-    for name, e in (("xx", e_xx), ("yy", e_yy), ("xy", e_xy), ("yx", e_yx)):
-        if abs(e) > 1 + COMPARISON_TOL:
-            raise ValueError(f"correlator {name} = {e} outside [-1, 1]")
-    values = tuple(
-        abs(sxx * e_xx + syy * e_yy + sxy * e_xy + syx * e_yx)
-        for sxx, syy, sxy, syx in QUADRUPLE_SIGNS
-    )
-    return values, all(v <= 2 + BOUND_SLACK for v in values)
 
 
 def strategy_label(strategy) -> str:
@@ -144,6 +117,19 @@ def sign_transform(vector) -> list[float]:
     return out
 
 
+def _quadruple_order(hat: list[float]) -> list[float]:
+    """Two-party E_hat in CHSH-quadruple order: quadruple i reads E_hat(3 - i)."""
+    return hat[::-1]
+
+
+def quadruple_values(table: CorrelationTable) -> list[float]:
+    """The four CHSH quadruples of a two-party table, in report order, read
+    from its sign transform: |sum E_hat / 2 - E_hat(t)| for t = 3, 2, 1, 0."""
+    hat = sign_transform(table.vector())
+    half = math.fsum(hat) / 2
+    return [abs(half - x) for x in _quadruple_order(hat)]
+
+
 # witness: strategy label -> weight, or the violated inequality's report dict;
 # sign_sum: sum_s |E_hat(s)|, the left-hand side of the bound 2^n.
 FeasibilityVerdict = collections.namedtuple(
@@ -154,19 +140,17 @@ def _violated_inequality(table: CorrelationTable, hat: list[float]) -> dict:
     """A violated member of the complete set, in correlator coefficients.
 
     The inequality reads sum_key coefficients[key] * E[key] <= bound; value is
-    the left-hand side at the table, evaluated key by key. For two parties the
-    coefficient pattern reduces to one of the four quadruple checks
-    (quadruple_index, else None).
+    the left-hand side at the table, evaluated key by key. For two parties it
+    is the CHSH quadruple whose sign pattern has its odd sign where the signs
+    of E_hat do (quadruple_index; None when no sign is the odd one out).
     """
     coeffs = sign_transform([1.0 if x >= 0 else -1.0 for x in hat])
     coefficients = dict(zip(table.settings(), coeffs))
     quadruple_index = None
     if table.n_parties == 2:
-        # settings order XX, XY, YX, YY; quadruple patterns are over
-        # (xx, yy, xy, yx) up to overall sign and a factor 2^{n-1}.
-        pattern = tuple(coeffs[j] / 2 for j in (0, 3, 1, 2))
-        quadruple_index = next((i for i, q in enumerate(QUADRUPLE_SIGNS)
-                                if pattern in (q, tuple(-x for x in q))), None)
+        negative = [x < 0 for x in _quadruple_order(hat)]
+        if negative.count(True) in (1, 3):  # one sign is the odd one out
+            quadruple_index = negative.index(negative.count(True) == 1)
     return {
         "coefficients": coefficients,
         "value": math.fsum(map(mul, coefficients.values(),
@@ -296,8 +280,8 @@ __all__ = [
     "CorrelationTable",
     "FeasibilityVerdict",
     "certify",
-    "fine_quadruple",
     "lhv_feasible",
+    "quadruple_values",
     "sign_transform",
     "strategy_label",
     "witness_reconstruction_error",

@@ -175,6 +175,23 @@ def strategy_matrix(n: int) -> np.ndarray:
     return rows
 
 
+# The four two-party CHSH quadruples, as explicit sign patterns over
+# (E_xx, E_yy, E_xy, E_yx); a local table keeps each |combination| <= 2.
+QUADRUPLE_SIGNS = (
+    (1, -1, 1, 1),
+    (1, 1, -1, 1),
+    (1, 1, 1, -1),
+    (1, -1, -1, -1),
+)
+
+
+def chsh_quadruples(values: dict[str, float]) -> list[float]:
+    """|sxx E_xx + syy E_yy + sxy E_xy + syx E_yx| for each QUADRUPLE_SIGNS
+    pattern, in that order, summed term by term from left to right."""
+    e = [values[key] for key in ("XX", "YY", "XY", "YX")]
+    return [abs(sum(s * x for s, x in zip(signs, e))) for signs in QUADRUPLE_SIGNS]
+
+
 def lp_feasible(values: dict[str, float]) -> bool:
     """LP membership of a table, keyed by setting string, in the hull of the
     4^n strategies."""

@@ -24,7 +24,7 @@ from bellbench.zukowski import (
     sign_cos_step,
     z_prime_functional,
 )
-from bellbench.lhv import CorrelationTable, fine_quadruple, lhv_feasible
+from bellbench.lhv import CorrelationTable, lhv_feasible, quadruple_values
 from dense_oracle import (
     SETTING_PHASES,
     align_corner_phase,
@@ -40,7 +40,7 @@ from dense_oracle import (
     zukowski_aligned,
     zukowski_closed,
 )
-from lp_oracle import lp_feasible
+from lp_oracle import chsh_quadruples, lp_feasible
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 
@@ -65,11 +65,11 @@ def test_criterion_1_correlator_table():
         assert abs(correlation(rho, [y, y])) < 1e-12
         assert abs(correlation(rho, [x, y]) - v) < 1e-12
         assert abs(correlation(rho, [y, x]) - v) < 1e-12
-        values, ok = fine_quadruple(
-            correlation(rho, [x, x]), correlation(rho, [y, y]),
-            correlation(rho, [x, y]), correlation(rho, [y, x]))
+        table = CorrelationTable(2, full_correlation_table(rho, 2))
+        values = quadruple_values(table)
         np.testing.assert_allclose(values, (2 * v, 0, 0, 2 * v), atol=1e-12)
-        assert ok
+        np.testing.assert_allclose(values, chsh_quadruples(table.values), atol=1e-15)
+        assert lhv_feasible(table).feasible
     _report("criterion 1 (correlator table and quadruples): PASS")
 
 

@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import os
@@ -7,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,30 +16,18 @@ from bellbench.cli import (MAX_APPENDIX_CELLS, MAX_APPENDIX_GRID, cmd_correlator
 from bellbench.mermin import pair_table
 from bellbench.report import render_json
 from bellbench.zukowski import cell_weights
-from test_lhv import ghz_type_table, mixture_table, settings
+from helpers import ghz_type_table, mixture_table, run_main
+from lp_oracle import settings
 
 
 def table_json(table):
-    return json.dumps(table.to_json_obj())
+    return json.dumps(table.values)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_main(argv, stdin=""):
-    """Exit code, stdout and stderr of main(argv) reading `stdin`, usage
-    errors included."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch("sys.stdin", io.StringIO(stdin)):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects usage errors this way
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def unchunked_appendix_maxima(grid, trials, seed):

@@ -18,7 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from test_cli import run_main  # noqa: E402
+from helpers import run_main  # noqa: E402
 
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e309", "", "abc", "0x10", "1,2", "--", "1e-400"]
 HUGE_INTS = [str(10**12), str(2**63), str(10**40)]

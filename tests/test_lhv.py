@@ -1,19 +1,25 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from bellbench.lhv import (
     CorrelationTable,
-    fine_quadruple,
     lhv_feasible,
+    quadruple_values,
     sign_transform,
     strategy_label,
     witness_reconstruction_error,
 )
 from dense_oracle import copies, full_correlation_table, noisy_pair
-from lp_oracle import lp_feasible, strategy_matrix, witness_table
+from helpers import ghz_type_table, mixture_table
+from lp_oracle import (
+    QUADRUPLE_SIGNS,
+    chsh_quadruples,
+    lp_feasible,
+    strategy_matrix,
+    witness_table,
+)
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 
@@ -22,38 +28,18 @@ def pair_table(e_xx, e_xy, e_yx, e_yy):
     return CorrelationTable(2, {"XX": e_xx, "XY": e_xy, "YX": e_yx, "YY": e_yy})
 
 
-def settings(n):
-    return ["".join(c) for c in itertools.product("XY", repeat=n)]
-
-
-def mixture_table(rng, n):
-    """Random convex mixture of 2..2n+2 deterministic strategies: local by construction."""
-    count = int(rng.integers(2, 2 * n + 3))
-    weights = rng.uniform(0.05, 1.05, count)
-    weights /= weights.sum()
-    outcomes = rng.choice([-1.0, 1.0], size=(count, n, 2))
-    vector = sum(w * np.prod(np.array(np.meshgrid(*o, indexing="ij")), axis=0).ravel()
-                 for w, o in zip(weights, outcomes))
-    return CorrelationTable(n, dict(zip(settings(n), vector)))
-
-
-def ghz_type_table(rng, n, scale):
-    """scale * cos(phase + (#Y) pi/2), with random per-party X/Y swaps and sign flips.
-
-    Swaps and flips are local relabellings, so they keep the distance from
-    the local polytope; at scale 1 and phase pi/4 the table violates for n >= 2.
-    """
-    phase = math.pi / 4 + rng.uniform(-0.05, 0.05)
-    flips = rng.choice([-1, 1], size=(n, 2))
-    swaps = rng.random(n) < 0.5
-    values = {}
-    for key in settings(n):
-        y_count, sign = 0, 1
-        for k, setting in enumerate(key):
-            y_count += (setting == "Y") != swaps[k]
-            sign *= int(flips[k, int(setting == "Y")])
-        values[key] = scale * sign * math.cos(phase + y_count * math.pi / 2)
-    return CorrelationTable(n, values)
+def near_facet_table(rng):
+    """A two-party table with one CHSH quadruple within 1e-8 of its bound 2,
+    at a scale drawn from 1e-8 down to 1e-13, on either side."""
+    while True:
+        e = dict(zip(("XX", "YY", "XY", "YX"), 2 * rng.random(4) - 1))
+        signs = dict(zip(e, QUADRUPLE_SIGNS[rng.integers(4)]))
+        key = str(rng.choice(list(e)))
+        scale = 10.0 ** -rng.integers(8, 14)
+        target = rng.choice([-1, 1]) * (2 + rng.uniform(-scale, scale))
+        e[key] = (target - sum(signs[k] * e[k] for k in e if k != key)) / signs[key]
+        if abs(e[key]) <= 1:
+            return pair_table(e["XX"], e["XY"], e["YX"], e["YY"])
 
 
 def assert_witness_rebuilds(table, witness):
@@ -78,7 +64,7 @@ def assert_valid_witness(table):
 class TestCorrelationTable:
     def test_json_round_trip(self):
         table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
-        again = CorrelationTable.from_json_obj(table.to_json_obj())
+        again = CorrelationTable.from_json_obj(table.values)
         assert again.n_parties == 2
         assert again.values == pytest.approx(table.values)
 
@@ -102,25 +88,29 @@ class TestCorrelationTable:
 
 
 class TestFineQuadruple:
+    # bellbench reads the quadruples from the sign transform; lp_oracle sums
+    # the explicit sign patterns.
     def test_noisy_pair_pattern(self):
         for v in V_GRID:
-            values, ok = fine_quadruple(0.0, 0.0, v, v)
+            table = pair_table(0.0, v, v, 0.0)
+            values = quadruple_values(table)
             np.testing.assert_allclose(values, (2 * v, 0, 0, 2 * v), atol=1e-15)
-            assert ok
+            np.testing.assert_allclose(values, chsh_quadruples(table.values), atol=1e-15)
 
     def test_extreme_point_violates(self):
-        values, ok = fine_quadruple(1.0, -1.0, 1.0, 1.0)
-        assert values[0] == 4
-        assert not ok
+        table = pair_table(1.0, 1.0, 1.0, -1.0)
+        assert quadruple_values(table) == chsh_quadruples(table.values) == [4, 0, 0, 0]
+        assert not lhv_feasible(table).feasible
 
     def test_all_zero(self):
-        values, ok = fine_quadruple(0.0, 0.0, 0.0, 0.0)
-        assert values == (0, 0, 0, 0)
-        assert ok
+        table = pair_table(0.0, 0.0, 0.0, 0.0)
+        assert quadruple_values(table) == chsh_quadruples(table.values) == [0, 0, 0, 0]
+        assert lhv_feasible(table).feasible
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            fine_quadruple(1.5, 0, 0, 0)
+        # The table's own range check is the only one on the way in.
+        with pytest.raises(ValueError, match="outside"):
+            pair_table(1.5, 0.0, 0.0, 0.0)
 
 
 class TestStrategies:
@@ -175,12 +165,23 @@ class TestCompleteSet:
         assert lhv_feasible(pair_table(0.0, 0.0, 0.0, 0.0)).feasible
 
     def test_matches_quadruples_exactly_at_two_parties(self):
+        # Uniform tables, and tables with one quadruple within 1e-8 of 2:
+        # the transform's quadruples match the explicit patterns, and an
+        # infeasible table names the one pattern that exceeds 2.
         rng = np.random.default_rng(99)
-        for _ in range(300):
-            e = 2 * rng.random(4) - 1
-            table = pair_table(*e)
-            _, quad_ok = fine_quadruple(e[0], e[3], e[1], e[2])
-            assert quad_ok == lhv_feasible(table).feasible
+        tables = [pair_table(*(2 * rng.random(4) - 1)) for _ in range(300)]
+        tables += [near_facet_table(rng) for _ in range(2000)]
+        infeasible = 0
+        for table in tables:
+            expected = chsh_quadruples(table.values)
+            np.testing.assert_allclose(quadruple_values(table), expected, rtol=0, atol=1e-15)
+            verdict = lhv_feasible(table)
+            assert verdict.feasible == (max(expected) <= 2 + 5e-10)
+            if not verdict.feasible:
+                infeasible += 1
+                assert [i for i, q in enumerate(expected) if q > 2] == \
+                    [verdict.witness["quadruple_index"]]
+        assert 100 < infeasible < len(tables) - 100
 
 
 class TestFeasibility:

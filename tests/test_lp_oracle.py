@@ -1,6 +1,6 @@
 """Checks of tests/lp_oracle.py on its own: the phase-1 simplex, the
-deterministic strategies and their correlator matrix, and the witness
-rebuild. The comparisons of bellbench.lhv with this oracle are in
+deterministic strategies and their correlator matrix, the witness
+rebuild and the explicit CHSH sign patterns. The comparisons of bellbench.lhv with this oracle are in
 tests/test_lhv.py.
 """
 
@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from lp_oracle import (
+    QUADRUPLE_SIGNS,
     SimplexError,
+    chsh_quadruples,
     enumerate_strategies,
     phase1_feasibility,
     settings,
@@ -175,3 +177,28 @@ class TestWitnessTable:
         for bad in ("++", "++,+", "++,+0", "++,++,++", "+-+,+"):
             with pytest.raises(ValueError):
                 witness_table({bad: 1.0}, 2)
+
+
+class TestChshQuadruples:
+    def test_hand_values(self):
+        # 0.1 XX + 0.2 XY + 0.3 YX + 0.4 YY through each explicit pattern
+        table = {"XX": 0.1, "XY": 0.2, "YX": 0.3, "YY": 0.4}
+        expected = [abs(0.1 - 0.4 + 0.2 + 0.3), abs(0.1 + 0.4 - 0.2 + 0.3),
+                    abs(0.1 + 0.4 + 0.2 - 0.3), abs(0.1 - 0.4 - 0.2 - 0.3)]
+        assert chsh_quadruples(table) == expected
+
+    def test_pr_box_violates_the_first_pattern_only(self):
+        assert chsh_quadruples({"XX": 1, "XY": 1, "YX": 1, "YY": -1}) == [4, 0, 0, 0]
+
+    def test_every_pattern_is_a_tight_local_bound(self):
+        # Over the 16 deterministic strategies each quadruple reaches 2 and
+        # never exceeds it.
+        values = [chsh_quadruples(strategy_correlations(s)) for s in enumerate_strategies(2)]
+        assert [max(column) for column in zip(*values)] == [2.0] * len(QUADRUPLE_SIGNS)
+
+    def test_patterns_are_the_odd_sign_patterns(self):
+        # Each pattern, up to overall sign, has exactly one entry that
+        # differs from the other three, and the four patterns are distinct.
+        for signs in QUADRUPLE_SIGNS:
+            assert sorted(signs.count(s) for s in (1, -1)) == [1, 3]
+        assert len({min(signs, tuple(-s for s in signs)) for signs in QUADRUPLE_SIGNS}) == 4

@@ -32,7 +32,7 @@ from dense_oracle import (
     site_pair,
     tensor_all,
 )
-from test_cli import run_main
+from helpers import run_main
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 
