@@ -11,9 +11,11 @@ Exit codes: 0 success (verdicts are data, not errors), 2 usage or parse
 errors and unwritable output (a closed standard output included), 3 internal
 numerical failure.
 
-`lhv` parses its table, decides it (lhv.lhv_feasible) and checks the verdict's
-certificate (lhv.certify); `correlators` reads its quadruples and their
-verdict from the same sign transform (lhv.quadruple_values, lhv.lhv_feasible).
+`lhv` reads at most MAX_LHV_INPUT_CHARS characters, rejects a repeated JSON
+key, builds its table (lhv.CorrelationTable, the only check of a table),
+decides it (lhv.lhv_feasible) and checks the verdict's certificate
+(lhv.certify); `correlators` reads its quadruples and their verdict from the
+same sign transform (lhv.quadruple_values, lhv.lhv_feasible).
 `analyze`, `sweep`, `correlators`, usage errors and an infeasible `lhv` table
 import neither numpy nor inspect. numpy is loaded only by the two bulk
 kernels, on their first call: the witness rebuild of a feasible `lhv` verdict
@@ -70,6 +72,8 @@ MAX_APPENDIX_GRID = 2**12
 # Signs drawn and reduced at a time (rounded to whole trials and generator
 # words), so memory stays bounded however many trials are requested.
 APPENDIX_CHUNK_CELLS = 2**16
+# Characters `lhv` reads; a 12-party table at full precision is about 152 KiB.
+MAX_LHV_INPUT_CHARS = 2**24
 
 
 class CliError(Exception):
@@ -160,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_correlators(visibility: float) -> dict:
     from .lhv import CorrelationTable, lhv_feasible, quadruple_values
 
-    table = CorrelationTable(2, pair_table(visibility))
+    table = CorrelationTable(pair_table(visibility))
     e_xx, e_yy, e_xy, e_yx = (table.values[k] for k in ("XX", "YY", "XY", "YX"))
     verdict = lhv_feasible(table)
     return envelope(
@@ -359,6 +363,18 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json.loads object hook: the object, or CliError naming a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise CliError(f"invalid correlation table: repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def load_table(text: str):
     """The CorrelationTable in `text`: a bare table, or a correlators report."""
     from .lhv import CorrelationTable
@@ -367,14 +383,14 @@ def load_table(text: str):
     # over Python's digit limit, RecursionError on too deep a nesting; float()
     # raises OverflowError on an integer too large for a float.
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise CliError(f"invalid JSON: {exc}")
     if isinstance(obj, dict) and isinstance(obj.get("results"), dict) \
             and isinstance(obj["results"].get("table"), dict):
         obj = obj["results"]["table"]
     try:
-        return CorrelationTable.from_json_obj(obj)
+        return CorrelationTable(obj)
     except (ValueError, TypeError, OverflowError) as exc:
         raise CliError(f"invalid correlation table: {exc}")
 
@@ -383,10 +399,7 @@ def cmd_lhv(text: str) -> dict:
     from .lhv import certify, lhv_feasible
 
     table = load_table(text)
-    try:
-        verdict = lhv_feasible(table)
-    except ValueError as exc:  # the party cap
-        raise CliError(str(exc))
+    verdict = lhv_feasible(table)
     certificate, certified = certify(table, verdict)
     return envelope(
         command="lhv",
@@ -407,14 +420,20 @@ def cmd_lhv(text: str) -> dict:
 
 
 def _read_input(path: str | None) -> str:
-    """Table text from PATH, or from standard input when PATH is None."""
+    """Table text from PATH, or from standard input when PATH is None, of at
+    most MAX_LHV_INPUT_CHARS characters."""
+    source = "standard input" if path is None else path
     try:
         if path is None:
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = sys.stdin.read(MAX_LHV_INPUT_CHARS + 1)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read(MAX_LHV_INPUT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {'standard input' if path is None else path}: {exc}")
+        raise CliError(f"cannot read {source}: {exc}")
+    if len(text) > MAX_LHV_INPUT_CHARS:
+        raise CliError(f"{source} exceeds the {MAX_LHV_INPUT_CHARS}-character input cap")
+    return text
 
 
 def _write_output(path: str | None, text: str) -> None:

@@ -17,11 +17,13 @@ The decision is plain Python, its sums correctly rounded by math.fsum, so
 they do not depend on summation order. Only the witness rebuild, a blocked
 Kronecker product, imports numpy, on its first call.
 
-Per-entry work runs as whole-table passes over builtins: a table is accepted
-by its set of key lengths, one translate of the joined keys, isfinite and the
-largest |E| over all values; witness labels are parsed by one split of their
-join. Only a table that fails its pass is read entry by entry, so the error
-names its first offending entry in input order; a witness that fails is rejected.
+A table is checked once, by the CorrelationTable constructor, which reads n
+from the first key and holds the party cap. Per-entry work runs as whole-table
+passes over builtins: a table is accepted by its set of key lengths, one
+translate of the joined keys, isfinite and the largest |E| over all values;
+witness labels are parsed by one split of their join. Only a table that fails
+its pass is read entry by entry, so the error names its first offending entry
+in input order; a witness that fails is rejected.
 """
 
 from __future__ import annotations
@@ -53,14 +55,25 @@ class CorrelationTable:
 
     __slots__ = ("n_parties", "values")
 
-    def __init__(self, n_parties: int, values: dict[str, float]):
-        self.n_parties = n = n_parties
+    def __init__(self, values: dict[str, float]):
+        if not values or not isinstance(values, dict):
+            raise ValueError("correlation table must be a non-empty JSON object")
+        if set(map(type, values.values())) <= {int, float}:
+            values = dict(zip(map(str, values), map(float, values.values())))
+        else:  # name the first entry that is not a number
+            numbers = {}
+            for key, val in values.items():
+                if not isinstance(val, (int, float)) or isinstance(val, bool):
+                    raise ValueError(f"correlator {key!r} is not a number")
+                numbers[str(key)] = float(val)
+            values = numbers
+        self.n_parties = n = len(next(iter(values)))
         self.values = values
         if n < 1:
             raise ValueError(f"need at least one party, got {n}")
+        if n > MAX_TRANSFORM_PARTIES:  # before 2**n, which may have too many digits to print
+            raise ValueError(f"key length {n} exceeds the {MAX_TRANSFORM_PARTIES}-party cap")
         if len(values) != 2**n:
-            if n > MAX_TRANSFORM_PARTIES:  # 2**n may have too many digits to print
-                raise ValueError(f"key length {n} exceeds the {MAX_TRANSFORM_PARTIES}-party cap")
             raise ValueError(f"expected {2**n} entries, got {len(values)}")
         if set(map(len, values)) == {n} and not "".join(values).translate(_NOT_XY) \
                 and all(map(math.isfinite, values.values())) \
@@ -80,28 +93,6 @@ class CorrelationTable:
     def vector(self) -> list[float]:
         """Values in setting order; index is the key read as binary, Y = 1."""
         return [self.values[k] for k in self.settings()]
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CorrelationTable":
-        if not obj or not isinstance(obj, dict):
-            raise ValueError("correlation table must be a non-empty JSON object")
-        n = len(next(iter(obj)))
-        if set(map(type, obj.values())) <= {int, float}:
-            values = dict(zip(map(str, obj), map(float, obj.values())))
-        else:  # name the first entry that is not a number
-            values = {}
-            for key, val in obj.items():
-                if not isinstance(val, (int, float)) or isinstance(val, bool):
-                    raise ValueError(f"correlator {key!r} is not a number")
-                values[str(key)] = float(val)
-        return cls(n, values)
-
-
-def strategy_label(strategy) -> str:
-    """Deterministic witness key, e.g. '+-,++' for ((+1,-1), (+1,+1))."""
-    return ",".join(
-        ("+" if x > 0 else "-") + ("+" if y > 0 else "-") for x, y in strategy
-    )
 
 
 def sign_transform(vector) -> list[float]:
@@ -183,12 +174,9 @@ def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
     is split evenly between +h_0 and -h_0, which cancel. Weights at or below
     1e-12 are dropped. Infeasible: the witness is a violated complete-set
     inequality. The residual is the cross-polytope excess
-    max(0, sum|E_hat|/2^n - 1). Raises ValueError above
-    MAX_TRANSFORM_PARTIES parties.
+    max(0, sum|E_hat|/2^n - 1).
     """
     n = table.n_parties
-    if n > MAX_TRANSFORM_PARTIES:
-        raise ValueError(f"sign transform capped at {MAX_TRANSFORM_PARTIES} parties")
     hat = sign_transform(table.vector())
     scale = float(2**n)
     total = math.fsum(map(abs, hat))
@@ -225,7 +213,7 @@ def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, flo
     CorrelationTable.settings(), whose order the sign transform reads.
     Returns the largest of the max correlator deviation, |total weight - 1|
     and the most negative weight. Raises ValueError unless every label is an
-    n-party strategy as strategy_label spells it.
+    n-party strategy as lhv_feasible spells it.
     """
     import numpy as np
 
@@ -283,6 +271,5 @@ __all__ = [
     "lhv_feasible",
     "quadruple_values",
     "sign_transform",
-    "strategy_label",
     "witness_reconstruction_error",
 ]

@@ -216,6 +216,11 @@ def in_ghz_basis(n: int, op: np.ndarray) -> np.ndarray:
     return basis.conj().T @ op @ basis
 
 
+def ghz_diagonal(n: int, op: np.ndarray) -> np.ndarray:
+    """Real part of the diagonal of op in the GHZ basis."""
+    return np.real(np.diag(in_ghz_basis(n, op)))
+
+
 def dense_ghz_offdiagonal_max(n: int, op: np.ndarray | None = None) -> float:
     """Largest off-diagonal magnitude of op in the GHZ basis.
 

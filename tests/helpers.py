@@ -36,7 +36,7 @@ def mixture_table(rng, n):
     outcomes = rng.choice([-1.0, 1.0], size=(count, n, 2))
     vector = sum(w * np.prod(np.array(np.meshgrid(*o, indexing="ij")), axis=0).ravel()
                  for w, o in zip(weights, outcomes))
-    return CorrelationTable(n, dict(zip(settings(n), vector)))
+    return CorrelationTable(dict(zip(settings(n), vector)))
 
 
 def ghz_type_table(rng, n, scale):
@@ -55,4 +55,4 @@ def ghz_type_table(rng, n, scale):
             y_count += (setting == "Y") != swaps[k]
             sign *= int(flips[k, int(setting == "Y")])
         values[key] = scale * sign * math.cos(phase + y_count * math.pi / 2)
-    return CorrelationTable(n, values)
+    return CorrelationTable(values)

@@ -65,7 +65,7 @@ def test_criterion_1_correlator_table():
         assert abs(correlation(rho, [y, y])) < 1e-12
         assert abs(correlation(rho, [x, y]) - v) < 1e-12
         assert abs(correlation(rho, [y, x]) - v) < 1e-12
-        table = CorrelationTable(2, full_correlation_table(rho, 2))
+        table = CorrelationTable(full_correlation_table(rho, 2))
         values = quadruple_values(table)
         np.testing.assert_allclose(values, (2 * v, 0, 0, 2 * v), atol=1e-12)
         np.testing.assert_allclose(values, chsh_quadruples(table.values), atol=1e-15)
@@ -138,12 +138,12 @@ def test_criterion_5_thresholds():
 
 def test_criterion_6_lhv_oracle_with_conflict():
     for v in V_GRID:
-        assert lhv_feasible(CorrelationTable(2, full_correlation_table(noisy_pair(v), 2))).feasible
-        assert lhv_feasible(CorrelationTable(4, full_correlation_table(copies(v, 2), 4))).feasible
+        assert lhv_feasible(CorrelationTable(full_correlation_table(noisy_pair(v), 2))).feasible
+        assert lhv_feasible(CorrelationTable(full_correlation_table(copies(v, 2), 4))).feasible
     # the central conflict, as one combined check at V = 1, N = 2:
     # the measured data admits a local model, yet the computed Zukowski
     # average violates its bound
-    table = CorrelationTable(4, full_correlation_table(copies(1.0, 2), 4))
+    table = CorrelationTable(full_correlation_table(copies(1.0, 2), 4))
     feasible = lhv_feasible(table).feasible
     violated = not local_bound_check(zukowski_from_mermin(1.0, 2))
     assert feasible and violated
@@ -156,11 +156,11 @@ def test_criterion_7_oracle_agreement():
     rng = np.random.default_rng(2024)
     for _ in range(500):
         values = dict(zip(["XX", "XY", "YX", "YY"], 2 * rng.random(4) - 1))
-        assert lhv_feasible(CorrelationTable(2, values)).feasible == lp_feasible(values)
+        assert lhv_feasible(CorrelationTable(values)).feasible == lp_feasible(values)
     keys3 = sorted("".join(c) for c in itertools.product("XY", repeat=3))
     for _ in range(100):
         values = dict(zip(keys3, 2 * rng.random(8) - 1))
-        assert lhv_feasible(CorrelationTable(3, values)).feasible == lp_feasible(values)
+        assert lhv_feasible(CorrelationTable(values)).feasible == lp_feasible(values)
     _report("criterion 7 (LP vs complete-set agreement, 600 tables): PASS")
 
 

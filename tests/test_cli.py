@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import bellbench
-from bellbench.cli import (MAX_APPENDIX_CELLS, MAX_APPENDIX_GRID, cmd_correlators, main,
-                           sweep_grid)
+from bellbench.cli import (MAX_APPENDIX_CELLS, MAX_APPENDIX_GRID, MAX_LHV_INPUT_CHARS,
+                           cmd_correlators, main, sweep_grid)
 from bellbench.mermin import pair_table
 from bellbench.report import render_json
 from bellbench.zukowski import cell_weights
@@ -419,9 +419,13 @@ class TestLhv:
          "correlator YX = 1.0000000002 outside [-1, 1]"),
         # 2**15000 has more digits than Python converts to a string by default.
         (json.dumps({"X" * 15000: 0.5}), "key length 15000 exceeds the 12-party cap"),
+        # A valid table over the cap gets the same message.
+        (json.dumps(dict.fromkeys(settings(13), 0.0)), "key length 13 exceeds the 12-party cap"),
+        ('{"X": 0.1, "X": 0.9, "Y": 0}', "repeated key 'X'"),
     ], ids=["bad-key", "ragged-keys", "string", "true", "out-of-range", "1e400",
             "out-of-range-before-bad-key", "value-before-later-key", "key-before-later-value",
-            "non-number-after-overflow", "first-of-two-out-of-range", "long-key"])
+            "non-number-after-overflow", "first-of-two-out-of-range", "long-key",
+            "valid-13-party", "repeated-key"])
     def test_malformed_table_message_names_first_offending_entry(self, text, message):
         assert run_main(["lhv"], stdin=text) == \
             (2, "", f"bellctl: error: invalid correlation table: {message}\n")
@@ -464,10 +468,28 @@ class TestLhv:
         path = tmp_path / "t13.json"
         path.write_text(json.dumps(dict.fromkeys(settings(13), 0.0)))
         code, out, err = run_cli(capsys, "lhv", "--input", str(path))
-        assert code == 2
-        assert out == ""
-        assert "capped at 12 parties" in err
-        assert "Traceback" not in err
+        assert (code, out, err) == (2, "", "bellctl: error: invalid correlation table: "
+                                           "key length 13 exceeds the 12-party cap\n")
+
+    # A valid table after leading whitespace, `size` characters in all; standard
+    # input reads it from a file, so the test holds no second copy.
+    @pytest.mark.parametrize("size", [MAX_LHV_INPUT_CHARS, MAX_LHV_INPUT_CHARS + 1],
+                             ids=["at-cap", "over-cap"])
+    @pytest.mark.parametrize("source", ["stdin", "input"])
+    def test_input_cap(self, capsys, monkeypatch, tmp_path, source, size):
+        table = '{"X": 0.3, "Y": -0.2}'
+        path = tmp_path / "padded.json"
+        path.write_text(" " * (size - len(table)) + table)
+        argv = ["lhv"] if source == "stdin" else ["lhv", "--input", str(path)]
+        with path.open(encoding="utf-8") as fh:
+            monkeypatch.setattr("sys.stdin", fh)
+            code, out, err = run_cli(capsys, *argv)
+        if size == MAX_LHV_INPUT_CHARS:
+            assert (code, out, err) == run_main(["lhv"], stdin=table)
+        else:
+            name = "standard input" if source == "stdin" else path
+            assert (code, out, err) == (2, "", f"bellctl: error: {name} exceeds the "
+                                               f"{MAX_LHV_INPUT_CHARS}-character input cap\n")
 
     def test_zero_party_table_exits_2(self):
         code, out, err = run_main(["lhv"], stdin='{"": 0.5}')

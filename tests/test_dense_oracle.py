@@ -1,8 +1,9 @@
 """Checks of tests/dense_oracle.py on its own: that it imports nothing from
 bellbench, its dense linear algebra, the noisy pair, its copies, the GHZ
-basis, its phase observables and its correlators. Its Bell-Mermin recursion
-is checked in test_mermin.py and its dense Bell-Zukowski forms in
-test_zukowski.py, next to the tests that compare bellbench with them.
+basis, its phase observables, its correlators and its dense Bell-Zukowski
+forms (closed, quadrature and aligned). Its Bell-Mermin recursion is checked
+in test_mermin.py, and the dense routes are compared with bellbench in
+test_mermin.py and test_zukowski.py.
 """
 
 import ast
@@ -23,16 +24,20 @@ from dense_oracle import (
     bell_pair,
     copies,
     correlation,
+    dense_ghz_offdiagonal_max,
     expectation,
     full_correlation_table,
     ghz_basis,
+    ghz_diagonal,
     hermitian_split,
     mermin_closed_form,
     noisy_pair,
     phase_observable,
     projector,
     tensor,
+    zukowski_aligned,
     zukowski_closed,
+    zukowski_quadrature,
 )
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
@@ -319,3 +324,65 @@ class TestCorrelationTable:
         assert len(table) == 16
         assert abs(table["XYXY"] - 0.81) < 1e-12
         assert abs(table["XXXY"]) < 1e-12
+
+
+# --- the dense Bell-Zukowski forms ------------------------------------------
+
+
+class TestOperatorForms:
+    def test_closed_form_eigenvalues(self):
+        for n in (2, 3, 4):
+            eigs = np.linalg.eigvalsh(zukowski_closed(n))
+            top = 0.5 * (math.pi / 2) ** n
+            assert abs(eigs[-1] - top) < 1e-12
+            assert abs(eigs[0] + top) < 1e-12
+            assert np.abs(eigs[1:-1]).max() < 1e-12
+
+    def test_closed_form_trace(self):
+        for n in (2, 3):
+            assert abs(np.trace(zukowski_closed(n))) < 1e-14
+
+    def test_minus_doublet_value(self):
+        for n in (2, 3):
+            minus = ghz_basis(n)[1]
+            val = (minus.conj() @ zukowski_closed(n) @ minus).real
+            assert abs(val + 0.5 * (math.pi / 2) ** n) < 1e-12
+
+    def test_quadrature_against_dense_grid_oracle(self):
+        # independent oracle: walk the full 2-d midpoint grid
+        from dense_oracle import phase_observable
+
+        m = 16
+        nodes = (np.arange(m) + 0.5) * math.pi / m
+        acc = np.zeros((4, 4), dtype=complex)
+        for p1 in nodes:
+            for p2 in nodes:
+                acc += (math.pi / m) ** 2 * math.cos(p1 + p2) * np.kron(
+                    phase_observable(p1), phase_observable(p2))
+        acc /= 4
+        np.testing.assert_allclose(zukowski_quadrature(2, m), acc, atol=1e-13)
+
+    def test_ghz_diagonality_of_quadrature_matrix(self):
+        # the integral route is diagonal in the GHZ basis on its own
+        for n in (2, 3):
+            op = zukowski_quadrature(n, nodes_per_axis=8)
+            assert dense_ghz_offdiagonal_max(n, op) < 1e-12
+            diag = ghz_diagonal(n, op)
+            assert np.abs(diag[2:]).max() < 1e-12
+
+    def test_site_count_validation(self):
+        for bad in (1, 13):
+            with pytest.raises(ValueError):
+                zukowski_closed(bad)
+        with pytest.raises(ValueError):
+            zukowski_quadrature(2, nodes_per_axis=1)
+
+
+def test_aligned_operator_matches_closed_up_to_corner_phase():
+    for n_copies in (1, 2):
+        a = zukowski_aligned(n_copies)
+        c = zukowski_closed(2 * n_copies)
+        assert abs(abs(a[0, -1]) - abs(c[0, -1])) < 1e-14
+        mask = np.ones_like(a, dtype=bool)
+        mask[0, -1] = mask[-1, 0] = False
+        np.testing.assert_allclose(a[mask], c[mask], atol=1e-14)

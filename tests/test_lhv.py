@@ -8,7 +8,6 @@ from bellbench.lhv import (
     lhv_feasible,
     quadruple_values,
     sign_transform,
-    strategy_label,
     witness_reconstruction_error,
 )
 from dense_oracle import copies, full_correlation_table, noisy_pair
@@ -25,7 +24,7 @@ V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 
 
 def pair_table(e_xx, e_xy, e_yx, e_yy):
-    return CorrelationTable(2, {"XX": e_xx, "XY": e_xy, "YX": e_yx, "YY": e_yy})
+    return CorrelationTable({"XX": e_xx, "XY": e_xy, "YX": e_yx, "YY": e_yy})
 
 
 def near_facet_table(rng):
@@ -63,28 +62,26 @@ def assert_valid_witness(table):
 
 class TestCorrelationTable:
     def test_json_round_trip(self):
-        table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
-        again = CorrelationTable.from_json_obj(table.values)
+        table = CorrelationTable(full_correlation_table(noisy_pair(0.5), 2))
+        again = CorrelationTable(table.values)
         assert again.n_parties == 2
         assert again.values == pytest.approx(table.values)
 
     def test_settings_sorted(self):
-        table = CorrelationTable(2, full_correlation_table(noisy_pair(0.5), 2))
+        table = CorrelationTable(full_correlation_table(noisy_pair(0.5), 2))
         assert table.settings() == ["XX", "XY", "YX", "YY"]
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):
-            CorrelationTable(2, {"XX": 0.0})
+            CorrelationTable({"XX": 0.0})
         with pytest.raises(ValueError):
-            CorrelationTable(1, {"X": 1.5, "Y": 0.0})
+            CorrelationTable({"X": 1.5, "Y": 0.0})
         with pytest.raises(ValueError):
-            CorrelationTable(1, {"X": 0.0, "Z": 0.0})
+            CorrelationTable({"X": 0.0, "Z": 0.0})
 
     def test_rejects_zero_parties(self):
         with pytest.raises(ValueError, match="at least one party"):
-            CorrelationTable(0, {"": 0.5})
-        with pytest.raises(ValueError, match="at least one party"):
-            CorrelationTable.from_json_obj({"": 0.5})
+            CorrelationTable({"": 0.5})
 
 
 class TestFineQuadruple:
@@ -111,11 +108,6 @@ class TestFineQuadruple:
         # The table's own range check is the only one on the way in.
         with pytest.raises(ValueError, match="outside"):
             pair_table(1.5, 0.0, 0.0, 0.0)
-
-
-class TestStrategies:
-    def test_labels(self):
-        assert strategy_label(((1, -1), (-1, -1))) == "+-,--"
 
 
 class TestSignTransform:
@@ -187,13 +179,13 @@ class TestCompleteSet:
 class TestFeasibility:
     def test_quantum_pair_tables_feasible(self):
         for v in V_GRID:
-            verdict = lhv_feasible(CorrelationTable(2, full_correlation_table(noisy_pair(v), 2)))
+            verdict = lhv_feasible(CorrelationTable(full_correlation_table(noisy_pair(v), 2)))
             assert verdict.feasible
             assert verdict.residual <= 1e-9
 
     def test_two_copy_tables_feasible(self):
         for v in V_GRID:
-            verdict = lhv_feasible(CorrelationTable(4, full_correlation_table(copies(v, 2), 4)))
+            verdict = lhv_feasible(CorrelationTable(full_correlation_table(copies(v, 2), 4)))
             assert verdict.feasible
 
     def test_extreme_point_infeasible_with_quadruple_witness(self):
@@ -205,7 +197,7 @@ class TestFeasibility:
 
     def test_witness_reconstructs_table(self):
         for v in V_GRID:
-            assert_valid_witness(CorrelationTable(2, full_correlation_table(noisy_pair(v), 2)))
+            assert_valid_witness(CorrelationTable(full_correlation_table(noisy_pair(v), 2)))
 
     @staticmethod
     def assert_certificate_agrees(table):
@@ -229,7 +221,7 @@ class TestFeasibility:
         for _ in range(100):
             vals = 2 * rng.random(8) - 1
             keys = sorted("".join(c) for c in itertools.product("XY", repeat=3))
-            self.assert_certificate_agrees(CorrelationTable(3, dict(zip(keys, vals))))
+            self.assert_certificate_agrees(CorrelationTable(dict(zip(keys, vals))))
 
     def test_mixtures_of_feasible_tables_are_feasible(self):
         rng = np.random.default_rng(77)
@@ -241,14 +233,13 @@ class TestFeasibility:
             w1, w2 = w1 / w1.sum(), w2 / w2.sum()
             lam = rng.random()
             mixed = matrix @ (lam * w1 + (1 - lam) * w2)
-            table = CorrelationTable(2, dict(zip(keys, mixed)))
+            table = CorrelationTable(dict(zip(keys, mixed)))
             assert lhv_feasible(table).feasible
 
     def test_party_cap(self):
         keys = ["".join(c) for c in itertools.product("XY", repeat=13)]
-        table = CorrelationTable(13, {k: 0.0 for k in keys})
-        with pytest.raises(ValueError):
-            lhv_feasible(table)
+        with pytest.raises(ValueError, match="key length 13 exceeds the 12-party cap"):
+            CorrelationTable({k: 0.0 for k in keys})
 
 
 class TestClosedFormWitness:
@@ -263,7 +254,7 @@ class TestClosedFormWitness:
         rng = np.random.default_rng(2000 + n)
         unit = ghz_type_table(rng, n, 1.0)
         inside = 0.99 * 2**n / lhv_feasible(unit).sign_sum
-        table = CorrelationTable(n, {k: inside * v for k, v in unit.values.items()})
+        table = CorrelationTable({k: inside * v for k, v in unit.values.items()})
         verdict = assert_valid_witness(table)
         assert verdict.residual == 0.0
 
@@ -303,7 +294,7 @@ class TestClosedFormWitness:
             # Scales on both sides of the bound, never within 1% of it.
             ratio = rng.choice([-1, 1]) * rng.uniform(0.01, 0.2)
             scale = min(1.0, (1 + ratio) * 2**n / lhv_feasible(unit).sign_sum)
-            tables.append(CorrelationTable(n, {k: scale * v for k, v in unit.values.items()}))
+            tables.append(CorrelationTable({k: scale * v for k, v in unit.values.items()}))
         verdicts = [lhv_feasible(t).feasible for t in tables]
         assert verdicts == [lp_feasible(t.values) for t in tables]
         assert any(verdicts) and not all(verdicts)
