@@ -364,7 +364,7 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
 
 
 def _unique_keys(pairs: list) -> dict:
-    """json.loads object hook: the object, or CliError naming a repeated key."""
+    """JSON object hook: the object, or CliError naming a repeated key."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         seen = set()
@@ -375,15 +375,21 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+# Built once: json.loads given a hook builds a new decoder on every call.
+_TABLE_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_table(text: str):
     """The CorrelationTable in `text`: a bare table, or a correlators report."""
     from .lhv import CorrelationTable
 
-    # json.loads raises ValueError on malformed text and on integer literals
+    # The decoder raises ValueError on malformed text and on integer literals
     # over Python's digit limit, RecursionError on too deep a nesting; float()
     # raises OverflowError on an integer too large for a float.
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # json.loads' own check, which decode() skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _TABLE_DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         raise CliError(f"invalid JSON: {exc}")
     if isinstance(obj, dict) and isinstance(obj.get("results"), dict) \

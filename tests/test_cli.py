@@ -393,7 +393,8 @@ class TestLhv:
         # literal and reject it as a table instead.
         ('{"XX": 1' + "0" * 5000 + "}", "bellctl: error: invalid "),
         ('{"XX": 1' + "0" * 400 + ', "XY": 0, "YX": 0, "YY": 0}', "invalid correlation table"),
-    ], ids=["deep-nesting", "int-over-digit-limit", "int-over-float-range"])
+        ('\ufeff{"X": 0.5, "Y": 0}', "invalid JSON: Unexpected UTF-8 BOM"),
+    ], ids=["deep-nesting", "int-over-digit-limit", "int-over-float-range", "byte-order-mark"])
     def test_unparseable_numbers_and_nesting_exit_2(self, text, message):
         code, out, err = run_main(["lhv"], stdin=text)
         assert code == 2
