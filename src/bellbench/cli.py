@@ -17,20 +17,15 @@ decides it (lhv.lhv_feasible) and checks the verdict's certificate
 (lhv.certify); `correlators` reads its quadruples and their verdict from the
 same sign transform (lhv.quadruple_values, lhv.lhv_feasible).
 `analyze`, `sweep`, `correlators`, usage errors and an infeasible `lhv` table
-import neither numpy nor inspect. numpy is loaded only by the two bulk
-kernels, on their first call: the witness rebuild of a feasible `lhv` verdict
-(lhv.witness_reconstruction_error) and the draw of `verify-appendix`.
+import neither numpy nor inspect nor the appendix layer, bellbench.zukowski.
+numpy is loaded only by two functions, on their first call: the witness
+rebuild of a feasible `lhv` verdict (lhv.witness_reconstruction_error) and
+the step-function draw of `verify-appendix` (zukowski.sampled_maxima).
 `correlators` reads its table from the pair's two amplitudes
 (mermin.pair_table); no subcommand builds a density matrix or a dense
 operator: `verify-appendix` checks the Bell-Zukowski quadrature and its GHZ
-diagonality on the operator's n + 1 distinct entries (bellbench.zukowski).
-`verify-appendix` draws its random step functions from the standard library's
-Mersenne Twister, random.Random(--seed), whose stream does not depend on the
-platform; every integer seed is accepted, and Python seeds by the seed's
-absolute value. It reads the drawn bytes as k-bit digits, k = gcd(cells, 8),
-and sums each trial's z' from a table of every digit's contribution, so no
-sign matrix and no matrix product is formed; the table sets the grid cap,
-MAX_APPENDIX_GRID. `sweep` fills one row template per copy count.
+diagonality on the operator's n + 1 distinct entries. `sweep` fills one row
+template per copy count and writes the CSV one copy count at a time.
 """
 
 from __future__ import annotations
@@ -40,10 +35,8 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 
-from . import zukowski as zk
 from .mermin import (
     BOUND_SLACK,
     COMPARISON_TOL,
@@ -66,12 +59,9 @@ MAX_SWEEP_STEPS = 100_000
 # Signs one verify-appendix check may draw (trials x grid cells); the default
 # 10000 x 64 is 640000. The n = 3 S-check draws three times this.
 MAX_APPENDIX_CELLS = 2**22
-# Step-function cells: the digit table holds up to 32 x cells complex values,
-# 2 MiB at the cap.
+# Step-function cells: the draw's digit table (zukowski.sampled_maxima) holds
+# up to 32 x cells complex values, 2 MiB at the cap.
 MAX_APPENDIX_GRID = 2**12
-# Signs drawn and reduced at a time (rounded to whole trials and generator
-# words), so memory stays bounded however many trials are requested.
-APPENDIX_CHUNK_CELLS = 2**16
 # Characters `lhv` reads; a 12-party table at full precision is about 152 KiB.
 MAX_LHV_INPUT_CHARS = 2**24
 
@@ -230,8 +220,9 @@ def sweep_grid(v_min: float, v_max: float, v_step: float) -> list[float]:
     return grid
 
 
-def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int]) -> str:
-    """CSV rows over the grid, copy count outer, visibility inner.
+def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int]) -> list[str]:
+    """CSV over the grid, copy count outer, visibility inner: the header, then
+    one block per copy count, so one count's row strings are alive at a time.
 
     Values use the closed forms <B> = V^N and <Z_2N> = scale(N) <B>, the
     numbers zukowski_from_mermin gives; the agreement of V^N with the
@@ -243,68 +234,14 @@ def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int])
     grid = sweep_grid(v_min, v_max, v_step)
     v_texts = [format_float(v) for v in grid]
     limit = 1.0 + BOUND_SLACK
-    parts = ["V,N,mermin,zukowski,modified_bound,violated\n"]
+    blocks = ["V,N,mermin,zukowski,modified_bound,violated\n"]
     for n in copies_list:
         scale = bell_relation_scale(n)
         row = f"%s,{n},%.12g,%.12g,{format_float(modified_mermin_bound(n))},%s\n"
-        parts += [row % (v_text, m, z, "false" if abs(z) <= limit else "true")
-                  for v_text, m in zip(v_texts, [v**n for v in grid]) for z in [scale * m]]
-    return "".join(parts)
-
-
-def _digits(gen, count: int, width: int):
-    """count digits of `width` bits (width divides 8), uint8: the bits of
-    gen.getrandbits(count * width), least significant first, each run of
-    `width` bits read least significant first."""
-    import numpy as np
-
-    bits = count * width
-    raw = np.frombuffer(gen.getrandbits(bits).to_bytes((bits + 7) // 8, "little"), np.uint8)
-    if width == 8:  # one digit per byte, as at the default 64 cells
-        return raw
-    mask = 2**width - 1
-    return np.stack([(raw >> shift) & mask for shift in range(0, 8, width)], axis=1).ravel()[:count]
-
-
-def _digit_table(weights):
-    """table[p, d] = sum_i s_i w[p k + i], s_i = +1 where bit i of d is set:
-    the part of z' that cells p k .. p k + k - 1 give when one k-bit digit
-    draws their signs. k = gcd(cells, 8), so a row of cells is a whole
-    number of digits. Built by k doubling steps, t -> (t - w_i, t + w_i).
-    """
-    import numpy as np
-
-    width = math.gcd(len(weights), 8)
-    w = np.array(weights).reshape(-1, width)
-    table = np.zeros((len(w), 1), complex)
-    for i in range(width):
-        table = np.concatenate((table - w[:, i, None], table + w[:, i, None]), axis=1)
-    return table
-
-
-def _step_integrals(gen, table, trials: int, n: int):
-    """z = integral of f(phi) e^{i phi} for `trials` draws of n random step
-    functions each, yielded as (rows, n) blocks in draw order.
-
-    A row of cells is drawn as digits and summed from the digit table in
-    digit order, so no sign matrix is formed. getrandbits(k) consumes exactly
-    k/32 generator words when 32 divides k, and every block but the last
-    spans a whole number of words, so the stream is consumed exactly as by
-    one getrandbits(trials * n * cells) draw.
-    """
-    import numpy as np
-
-    per_row, size = table.shape  # 2^k entries per k-bit digit
-    width = size.bit_length() - 1
-    cells = per_row * width
-    offsets = np.arange(per_row, dtype=np.intp)[:, None] << width
-    flat = table.ravel()
-    step = 32 // math.gcd(n * cells, 32)  # fewest trials that fill whole words
-    chunk = step * max(1, APPENDIX_CHUNK_CELLS // (step * n * cells))
-    for start in range(0, trials, chunk):
-        rows = min(chunk, trials - start)
-        digits = _digits(gen, rows * n * per_row, width).reshape(rows * n, per_row)
-        yield flat.take(digits.T + offsets).sum(axis=0).reshape(rows, n)
+        blocks.append("".join([row % (v_text, m, z, "false" if abs(z) <= limit else "true")
+                               for v_text, m in zip(v_texts, [v**n for v in grid])
+                               for z in [scale * m]]))
+    return blocks
 
 
 def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
@@ -318,22 +255,15 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
         raise CliError(f"trials x grid cells must not exceed {MAX_APPENDIX_CELLS}, "
                        f"got {trials} x {grid_cells}")
 
+    from . import zukowski as zk
+
     quad_error = max(zk.closed_vs_quadrature_error(n) for n in (2, 3, 4))
     # diagonality is checked on the quadrature operator (the integral route)
     offdiag = max(zk.ghz_offdiagonal_max(n) for n in (2, 3, 4))
 
     extremal = zk.z_prime_functional(zk.sign_cos_step(grid_cells))
     extremal_error = abs(extremal - 2.0)
-
-    import numpy as np
-
-    # Draw order is fixed: |z'| trials, then S assemblies for n = 2, 3.
-    gen = random.Random(seed)
-    table = _digit_table(zk.cell_weights(grid_cells))
-    max_z = max(float(np.abs(z).max()) for z in _step_integrals(gen, table, trials, 1))
-    s_max = {n: max(float(np.abs(z.prod(axis=1).real).max())
-                    for z in _step_integrals(gen, table, trials, n))
-             for n in (2, 3)}
+    max_z, max_s_n2, max_s_n3 = zk.sampled_maxima(grid_cells, trials, seed)
 
     return envelope(
         command="verify-appendix",
@@ -349,16 +279,16 @@ def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
             "extremal_z_prime_real": extremal.real,
             "extremal_z_prime_error": extremal_error,
             "max_abs_z_prime": max_z,
-            "max_abs_s_n2": s_max[2],
-            "max_abs_s_n3": s_max[3],
+            "max_abs_s_n2": max_s_n2,
+            "max_abs_s_n3": max_s_n3,
         },
         verdicts={
             "quadrature_exact": quad_error < COMPARISON_TOL,
             "ghz_diagonal": offdiag < BOUND_SLACK,
             "extremal_achieved": extremal_error <= BOUND_SLACK,
             "z_prime_bounded": max_z <= 2 + BOUND_SLACK,
-            "s_bounded_n2": s_max[2] <= 2**2 + BOUND_SLACK,
-            "s_bounded_n3": s_max[3] <= 2**3 + BOUND_SLACK,
+            "s_bounded_n2": max_s_n2 <= 2**2 + BOUND_SLACK,
+            "s_bounded_n3": max_s_n3 <= 2**3 + BOUND_SLACK,
         },
     )
 
@@ -442,19 +372,19 @@ def _read_input(path: str | None) -> str:
     return text
 
 
-def _write_output(path: str | None, text: str) -> None:
-    """Write `text` to PATH, or to standard output when PATH is None.
+def _write_output(path: str | None, blocks: list[str]) -> None:
+    """Write the text `blocks` to PATH, or to standard output when PATH is None.
 
     Standard output is flushed here, so a closed pipe is reported as a
     write error instead of surfacing at interpreter exit.
     """
     try:
         if path is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(blocks)
             sys.stdout.flush()
             return
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     except OSError as exc:
         raise CliError(f"cannot write {'standard output' if path is None else path}: {exc}")
 
@@ -464,7 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "sweep":
-            text = cmd_sweep(args.v_min, args.v_max, args.v_step, args.copies)
+            blocks = cmd_sweep(args.v_min, args.v_max, args.v_step, args.copies)
         else:
             if args.command == "correlators":
                 report = cmd_correlators(args.visibility)
@@ -476,8 +406,8 @@ def main(argv=None) -> int:
                 report = cmd_lhv(_read_input(args.input))
             else:  # pragma: no cover - argparse enforces the choices
                 raise CliError(f"unknown command {args.command}")
-            text = render_json(report)
-        _write_output(args.output, text)
+            blocks = [render_json(report)]
+        _write_output(args.output, blocks)
     except CliError as exc:
         print(f"bellctl: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -27,15 +27,20 @@ value depends only on the Hamming weight h of i (_antidiagonal). With at least
 two nodes m2 = 0, so the rule is exact. Both checks below read those n + 1
 entries; the dense 2^n x 2^n operators are the test suite's reference route
 (tests/dense_oracle.py). The step functions below are lists of +-1 over the
-cells. The module is plain Python arithmetic and imports no numpy.
+cells. Only the sampled draw, sampled_maxima, and its two helpers import
+numpy, on first call; the rest is plain Python arithmetic.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 
 NODES_PER_AXIS = 8
+# Signs drawn and reduced at a time (rounded to whole trials and generator
+# words), so memory stays bounded however many trials are requested.
+APPENDIX_CHUNK_CELLS = 2**16
 
 
 def _site_moments(nodes_per_axis: int) -> tuple[complex, complex]:
@@ -114,3 +119,66 @@ def sign_cos_step(cells: int) -> list[float]:
     if cells < 2 or cells % 2 != 0:
         raise ValueError("sign(cos) step function needs an even cell count")
     return [1.0] * (cells // 2) + [-1.0] * (cells // 2)
+
+
+def _digits(gen, count: int, width: int):
+    """count digits of `width` bits (width divides 8), uint8: the bits of
+    gen.getrandbits(count * width), least significant first, each run of
+    `width` bits read least significant first."""
+    import numpy as np
+
+    bits = count * width
+    raw = np.frombuffer(gen.getrandbits(bits).to_bytes((bits + 7) // 8, "little"), np.uint8)
+    if width == 8:  # one digit per byte, as at the default 64 cells
+        return raw
+    mask = 2**width - 1
+    return np.stack([(raw >> shift) & mask for shift in range(0, 8, width)], axis=1).ravel()[:count]
+
+
+def _digit_table(weights):
+    """table[p, d] = sum_i s_i w[p k + i], s_i = +1 where bit i of d is set:
+    the part of z' that cells p k .. p k + k - 1 give when one k-bit digit
+    draws their signs. k = gcd(cells, 8), so a row of cells is a whole
+    number of digits. Built by k doubling steps, t -> (t - w_i, t + w_i).
+    """
+    import numpy as np
+
+    width = math.gcd(len(weights), 8)
+    w = np.array(weights).reshape(-1, width)
+    table = np.zeros((len(w), 1), complex)
+    for i in range(width):
+        table = np.concatenate((table - w[:, i, None], table + w[:, i, None]), axis=1)
+    return table
+
+
+def sampled_maxima(cells: int, trials: int, seed: int) -> tuple[float, float, float]:
+    """(max |z'|, max |S| at n = 2, max |S| at n = 3), S = Re(z'_1 ... z'_n),
+    over `trials` draws of n random step functions of `cells` cells each.
+
+    The signs come from random.Random(seed), whose stream does not depend on
+    the platform (Python seeds by |seed|), read as k-bit digits, k = gcd(cells,
+    8); each z' is summed from the digit table in digit order, so no sign
+    matrix is formed. getrandbits(k) takes exactly k/32 generator words when 32
+    divides k and every chunk but the last spans whole words, so each n
+    consumes the stream as one getrandbits(trials * n * cells) draw would.
+    """
+    import numpy as np
+
+    gen = random.Random(seed)
+    table = _digit_table(cell_weights(cells))
+    per_row, size = table.shape  # 2^k entries per k-bit digit
+    width = size.bit_length() - 1
+    offsets = np.arange(per_row, dtype=np.intp)[:, None] << width
+    flat = table.ravel()
+    maxima = []
+    for n in (1, 2, 3):
+        step = 32 // math.gcd(n * cells, 32)  # fewest trials that fill whole words
+        chunk = step * max(1, APPENDIX_CHUNK_CELLS // (step * n * cells))
+        largest = 0.0
+        for start in range(0, trials, chunk):
+            rows = min(chunk, trials - start)
+            digits = _digits(gen, rows * n * per_row, width).reshape(rows * n, per_row)
+            z = flat.take(digits.T + offsets).sum(axis=0).reshape(rows, n)
+            largest = max(largest, float(np.abs(z if n == 1 else z.prod(axis=1).real).max()))
+        maxima.append(largest)
+    return tuple(maxima)

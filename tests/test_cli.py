@@ -214,6 +214,25 @@ class TestSweep:
         assert out == "\n".join(expected) + "\n"
         assert len(expected) == 6 * points + 1
 
+    def test_largest_sweep_has_bounded_memory(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "1e-5",
+                "--copies", "1,2,3,4,5,6", "--output", str(path)]
+        run_main(argv[:-2] + ["--output", os.devnull])  # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code, out, err = run_main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, "", "")
+        assert path.read_bytes().count(b"\n") == 6 * 100_001 + 1
+        # The 36 MB of CSV text is held once, one copy count's row strings at
+        # a time; every row string of all six counts alive at once, as when
+        # the whole CSV is joined in one piece, peaks near 110 MiB.
+        assert peak - before < 80 * 2**20
+
     def test_violation_iff_above_threshold(self, capsys):
         from bellbench.mermin import threshold_visibility
 
@@ -248,8 +267,8 @@ class TestVerifyAppendix:
             raise AssertionError("allocated before the size check")
 
         monkeypatch.setattr(random, "Random", refuse)
-        monkeypatch.setattr(cli, "_digits", refuse)
-        monkeypatch.setattr(cli, "_digit_table", refuse)
+        monkeypatch.setattr(zukowski, "_digits", refuse)
+        monkeypatch.setattr(zukowski, "_digit_table", refuse)
         monkeypatch.setattr(zukowski, "cell_weights", refuse)
         monkeypatch.setattr(zukowski, "sign_cos_step", refuse)
         assert grid > MAX_APPENDIX_GRID or grid * trials > MAX_APPENDIX_CELLS
@@ -274,10 +293,10 @@ class TestVerifyAppendix:
     @pytest.mark.parametrize("chunk_cells", [None, 1000, 64])
     @pytest.mark.parametrize("grid, trials, seed", [(2, 3001, 42), (130, 777, 5), (6, 259, -3)])
     def test_chunked_draws_match_one_matrix(self, monkeypatch, chunk_cells, grid, trials, seed):
-        from bellbench import cli
+        from bellbench import cli, zukowski
 
         if chunk_cells is not None:
-            monkeypatch.setattr(cli, "APPENDIX_CHUNK_CELLS", chunk_cells)
+            monkeypatch.setattr(zukowski, "APPENDIX_CHUNK_CELLS", chunk_cells)
         results = cli.cmd_verify_appendix(grid, trials, seed)["results"]
         expected = unchunked_appendix_maxima(grid, trials, seed)
         # The reference sums in zgemv's order, the digit tables in their own:
@@ -573,8 +592,8 @@ def test_closed_stdout_exits_2(case):
 # Run in a fresh interpreter: the analyze, sweep, usage-error, help,
 # correlators and infeasible-lhv paths first, then the two that need numpy
 # (verify-appendix's draw, a feasible lhv's witness rebuild), then analyze
-# again. Prints whether numpy was imported after the first six, and each
-# (code, stdout, stderr).
+# again. Prints whether numpy and the appendix layer were imported after the
+# first six, and each (code, stdout, stderr).
 GUARD_SCRIPT = '''
 import contextlib, io, json, sys
 from unittest import mock
@@ -593,8 +612,10 @@ def call(argv, stdin):
 calls = json.loads(sys.argv[1])
 outcomes = [call(argv, stdin) for argv, stdin in calls[:6]]
 numpy_free = "numpy" not in sys.modules
+appendix_free = "bellbench.zukowski" not in sys.modules
 outcomes += [call(argv, stdin) for argv, stdin in calls[6:]]
-print(json.dumps({"numpy_free": numpy_free, "outcomes": outcomes}))
+print(json.dumps({"numpy_free": numpy_free, "appendix_free": appendix_free,
+                  "outcomes": outcomes}))
 '''
 
 GUARD_CALLS = [
@@ -614,7 +635,7 @@ GUARD_CALLS = [
 def test_hot_path_builds_no_dense_operator():
     # Without numpy no dense operator can be built: analyze, sweep, usage
     # errors, --help, correlators and an infeasible lhv table must not import
-    # it. The lazy imports of the two bulk kernels must not depend on call
+    # it, nor the appendix layer, bellbench.zukowski. The lazy imports of the two bulk kernels must not depend on call
     # order: one process running them all answers as a fresh process per
     # call does.
     src = str(Path(bellbench.__file__).resolve().parents[1])
@@ -623,6 +644,7 @@ def test_hot_path_builds_no_dense_operator():
                           capture_output=True, text=True, env=env, timeout=120, check=True)
     result = json.loads(proc.stdout)
     assert result["numpy_free"]
+    assert result["appendix_free"]
     for (argv, stdin), outcome in zip(GUARD_CALLS, result["outcomes"], strict=True):
         fresh = subprocess.run([sys.executable, "-m", "bellbench", *argv], input=stdin,
                                capture_output=True, text=True, env=env, timeout=120)

@@ -1,4 +1,4 @@
-"""The draw behind verify-appendix, cli._digits, against a word-by-word loop
+"""The draw behind verify-appendix, zukowski._digits, against a word-by-word loop
 over random.Random.getrandbits.
 
 getrandbits(k) for k <= 32 is the top k bits of one 32-bit Mersenne Twister
@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from bellbench.cli import _digits
+from bellbench.zukowski import _digits
 
 SEEDS = [0, 42, -3, 2**64 + 5]
 COUNTS = [1, 63, 64, 65, 1000, 2**16 + 1]
