@@ -54,10 +54,11 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 MAX_SWEEP_COPIES = 6
-# Grid steps (v_max - v_min) / v_step a sweep may take.
+# Grid steps a sweep may take, so at most MAX_SWEEP_STEPS + 1 points.
 MAX_SWEEP_STEPS = 100_000
-# Signs one verify-appendix check may draw (trials x grid cells); the default
-# 10000 x 64 is 640000. The n = 3 S-check draws three times this.
+# Trials x grid cells a verify-appendix request may ask for; the default
+# 10000 x 64 is 640000. Each trial is a triple of step functions, so the
+# draw takes three times this many signs.
 MAX_APPENDIX_CELLS = 2**22
 # Step-function cells: the draw's digit table (zukowski.sampled_maxima) holds
 # up to 32 x cells complex values, 2 MiB at the cap.
@@ -205,16 +206,18 @@ def cmd_analyze(visibility: float, n_copies: int) -> dict:
 def sweep_grid(v_min: float, v_max: float, v_step: float) -> list[float]:
     if not 0.0 < v_step < math.inf:
         raise CliError(f"step must be finite and positive, got {v_step}")
-    if (v_max - v_min) / v_step > MAX_SWEEP_STEPS:
-        raise CliError(f"grid exceeds {MAX_SWEEP_STEPS} steps; use a larger step")
     grid = []
-    k = 0
-    while True:
+    limit = v_max + 1e-12
+    # Points are counted on the bound the grid runs to, not on
+    # (v_max - v_min) / v_step: with a tiny step the 1e-12 slack alone holds
+    # many points (1e-12 / 1e-300), and rounding adds more (0.5 + 1e-17 is 0.5).
+    for k in range(MAX_SWEEP_STEPS + 2):
         v = v_min + k * v_step
-        if v > v_max + 1e-12:
+        if v > limit:
             break
         grid.append(min(v, 1.0))
-        k += 1
+    else:
+        raise CliError(f"grid exceeds {MAX_SWEEP_STEPS} steps; use a larger step")
     if not grid:
         raise CliError("empty visibility grid")
     return grid
@@ -227,20 +230,25 @@ def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int])
     Values use the closed forms <B> = V^N and <Z_2N> = scale(N) <B>, the
     numbers zukowski_from_mermin gives; the agreement of V^N with the
     per-pair contraction is enforced by the mermin_expectation contract and
-    does not need to be recomputed per row. Each copy count fills one
-    %-template that holds N and the rendered bound; "%.12g" renders a float
-    as format_float does, and the violation test is local_bound_check's.
+    does not need to be recomputed per row. Each copy count's block is one
+    %-format: a row template that holds N and the rendered bound, repeated
+    once per grid point, over the flat (V, <B>, <Z>, violated) fields of all
+    rows; "%.12g" renders a float as format_float does, and the violation
+    test is local_bound_check's.
     """
     grid = sweep_grid(v_min, v_max, v_step)
     v_texts = [format_float(v) for v in grid]
     limit = 1.0 + BOUND_SLACK
+    fields = [None] * (4 * len(grid))
+    fields[0::4] = v_texts
     blocks = ["V,N,mermin,zukowski,modified_bound,violated\n"]
     for n in copies_list:
         scale = bell_relation_scale(n)
         row = f"%s,{n},%.12g,%.12g,{format_float(modified_mermin_bound(n))},%s\n"
-        blocks.append("".join([row % (v_text, m, z, "false" if abs(z) <= limit else "true")
-                               for v_text, m in zip(v_texts, [v**n for v in grid])
-                               for z in [scale * m]]))
+        fields[1::4] = mermin = [v**n for v in grid]
+        fields[2::4] = zukowski = [scale * m for m in mermin]
+        fields[3::4] = ["false" if abs(z) <= limit else "true" for z in zukowski]
+        blocks.append(row * len(grid) % tuple(fields))
     return blocks
 
 

@@ -38,9 +38,13 @@ import math
 import random
 
 NODES_PER_AXIS = 8
-# Signs drawn and reduced at a time (rounded to whole trials and generator
-# words), so memory stays bounded however many trials are requested.
-APPENDIX_CHUNK_CELLS = 2**16
+# Signs drawn and reduced at a time (rounded to whole triples and generator
+# words), so memory stays bounded however many trials are requested. Grids
+# wider than 64 cells keep the 64-cell chunk's count of step functions: the
+# draw makes one numpy call per digit position and chunk, and each call
+# should still span thousands of functions. A chunk's digits then take at
+# most 2 MiB, at 4096 cells; its z' values at most 2 MiB, at 2 cells.
+APPENDIX_CHUNK_CELLS = 2**18
 
 
 def _site_moments(nodes_per_axis: int) -> tuple[complex, complex]:
@@ -153,14 +157,17 @@ def _digit_table(weights):
 
 def sampled_maxima(cells: int, trials: int, seed: int) -> tuple[float, float, float]:
     """(max |z'|, max |S| at n = 2, max |S| at n = 3), S = Re(z'_1 ... z'_n),
-    over `trials` draws of n random step functions of `cells` cells each.
+    over `trials` draws of a triple (z'_a, z'_b, z'_c) of random step
+    functions of `cells` cells each: |z'| over all 3 x trials functions, the
+    n = 2 S over each triple's first two, the n = 3 S over the whole triple.
 
     The signs come from random.Random(seed), whose stream does not depend on
     the platform (Python seeds by |seed|), read as k-bit digits, k = gcd(cells,
-    8); each z' is summed from the digit table in digit order, so no sign
+    8); each z' is summed once from the digit table in digit order, so no sign
     matrix is formed. getrandbits(k) takes exactly k/32 generator words when 32
-    divides k and every chunk but the last spans whole words, so each n
-    consumes the stream as one getrandbits(trials * n * cells) draw would.
+    divides k and every chunk but the last spans whole words, so the draw
+    consumes the stream as one getrandbits(3 * trials * cells) draw would,
+    function after function, triple after triple.
     """
     import numpy as np
 
@@ -168,17 +175,17 @@ def sampled_maxima(cells: int, trials: int, seed: int) -> tuple[float, float, fl
     table = _digit_table(cell_weights(cells))
     per_row, size = table.shape  # 2^k entries per k-bit digit
     width = size.bit_length() - 1
-    offsets = np.arange(per_row, dtype=np.intp)[:, None] << width
-    flat = table.ravel()
-    maxima = []
-    for n in (1, 2, 3):
-        step = 32 // math.gcd(n * cells, 32)  # fewest trials that fill whole words
-        chunk = step * max(1, APPENDIX_CHUNK_CELLS // (step * n * cells))
-        largest = 0.0
-        for start in range(0, trials, chunk):
-            rows = min(chunk, trials - start)
-            digits = _digits(gen, rows * n * per_row, width).reshape(rows * n, per_row)
-            z = flat.take(digits.T + offsets).sum(axis=0).reshape(rows, n)
-            largest = max(largest, float(np.abs(z if n == 1 else z.prod(axis=1).real).max()))
-        maxima.append(largest)
-    return tuple(maxima)
+    step = 32 // math.gcd(3 * cells, 32)  # fewest triples that fill whole words
+    chunk = step * max(1, APPENDIX_CHUNK_CELLS // (step * 3 * min(cells, 64)))
+    max_z = max_s2 = max_s3 = 0.0
+    for start in range(0, trials, chunk):
+        rows = min(chunk, trials - start)
+        digits = _digits(gen, rows * 3 * per_row, width).reshape(rows * 3, per_row)
+        z = table[0].take(digits[:, 0])  # one z' per function, digit by digit
+        for p in range(1, per_row):
+            z += table[p].take(digits[:, p])
+        ab = z[0::3] * z[1::3]
+        max_z = max(max_z, float(np.abs(z).max()))
+        max_s2 = max(max_s2, float(np.abs(ab.real).max()))
+        max_s3 = max(max_s3, float(np.abs((ab * z[2::3]).real).max()))
+    return max_z, max_s2, max_s3

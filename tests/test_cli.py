@@ -12,7 +12,7 @@ import pytest
 
 import bellbench
 from bellbench.cli import (MAX_APPENDIX_CELLS, MAX_APPENDIX_GRID, MAX_LHV_INPUT_CHARS,
-                           cmd_correlators, main, sweep_grid)
+                           CliError, cmd_correlators, main, sweep_grid)
 from bellbench.mermin import pair_table
 from bellbench.report import render_json
 from bellbench.zukowski import cell_weights
@@ -31,20 +31,16 @@ def run_cli(capsys, *argv):
 
 
 def unchunked_appendix_maxima(grid, trials, seed):
-    """max |z'|, max |S| (n = 2) and max |S| (n = 3) of verify-appendix, each
-    from one whole getrandbits draw, its bits read least significant first."""
-    gen = random.Random(seed)
-    weights = cell_weights(grid)
-
-    def sign_matrix(rows):
-        count = rows * grid
-        bits = format(gen.getrandbits(count), f"0{count}b")[::-1]
-        return np.array([1.0 if bit == "1" else -1.0 for bit in bits]).reshape(rows, grid)
-
-    max_z = float(np.abs(sign_matrix(trials) @ weights).max())
-    s_max = [float(np.abs((sign_matrix(trials * n) @ weights).reshape(trials, n)
-                          .prod(axis=1).real).max()) for n in (2, 3)]
-    return (max_z, *s_max)
+    """max |z'|, max |S| (n = 2) and max |S| (n = 3) of verify-appendix from
+    one whole getrandbits draw of 3 x trials step functions, its bits read
+    least significant first: trial t is the triple of rows 3t, 3t + 1, 3t + 2."""
+    count = 3 * trials * grid
+    bits = format(random.Random(seed).getrandbits(count), f"0{count}b")[::-1]
+    signs = np.array([1.0 if bit == "1" else -1.0 for bit in bits]).reshape(3 * trials, grid)
+    z = (signs @ cell_weights(grid)).reshape(trials, 3)
+    return (float(np.abs(z).max()),
+            float(np.abs(z[:, :2].prod(axis=1).real).max()),
+            float(np.abs(z.prod(axis=1).real).max()))
 
 
 def run_json(capsys, *argv):
@@ -90,7 +86,7 @@ class TestCorrelators:
         report = run_json(capsys, "correlators", "--visibility", "0.5")
         assert report["tolerances"] == {
             "bound_slack": 1e-12, "comparison": 1e-10, "complete_set_slack": 1e-9}
-        assert report["tool_version"] == bellbench.__version__ == "0.4.0"
+        assert report["tool_version"] == bellbench.__version__ == "0.5.0"
 
 
 class TestAnalyze:
@@ -173,6 +169,18 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "steps" in err
+
+    @pytest.mark.parametrize("v, step", [("0", "1e-300"), ("0.5", "1e-17")])
+    def test_steps_counted_on_the_loop_bound(self, v, step):
+        # (v_max - v_min) / v_step is 0, but the grid runs on to v_max + 1e-12,
+        # which holds 1e-12 / 1e-300 points at V = 0 and, since 0.5 + k 1e-17
+        # rounds back to 0.5 for small k, 100004 at V = 0.5.
+        with pytest.raises(CliError, match="steps"):
+            sweep_grid(float(v), float(v), float(step))
+        code, out, err = run_main(["sweep", "--v-min", v, "--v-max", v,
+                                   "--v-step", step, "--copies", "1"])
+        assert (code, out) == (2, "")
+        assert "exceeds 100000 steps" in err
 
     @pytest.mark.parametrize("copies", ["6,6", "1,2,1"])
     def test_repeated_copy_count_exits_2(self, copies):
@@ -286,9 +294,9 @@ class TestVerifyAppendix:
 
     def test_seed_42_default_results(self, capsys):
         _, out, _ = run_cli(capsys, "verify-appendix", "--seed", "42")
-        assert '"max_abs_z_prime": 1.17155686505' in out
-        assert '"max_abs_s_n2": 0.648866350124' in out
-        assert '"max_abs_s_n3": 0.452053889748' in out
+        assert '"max_abs_z_prime": 1.19728757722' in out
+        assert '"max_abs_s_n2": 0.738052646128' in out
+        assert '"max_abs_s_n3": 0.510918713272' in out
 
     @pytest.mark.parametrize("chunk_cells", [None, 1000, 64])
     @pytest.mark.parametrize("grid, trials, seed", [(2, 3001, 42), (130, 777, 5), (6, 259, -3)])
@@ -300,10 +308,11 @@ class TestVerifyAppendix:
         results = cli.cmd_verify_appendix(grid, trials, seed)["results"]
         expected = unchunked_appendix_maxima(grid, trials, seed)
         # The reference sums in zgemv's order, the digit tables in their own:
-        # the two may differ in the last bit (grid 6, seed -3, by one ulp). A
-        # stream shifted by one word, or digits read in the wrong bit order,
-        # move some maximum by 0.4 % or more at grids 6 and 130 (at grid 2 the
-        # maxima are the exact extremes 2, 4 and 8 under any stream).
+        # the two may differ in the last bit (grid 130, seed 5, max_abs_s_n3 by
+        # one ulp). A stream shifted by one word, digits read in the wrong bit
+        # order, a digit position left out, or an n = 2 product over the wrong
+        # pair of a triple move some maximum by 2.5 % or more at grid 130 (at
+        # grid 2 the maxima are the exact extremes 2, 4 and 8 under any stream).
         assert (results["max_abs_z_prime"], results["max_abs_s_n2"],
                 results["max_abs_s_n3"]) == pytest.approx(expected, rel=1e-13)
 
@@ -736,7 +745,7 @@ class TestDeterminism:
 
 
 TOLERANCES_TEXT = ('"tolerances": {"bound_slack": 1e-12, "comparison": 1e-10, '
-                   '"complete_set_slack": 1e-09}, "tool_version": "0.4.0"')
+                   '"complete_set_slack": 1e-09}, "tool_version": "0.5.0"')
 
 # Whole reports whose numbers do not depend on summation order: the two lhv
 # tables are dyadic, so the sign transform and the witness rebuild are exact,

@@ -1,10 +1,10 @@
 """Checks of tests/dense_oracle.py on its own: that it imports nothing from
 bellbench, its dense linear algebra, the noisy pair, its copies, the GHZ
 basis, its phase observables, its correlators and its dense Bell-Zukowski
-forms (closed, quadrature and aligned), and the local_f and compose steps of
-its Bell-Mermin recursion. The rest of that recursion is checked in
-test_mermin.py, and the dense routes are compared with bellbench in
-test_mermin.py and test_zukowski.py.
+forms (closed, quadrature and aligned), and its Bell-Mermin recursion: the
+local_f and compose steps, and the built pairs against the closed form (its
+alignment phase, spectra, norm and trace, party count). The dense routes are
+compared with bellbench in test_mermin.py and test_zukowski.py.
 """
 
 import ast
@@ -18,17 +18,21 @@ import pytest
 
 from dense_oracle import (
     IDENTITY_2,
+    MerminPair,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     X_PHASE,
     Y_PHASE,
+    align_corner_phase,
     bell_pair,
     compose,
     copies,
+    corner_phase,
     correlation,
     dense_ghz_offdiagonal_max,
     expectation,
+    expected_alignment_phase,
     full_correlation_table,
     ghz_basis,
     ghz_diagonal,
@@ -478,3 +482,52 @@ def test_f_consistency_of_built_pairs():
         assert np.abs(local_f(pair.b, pair.b_prime) - target).max() < 1e-12
         np.testing.assert_array_equal(pair.b, pair.b.conj().T)
         np.testing.assert_array_equal(pair.b_prime, pair.b_prime.conj().T)
+
+
+# --- the Bell-Mermin recursion against its closed form -------------------
+
+
+@pytest.mark.parametrize("n_copies", [1, 2, 3])
+def test_recursion_matches_closed_form_after_alignment(n_copies):
+    n = 2 * n_copies
+    pair = mermin_operators(n)
+    phase = corner_phase(pair.b)
+    assert abs(phase - expected_alignment_phase(n)) < 1e-12
+    aligned = align_corner_phase(mermin_closed_form(n), phase)
+    np.testing.assert_allclose(pair.b, aligned, atol=1e-10)
+
+
+def test_two_party_spectrum():
+    eigs = np.linalg.eigvalsh(mermin_operators(2).b)
+    np.testing.assert_allclose(eigs, [-math.sqrt(2), 0, 0, math.sqrt(2)], atol=1e-12)
+
+
+@pytest.mark.parametrize("n_copies", [1, 2, 3])
+def test_full_spectrum_structure(n_copies):
+    n = 2 * n_copies
+    eigs = np.linalg.eigvalsh(mermin_operators(n).b)
+    top = 2 ** ((n - 1) / 2)
+    assert abs(eigs[0] + top) < 1e-10
+    assert abs(eigs[-1] - top) < 1e-10
+    assert np.abs(eigs[1:-1]).max() < 1e-10
+
+
+def test_closed_form_norm_and_trace():
+    for n in (2, 4, 6):
+        op = mermin_closed_form(n)
+        assert abs(np.trace(op)) < 1e-12
+        assert abs(np.linalg.norm(op, 2) - 2 ** ((n - 1) / 2)) < 1e-12
+
+
+def test_party_count_validation():
+    for bad in (3, 0, 14):
+        with pytest.raises(ValueError):
+            mermin_operators(bad)
+        with pytest.raises(ValueError):
+            mermin_closed_form(bad)
+
+
+def test_pair_is_dataclass_with_parties():
+    pair = mermin_operators(4)
+    assert isinstance(pair, MerminPair)
+    assert pair.parties == (1, 2, 3, 4)

@@ -12,53 +12,16 @@ from bellbench.mermin import (
     pair_table,
 )
 from dense_oracle import (
-    MerminPair,
-    align_corner_phase,
     copies,
-    corner_phase,
     dense_pair_contraction,
     expectation,
-    expected_alignment_phase,
     full_correlation_table,
-    mermin_closed_form,
     mermin_operators,
     noisy_pair,
 )
 from helpers import run_main
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
-
-
-@pytest.mark.parametrize("n_copies", [1, 2, 3])
-def test_recursion_matches_closed_form_after_alignment(n_copies):
-    n = 2 * n_copies
-    pair = mermin_operators(n)
-    phase = corner_phase(pair.b)
-    assert abs(phase - expected_alignment_phase(n)) < 1e-12
-    aligned = align_corner_phase(mermin_closed_form(n), phase)
-    np.testing.assert_allclose(pair.b, aligned, atol=1e-10)
-
-
-def test_two_party_spectrum():
-    eigs = np.linalg.eigvalsh(mermin_operators(2).b)
-    np.testing.assert_allclose(eigs, [-math.sqrt(2), 0, 0, math.sqrt(2)], atol=1e-12)
-
-
-@pytest.mark.parametrize("n_copies", [1, 2, 3])
-def test_full_spectrum_structure(n_copies):
-    n = 2 * n_copies
-    eigs = np.linalg.eigvalsh(mermin_operators(n).b)
-    top = 2 ** ((n - 1) / 2)
-    assert abs(eigs[0] + top) < 1e-10
-    assert abs(eigs[-1] - top) < 1e-10
-    assert np.abs(eigs[1:-1]).max() < 1e-10
-
-
-def test_closed_form_norm_and_trace():
-    for n in (2, 4, 6):
-        op = mermin_closed_form(n)
-        assert abs(np.trace(op)) < 1e-12
-        assert abs(np.linalg.norm(op, 2) - 2 ** ((n - 1) / 2)) < 1e-12
 
 
 @pytest.mark.parametrize("n_copies", [1, 2, 3, 4])
@@ -147,17 +110,3 @@ def test_bound_check():
     for v in np.linspace(0, 1, 21):
         for n in (1, 2, 3):
             assert local_bound_check(float(v) ** n)
-
-
-def test_party_count_validation():
-    for bad in (3, 0, 14):
-        with pytest.raises(ValueError):
-            mermin_operators(bad)
-        with pytest.raises(ValueError):
-            mermin_closed_form(bad)
-
-
-def test_pair_is_dataclass_with_parties():
-    pair = mermin_operators(4)
-    assert isinstance(pair, MerminPair)
-    assert pair.parties == (1, 2, 3, 4)
