@@ -60,8 +60,9 @@ MAX_SWEEP_STEPS = 100_000
 # 10000 x 64 is 640000. Each trial is a triple of step functions, so the
 # draw takes three times this many signs.
 MAX_APPENDIX_CELLS = 2**22
-# Step-function cells: the draw's digit table (zukowski.sampled_maxima) holds
-# up to 32 x cells complex values, 2 MiB at the cap.
+# Step-function cells: the draw's byte table (zukowski.sampled_maxima) holds
+# 256 complex values per byte of a function, 256 x ceil(cells / 8), 2 MiB at
+# the cap.
 MAX_APPENDIX_GRID = 2**12
 # Characters `lhv` reads; a 12-party table at full precision is about 152 KiB.
 MAX_LHV_INPUT_CHARS = 2**24

@@ -27,8 +27,8 @@ value depends only on the Hamming weight h of i (_antidiagonal). With at least
 two nodes m2 = 0, so the rule is exact. Both checks below read those n + 1
 entries; the dense 2^n x 2^n operators are the test suite's reference route
 (tests/dense_oracle.py). The step functions below are lists of +-1 over the
-cells. Only the sampled draw, sampled_maxima, and its two helpers import
-numpy, on first call; the rest is plain Python arithmetic.
+cells. Only the sampled draw, sampled_maxima, imports numpy, on first call;
+the rest is plain Python arithmetic.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ import math
 import random
 
 NODES_PER_AXIS = 8
-# Signs drawn and reduced at a time (rounded to whole triples and generator
-# words), so memory stays bounded however many trials are requested. Grids
-# wider than 64 cells keep the 64-cell chunk's count of step functions: the
-# draw makes one numpy call per digit position and chunk, and each call
-# should still span thousands of functions. A chunk's digits then take at
-# most 2 MiB, at 4096 cells; its z' values at most 2 MiB, at 2 cells.
+# Signs drawn and reduced at a time (rounded down to a multiple of 4 triples,
+# so chunks span whole generator words), so memory stays bounded however many
+# trials are requested. Grids wider than 64 cells keep the 64-cell chunk's
+# count of step functions: the draw makes one numpy call per byte position
+# and chunk, and each call should still span thousands of functions. A
+# chunk's bytes then take at most 2 MiB, at 4096 cells; its z' values at most
+# 2 MiB, at 2 cells.
 APPENDIX_CHUNK_CELLS = 2**18
 
 
@@ -125,36 +126,6 @@ def sign_cos_step(cells: int) -> list[float]:
     return [1.0] * (cells // 2) + [-1.0] * (cells // 2)
 
 
-def _digits(gen, count: int, width: int):
-    """count digits of `width` bits (width divides 8), uint8: the bits of
-    gen.getrandbits(count * width), least significant first, each run of
-    `width` bits read least significant first."""
-    import numpy as np
-
-    bits = count * width
-    raw = np.frombuffer(gen.getrandbits(bits).to_bytes((bits + 7) // 8, "little"), np.uint8)
-    if width == 8:  # one digit per byte, as at the default 64 cells
-        return raw
-    mask = 2**width - 1
-    return np.stack([(raw >> shift) & mask for shift in range(0, 8, width)], axis=1).ravel()[:count]
-
-
-def _digit_table(weights):
-    """table[p, d] = sum_i s_i w[p k + i], s_i = +1 where bit i of d is set:
-    the part of z' that cells p k .. p k + k - 1 give when one k-bit digit
-    draws their signs. k = gcd(cells, 8), so a row of cells is a whole
-    number of digits. Built by k doubling steps, t -> (t - w_i, t + w_i).
-    """
-    import numpy as np
-
-    width = math.gcd(len(weights), 8)
-    w = np.array(weights).reshape(-1, width)
-    table = np.zeros((len(w), 1), complex)
-    for i in range(width):
-        table = np.concatenate((table - w[:, i, None], table + w[:, i, None]), axis=1)
-    return table
-
-
 def sampled_maxima(cells: int, trials: int, seed: int) -> tuple[float, float, float]:
     """(max |z'|, max |S| at n = 2, max |S| at n = 3), S = Re(z'_1 ... z'_n),
     over `trials` draws of a triple (z'_a, z'_b, z'_c) of random step
@@ -162,28 +133,38 @@ def sampled_maxima(cells: int, trials: int, seed: int) -> tuple[float, float, fl
     n = 2 S over each triple's first two, the n = 3 S over the whole triple.
 
     The signs come from random.Random(seed), whose stream does not depend on
-    the platform (Python seeds by |seed|), read as k-bit digits, k = gcd(cells,
-    8); each z' is summed once from the digit table in digit order, so no sign
-    matrix is formed. getrandbits(k) takes exactly k/32 generator words when 32
-    divides k and every chunk but the last spans whole words, so the draw
-    consumes the stream as one getrandbits(3 * trials * cells) draw would,
-    function after function, triple after triple.
+    the platform (Python seeds by |seed|). Each function takes B = ceil(cells
+    / 8) whole bytes of the stream: cell i is +1 where bit i % 8 of its byte
+    i // 8 is set, least significant bit first, and the unused high bits of a
+    partial last byte weigh nothing. Each z' is summed once from a 256-entry
+    table per byte position, in byte order, so no sign matrix is formed. A
+    chunk holds a multiple of 4 triples, 12 B bytes, so every chunk but the
+    last spans whole 32-bit generator words and the draw consumes the stream
+    as one getrandbits(24 * trials * B) draw would, function after function,
+    triple after triple.
     """
     import numpy as np
 
+    per_row = -(-cells // 8)  # B bytes per function
+    w = np.zeros(8 * per_row, complex)
+    w[:cells] = cell_weights(cells)
+    w = w.reshape(per_row, 8)
+    # table[p, d] = sum_i s_i w[p, i], s_i = +1 where bit i of d is set: the
+    # part of z' that byte p gives. Built by 8 doubling steps, t -> (t - w_i, t + w_i).
+    table = np.zeros((per_row, 1), complex)
+    for i in range(8):
+        table = np.concatenate((table - w[:, i, None], table + w[:, i, None]), axis=1)
     gen = random.Random(seed)
-    table = _digit_table(cell_weights(cells))
-    per_row, size = table.shape  # 2^k entries per k-bit digit
-    width = size.bit_length() - 1
-    step = 32 // math.gcd(3 * cells, 32)  # fewest triples that fill whole words
-    chunk = step * max(1, APPENDIX_CHUNK_CELLS // (step * 3 * min(cells, 64)))
+    chunk = 4 * max(1, APPENDIX_CHUNK_CELLS // (12 * min(cells, 64)))
     max_z = max_s2 = max_s3 = 0.0
     for start in range(0, trials, chunk):
         rows = min(chunk, trials - start)
-        digits = _digits(gen, rows * 3 * per_row, width).reshape(rows * 3, per_row)
-        z = table[0].take(digits[:, 0])  # one z' per function, digit by digit
+        count = 3 * rows * per_row
+        data = np.frombuffer(gen.getrandbits(8 * count).to_bytes(count, "little"), np.uint8)
+        data = data.reshape(3 * rows, per_row)
+        z = table[0].take(data[:, 0])  # one z' per function, byte by byte
         for p in range(1, per_row):
-            z += table[p].take(digits[:, p])
+            z += table[p].take(data[:, p])
         ab = z[0::3] * z[1::3]
         max_z = max(max_z, float(np.abs(z).max()))
         max_s2 = max(max_s2, float(np.abs(ab.real).max()))

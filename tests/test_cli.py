@@ -33,10 +33,14 @@ def run_cli(capsys, *argv):
 def unchunked_appendix_maxima(grid, trials, seed):
     """max |z'|, max |S| (n = 2) and max |S| (n = 3) of verify-appendix from
     one whole getrandbits draw of 3 x trials step functions, its bits read
-    least significant first: trial t is the triple of rows 3t, 3t + 1, 3t + 2."""
-    count = 3 * trials * grid
+    least significant first. Each function's row is padded to whole bytes,
+    8 x ceil(grid / 8) bits, of which the first `grid` are its signs and the
+    rest are dropped; trial t is the triple of rows 3t, 3t + 1, 3t + 2."""
+    padded = 8 * -(-grid // 8)
+    count = 3 * trials * padded
     bits = format(random.Random(seed).getrandbits(count), f"0{count}b")[::-1]
-    signs = np.array([1.0 if bit == "1" else -1.0 for bit in bits]).reshape(3 * trials, grid)
+    signs = np.array([1.0 if bit == "1" else -1.0 for bit in bits])
+    signs = signs.reshape(3 * trials, padded)[:, :grid]
     z = (signs @ cell_weights(grid)).reshape(trials, 3)
     return (float(np.abs(z).max()),
             float(np.abs(z[:, :2].prod(axis=1).real).max()),
@@ -86,7 +90,7 @@ class TestCorrelators:
         report = run_json(capsys, "correlators", "--visibility", "0.5")
         assert report["tolerances"] == {
             "bound_slack": 1e-12, "comparison": 1e-10, "complete_set_slack": 1e-9}
-        assert report["tool_version"] == bellbench.__version__ == "0.5.0"
+        assert report["tool_version"] == bellbench.__version__ == "0.6.0"
 
 
 class TestAnalyze:
@@ -275,8 +279,6 @@ class TestVerifyAppendix:
             raise AssertionError("allocated before the size check")
 
         monkeypatch.setattr(random, "Random", refuse)
-        monkeypatch.setattr(zukowski, "_digits", refuse)
-        monkeypatch.setattr(zukowski, "_digit_table", refuse)
         monkeypatch.setattr(zukowski, "cell_weights", refuse)
         monkeypatch.setattr(zukowski, "sign_cos_step", refuse)
         assert grid > MAX_APPENDIX_GRID or grid * trials > MAX_APPENDIX_CELLS
@@ -298,8 +300,23 @@ class TestVerifyAppendix:
         assert '"max_abs_s_n2": 0.738052646128' in out
         assert '"max_abs_s_n3": 0.510918713272' in out
 
+    # Grid 8 reads whole bytes, as every grid that is a multiple of 8 does;
+    # grid 130 ends each function on a partial byte, whose 6 high bits are
+    # drawn and dropped.
+    @pytest.mark.parametrize("argv, expected", [
+        (["--grid", "8", "--trials", "500", "--seed", "-3"],
+         ("2", "3.69551813005", "3.67043119883")),
+        (["--grid", "130", "--trials", "777", "--seed", "5"],
+         ("0.908678879923", "0.25610859635", "0.0864010713838")),
+    ], ids=["grid-8", "grid-130"])
+    def test_known_answer_results(self, capsys, argv, expected):
+        _, out, _ = run_cli(capsys, "verify-appendix", *argv)
+        for key, value in zip(("max_abs_z_prime", "max_abs_s_n2", "max_abs_s_n3"), expected):
+            assert f'"{key}": {value},' in out
+
     @pytest.mark.parametrize("chunk_cells", [None, 1000, 64])
-    @pytest.mark.parametrize("grid, trials, seed", [(2, 3001, 42), (130, 777, 5), (6, 259, -3)])
+    @pytest.mark.parametrize("grid, trials, seed", [(2, 3001, 42), (130, 777, 5), (6, 259, -3),
+                                                   (24, 1000, 7), (4094, 9, 7)])
     def test_chunked_draws_match_one_matrix(self, monkeypatch, chunk_cells, grid, trials, seed):
         from bellbench import cli, zukowski
 
@@ -307,12 +324,13 @@ class TestVerifyAppendix:
             monkeypatch.setattr(zukowski, "APPENDIX_CHUNK_CELLS", chunk_cells)
         results = cli.cmd_verify_appendix(grid, trials, seed)["results"]
         expected = unchunked_appendix_maxima(grid, trials, seed)
-        # The reference sums in zgemv's order, the digit tables in their own:
+        # The reference sums in zgemv's order, the byte tables in their own:
         # the two may differ in the last bit (grid 130, seed 5, max_abs_s_n3 by
-        # one ulp). A stream shifted by one word, digits read in the wrong bit
-        # order, a digit position left out, or an n = 2 product over the wrong
-        # pair of a triple move some maximum by 2.5 % or more at grid 130 (at
-        # grid 2 the maxima are the exact extremes 2, 4 and 8 under any stream).
+        # one ulp). A stream shifted by one word, bytes read in the wrong bit
+        # order, a byte position left out, functions packed without their
+        # padding bits, or an n = 2 product over the wrong pair of a triple
+        # move some maximum by 1 % or more at grid 130 (at grid 2 the maxima
+        # are the exact extremes 2, 4 and 8 under any stream).
         assert (results["max_abs_z_prime"], results["max_abs_s_n2"],
                 results["max_abs_s_n3"]) == pytest.approx(expected, rel=1e-13)
 
@@ -331,7 +349,7 @@ class TestVerifyAppendix:
         assert code == 0, err
         assert '"s_bounded_n3": true' in out
         # one whole n = 3 sign matrix at the cap is 96 MiB of float64; the
-        # digit table at grid 4096 is 2 MiB
+        # byte table at grid 4096, 256 entries for each of 512 bytes, is 2 MiB
         assert peak - before < 16 * 2**20
 
 
@@ -745,7 +763,7 @@ class TestDeterminism:
 
 
 TOLERANCES_TEXT = ('"tolerances": {"bound_slack": 1e-12, "comparison": 1e-10, '
-                   '"complete_set_slack": 1e-09}, "tool_version": "0.5.0"')
+                   '"complete_set_slack": 1e-09}, "tool_version": "0.6.0"')
 
 # Whole reports whose numbers do not depend on summation order: the two lhv
 # tables are dyadic, so the sign transform and the witness rebuild are exact,

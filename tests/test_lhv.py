@@ -84,7 +84,7 @@ class TestCorrelationTable:
             CorrelationTable({"": 0.5})
 
 
-class TestFineQuadruple:
+class TestQuadrupleValues:
     # bellbench reads the quadruples from the sign transform; lp_oracle sums
     # the explicit sign patterns.
     def test_noisy_pair_pattern(self):
