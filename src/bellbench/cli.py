@@ -17,10 +17,11 @@ decides it (lhv.lhv_feasible) and checks the verdict's certificate
 (lhv.certify); `correlators` reads its quadruples and their verdict from the
 same sign transform (lhv.quadruple_values, lhv.lhv_feasible).
 `analyze`, `sweep`, `correlators`, usage errors and an infeasible `lhv` table
-import neither numpy nor inspect nor the appendix layer, bellbench.zukowski.
-numpy is loaded only by two functions, on their first call: the witness
-rebuild of a feasible `lhv` verdict (lhv.witness_reconstruction_error) and
-the step-function draw of `verify-appendix` (zukowski.sampled_maxima).
+import neither numpy nor the appendix layer, bellbench.zukowski; `correlators`
+and an infeasible `lhv` table import no dataclasses either. numpy is loaded
+only by two functions, on their first call: the witness rebuild of a
+feasible `lhv` verdict (lhv.witness_reconstruction_error) and the
+step-function draw of `verify-appendix` (zukowski.sampled_maxima).
 `correlators` reads its table from the pair's two amplitudes
 (mermin.pair_table); no subcommand builds a density matrix or a dense
 operator: `verify-appendix` checks the Bell-Zukowski quadrature and its GHZ
@@ -157,24 +158,11 @@ def cmd_correlators(visibility: float) -> dict:
     from .lhv import CorrelationTable, lhv_feasible, quadruple_values
 
     table = CorrelationTable(pair_table(visibility))
-    e_xx, e_yy, e_xy, e_yx = (table.values[k] for k in ("XX", "YY", "XY", "YX"))
-    verdict = lhv_feasible(table)
     return envelope(
         command="correlators",
         parameters={"visibility": visibility},
-        results={
-            "e_xx": e_xx,
-            "e_yy": e_yy,
-            "e_xy": e_xy,
-            "e_yx": e_yx,
-            "quadruples": quadruple_values(table),
-            "table": table.values,
-            "lhv_residual": verdict.residual,
-        },
-        verdicts={
-            "quadruples_satisfied": verdict.feasible,  # the same polytope at two parties
-            "lhv_feasible": verdict.feasible,
-        },
+        results={"quadruples": quadruple_values(table), "table": table.values},
+        verdicts={"lhv_feasible": lhv_feasible(table).feasible},
     )
 
 
@@ -349,18 +337,8 @@ def cmd_lhv(text: str) -> dict:
     return envelope(
         command="lhv",
         parameters={},
-        results={
-            "parties": table.n_parties,
-            "lhv_residual": verdict.residual,
-            "complete_set_sum": verdict.sign_sum,
-            "complete_set_bound": float(2**table.n_parties),
-            **certificate,
-        },
-        verdicts={
-            "lhv_feasible": verdict.feasible,
-            "complete_set_satisfied": verdict.feasible,  # the same sign-sum test
-            "oracles_agree": certified,
-        },
+        results={"parties": table.n_parties, "complete_set_sum": verdict.sign_sum, **certificate},
+        verdicts={"lhv_feasible": verdict.feasible, "oracles_agree": certified},
     )
 
 

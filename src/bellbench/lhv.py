@@ -124,7 +124,7 @@ def quadruple_values(table: CorrelationTable) -> list[float]:
 # witness: strategy label -> weight, or the violated inequality's report dict;
 # sign_sum: sum_s |E_hat(s)|, the left-hand side of the bound 2^n.
 FeasibilityVerdict = collections.namedtuple(
-    "FeasibilityVerdict", ("feasible", "witness", "residual", "sign_sum"))
+    "FeasibilityVerdict", ("feasible", "witness", "sign_sum"))
 
 
 def _violated_inequality(table: CorrelationTable, hat: list[float]) -> dict:
@@ -173,16 +173,14 @@ def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
     sign(E_hat(t)) h_t, since E = 2^-n sum_t E_hat(t) h_t; the leftover mass
     is split evenly between +h_0 and -h_0, which cancel. Weights at or below
     1e-12 are dropped. Infeasible: the witness is a violated complete-set
-    inequality. The residual is the cross-polytope excess
-    max(0, sum|E_hat|/2^n - 1).
+    inequality.
     """
     n = table.n_parties
     hat = sign_transform(table.vector())
     scale = float(2**n)
     total = math.fsum(map(abs, hat))
-    residual = max(0.0, total / scale - 1.0)
     if total > scale + COMPLETE_SET_SLACK:
-        return FeasibilityVerdict(False, _violated_inequality(table, hat), residual, total)
+        return FeasibilityVerdict(False, _violated_inequality(table, hat), total)
 
     half_leftover = max(0.0, 1.0 - total / scale) / 2
     weights = {(1.0, 0): half_leftover, (-1.0, 0): half_leftover}
@@ -194,7 +192,7 @@ def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
         for (sigma, t), weight in weights.items()
         if weight > 1e-12
     }
-    return FeasibilityVerdict(True, witness, residual, total)
+    return FeasibilityVerdict(True, witness, total)
 
 
 @functools.cache

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +13,9 @@ import pytest
 
 import bellbench
 from bellbench.cli import (MAX_APPENDIX_CELLS, MAX_APPENDIX_GRID, MAX_LHV_INPUT_CHARS,
-                           CliError, cmd_correlators, main, sweep_grid)
-from bellbench.mermin import pair_table
+                           MAX_SWEEP_COPIES, CliError, cmd_analyze, cmd_correlators, main,
+                           sweep_grid)
+from bellbench.mermin import BOUND_SLACK, pair_table, threshold_visibility
 from bellbench.report import render_json
 from bellbench.zukowski import cell_weights
 from helpers import ghz_type_table, mixture_table, run_main
@@ -60,17 +62,13 @@ class TestCorrelators:
             res = cmd_correlators(v)["results"]
             table = pair_table(v)
             assert res["table"] == table
-            assert (res["e_xx"], res["e_xy"], res["e_yx"], res["e_yy"]) == \
-                (table["XX"], table["XY"], table["YX"], table["YY"])
 
     def test_full_visibility(self, capsys):
         report = run_json(capsys, "correlators", "--visibility", "1")
         res = report["results"]
-        assert res["e_xy"] == pytest.approx(1.0, abs=1e-12)
-        assert res["e_xx"] == pytest.approx(0.0, abs=1e-12)
+        assert res["table"] == pytest.approx({"XX": 0, "XY": 1, "YX": 1, "YY": 0}, abs=1e-12)
         assert res["quadruples"] == pytest.approx([2, 0, 0, 2], abs=1e-12)
-        assert report["verdicts"]["lhv_feasible"] is True
-        assert report["verdicts"]["quadruples_satisfied"] is True
+        assert report["verdicts"] == {"lhv_feasible": True}
 
     def test_zero_visibility(self, capsys):
         report = run_json(capsys, "correlators", "--visibility", "0")
@@ -90,7 +88,7 @@ class TestCorrelators:
         report = run_json(capsys, "correlators", "--visibility", "0.5")
         assert report["tolerances"] == {
             "bound_slack": 1e-12, "comparison": 1e-10, "complete_set_slack": 1e-9}
-        assert report["tool_version"] == bellbench.__version__ == "0.6.0"
+        assert report["tool_version"] == bellbench.__version__ == "0.7.0"
 
 
 class TestAnalyze:
@@ -120,6 +118,34 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--visibility", "1", "--copies", "7")
         assert code == 2
         assert "copies" in err
+
+    @pytest.mark.parametrize("n", range(2, MAX_SWEEP_COPIES + 1))
+    def test_zukowski_verdict_flips_within_slack_of_threshold(self, n):
+        # Bisect on the bit patterns of the doubles in [0, 1], which order as
+        # their values do, for the smallest V that analyze reports as a
+        # Bell-Zukowski violation. BOUND_SLACK on |<Z>| <= 1 moves the flip
+        # above t by at most the factor 1 + BOUND_SLACK / N; 8 eps covers the
+        # rounding of V^N and of its scale.
+        def verdicts(v):
+            return cmd_analyze(v, n)["verdicts"]
+
+        def value(bits):
+            return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+        lo, hi = (struct.unpack("<q", struct.pack("<d", v))[0] for v in (0.0, 1.0))
+        assert verdicts(value(lo))["zukowski_satisfied"]
+        assert not verdicts(value(hi))["zukowski_satisfied"]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if verdicts(value(mid))["zukowski_satisfied"]:
+                lo = mid
+            else:
+                hi = mid
+        flip, t = value(hi), threshold_visibility(n)
+        assert t <= flip <= t * (1 + BOUND_SLACK / n) * (1 + 8 * sys.float_info.epsilon)
+        # The paper's sentence: the conflict appears exactly where <Z> violates.
+        assert verdicts(value(lo))["conflict_revealed"] is False
+        assert verdicts(flip)["conflict_revealed"] is True
 
 
 class TestSweep:
@@ -565,9 +591,9 @@ class TestLhv:
             assert report["verdicts"]["oracles_agree"] is True
             if feasible:
                 assert report["results"]["witness_error"] < 1e-8
-                assert report["results"]["lhv_residual"] < 1e-12
+                assert report["results"]["complete_set_sum"] <= 2**7
             else:
-                assert report["results"]["lhv_residual"] > 0
+                assert report["results"]["complete_set_sum"] > 2**7
 
 
 @pytest.mark.parametrize("target", ["missing-dir/x.json", "."], ids=["missing-dir", "directory"])
@@ -763,7 +789,7 @@ class TestDeterminism:
 
 
 TOLERANCES_TEXT = ('"tolerances": {"bound_slack": 1e-12, "comparison": 1e-10, '
-                   '"complete_set_slack": 1e-09}, "tool_version": "0.6.0"')
+                   '"complete_set_slack": 1e-09}, "tool_version": "0.7.0"')
 
 # Whole reports whose numbers do not depend on summation order: the two lhv
 # tables are dyadic, so the sign transform and the witness rebuild are exact,
@@ -773,24 +799,20 @@ PINNED_REPORTS = {
     "correlators": (
         ["correlators", "--visibility", "0.9"], "",
         '{"command": "correlators", "parameters": {"visibility": 0.9}, "results": '
-        '{"e_xx": 0, "e_xy": 0.9, "e_yx": 0.9, "e_yy": 0, "lhv_residual": 0, '
-        '"quadruples": [1.8, 0, 0, 1.8], "table": {"XX": 0, "XY": 0.9, "YX": 0.9, "YY": 0}}, '
-        + TOLERANCES_TEXT + ', "verdicts": {"lhv_feasible": true, '
-        '"quadruples_satisfied": true}}\n'),
+        '{"quadruples": [1.8, 0, 0, 1.8], "table": {"XX": 0, "XY": 0.9, "YX": 0.9, "YY": 0}}, '
+        + TOLERANCES_TEXT + ', "verdicts": {"lhv_feasible": true}}\n'),
     "lhv-feasible": (
         ["lhv"], '{"XX":0.5,"XY":0.25,"YX":0.25,"YY":-0.5}',
-        '{"command": "lhv", "parameters": {}, "results": {"complete_set_bound": 4, '
-        '"complete_set_sum": 3, "lhv_residual": 0, "parties": 2, "witness_distribution": '
-        '{"++,++": 0.25, "++,+-": 0.25, "+-,++": 0.25, "-+,+-": 0.125, "--,++": 0.125}, '
-        '"witness_error": 0}, ' + TOLERANCES_TEXT + ', "verdicts": '
-        '{"complete_set_satisfied": true, "lhv_feasible": true, "oracles_agree": true}}\n'),
+        '{"command": "lhv", "parameters": {}, "results": {"complete_set_sum": 3, "parties": 2, '
+        '"witness_distribution": {"++,++": 0.25, "++,+-": 0.25, "+-,++": 0.25, '
+        '"-+,+-": 0.125, "--,++": 0.125}, "witness_error": 0}, ' + TOLERANCES_TEXT
+        + ', "verdicts": {"lhv_feasible": true, "oracles_agree": true}}\n'),
     "lhv-infeasible": (
         ["lhv"], '{"XX":1,"XY":1,"YX":1,"YY":-1}',
-        '{"command": "lhv", "parameters": {}, "results": {"complete_set_bound": 4, '
-        '"complete_set_sum": 8, "lhv_residual": 1, "parties": 2, "witness_inequality": '
-        '{"bound": 4, "coefficients": {"XX": 2, "XY": 2, "YX": 2, "YY": -2}, '
-        '"quadruple_index": 0, "value": 8}}, ' + TOLERANCES_TEXT + ', "verdicts": '
-        '{"complete_set_satisfied": false, "lhv_feasible": false, "oracles_agree": true}}\n'),
+        '{"command": "lhv", "parameters": {}, "results": {"complete_set_sum": 8, "parties": 2, '
+        '"witness_inequality": {"bound": 4, "coefficients": {"XX": 2, "XY": 2, "YX": 2, '
+        '"YY": -2}, "quadruple_index": 0, "value": 8}}, ' + TOLERANCES_TEXT
+        + ', "verdicts": {"lhv_feasible": false, "oracles_agree": true}}\n'),
     "analyze": (
         ["analyze", "--visibility", "0.9", "--copies", "2"], "",
         '{"command": "analyze", "parameters": {"copies": 2, "visibility": 0.9}, "results": '

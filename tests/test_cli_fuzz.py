@@ -5,8 +5,10 @@ non-numeric, NaN, repeated and huge values, and for any lhv table JSON,
 including ragged, empty and misspelt keys, non-finite and out-of-range
 values, 0 to 14 parties, tables nested in reports, deep nesting and huge
 integer literals: the exit code is 0, 2 or 3, no traceback reaches stderr,
-and a rerun writes the same bytes. Needs the optional `hypothesis` test
-dependency; examples are derandomized so the suite stays deterministic.
+and a rerun writes the same bytes. Subcommands that report the same number
+agree on it: a one-row sweep renders analyze's values and verdict, and lhv
+on a correlators report repeats its verdict. Needs the optional `hypothesis`
+test dependency; examples are derandomized so the suite stays deterministic.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from bellbench.mermin import threshold_visibility  # noqa: E402
 from helpers import run_main  # noqa: E402
 
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e309", "", "abc", "0x10", "1,2", "--", "1e-400"]
@@ -135,3 +138,48 @@ def test_lhv_exit_code_contract(text):
     if code != 0:
         assert out == ""
     assert run_main(["lhv"], stdin=text) == (code, out, err)
+
+
+# Visibilities in [0, 1], and the doubles on either side of each threshold.
+THRESHOLDS = [threshold_visibility(n) for n in range(2, 7)]
+UNIT_VISIBILITY = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([math.nextafter(t, d) for t in THRESHOLDS for d in (0.0, 2.0)]
+                    + THRESHOLDS),
+)
+
+
+def _report(argv, stdin=""):
+    """A report with every number kept as the text bellctl rendered."""
+    code, out, err = run_main(argv, stdin)
+    assert code == 0, (argv, err)
+    return json.loads(out, parse_float=str, parse_int=str), out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(UNIT_VISIBILITY, st.integers(1, 6))
+def test_one_row_sweep_renders_analyze(v, n):
+    # cmd_sweep inlines %.12g and the bound test for speed; the row must
+    # still read as analyze renders the same point.
+    code, out, err = run_main(["sweep", "--v-min", repr(v), "--v-max", repr(v),
+                               "--v-step", "1", "--copies", str(n)])
+    assert code == 0, err
+    header, row = out.splitlines()
+    assert header == "V,N,mermin,zukowski,modified_bound,violated"
+    report, _ = _report(["analyze", "--visibility", repr(v), "--copies", str(n)])
+    results = report["results"]
+    violated = "false" if report["verdicts"]["zukowski_satisfied"] else "true"
+    assert row.split(",") == [report["parameters"]["visibility"], str(n),
+                              results["mermin_value"], results["zukowski_value"],
+                              results["modified_bound"], violated]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(UNIT_VISIBILITY)
+def test_lhv_on_correlators_report_repeats_its_verdict(v):
+    correlators, text = _report(["correlators", "--visibility", repr(v)])
+    lhv, _ = _report(["lhv"], text)
+    assert lhv["verdicts"]["lhv_feasible"] == correlators["verdicts"]["lhv_feasible"]
+    # The pair's sign transform is (2V, 0, 0, -2V). The table and the sum
+    # are each rendered to 12 significant digits, 5e-12 relative at worst.
+    assert float(lhv["results"]["complete_set_sum"]) == pytest.approx(4 * v, rel=1e-11, abs=0)

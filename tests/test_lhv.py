@@ -181,7 +181,8 @@ class TestFeasibility:
         for v in V_GRID:
             verdict = lhv_feasible(CorrelationTable(full_correlation_table(noisy_pair(v), 2)))
             assert verdict.feasible
-            assert verdict.residual <= 1e-9
+            # The pair's transform is (2V, 0, 0, -2V).
+            assert verdict.sign_sum == pytest.approx(4 * v, rel=1e-12, abs=1e-12)
 
     def test_two_copy_tables_feasible(self):
         for v in V_GRID:
@@ -256,13 +257,7 @@ class TestClosedFormWitness:
         inside = 0.99 * 2**n / lhv_feasible(unit).sign_sum
         table = CorrelationTable({k: inside * v for k, v in unit.values.items()})
         verdict = assert_valid_witness(table)
-        assert verdict.residual == 0.0
-
-    def test_residual_is_cross_polytope_excess(self):
-        table = pair_table(1.0, 1.0, 1.0, -1.0)
-        verdict = lhv_feasible(table)
-        assert verdict.residual == pytest.approx(verdict.sign_sum / 4 - 1)
-        assert lhv_feasible(pair_table(0.0, 0.5, 0.5, 0.0)).residual == 0.0
+        assert verdict.sign_sum == pytest.approx(0.99 * 2**n, rel=1e-12)
 
     def test_leftover_mass_splits_between_plus_and_minus_h0(self):
         verdict = lhv_feasible(pair_table(0.0, 0.0, 0.0, 0.0))
