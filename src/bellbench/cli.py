@@ -16,17 +16,18 @@ key, builds its table (lhv.CorrelationTable, the only check of a table),
 decides it (lhv.lhv_feasible) and checks the verdict's certificate
 (lhv.certify); `correlators` reads its quadruples and their verdict from the
 same sign transform (lhv.quadruple_values, lhv.lhv_feasible).
-`analyze`, `sweep`, `correlators`, usage errors and an infeasible `lhv` table
-import neither numpy nor the appendix layer, bellbench.zukowski; `correlators`
-and an infeasible `lhv` table import no dataclasses either. numpy is loaded
-only by two functions, on their first call: the witness rebuild of a
+`analyze`, `sweep` and usage errors import none of numpy, dataclasses,
+bellbench.lhv and the appendix layer, bellbench.zukowski; `correlators` and an
+infeasible `lhv` table import bellbench.lhv but none of the other three. numpy
+is loaded only by two functions, on their first call: the witness rebuild of a
 feasible `lhv` verdict (lhv.witness_reconstruction_error) and the
 step-function draw of `verify-appendix` (zukowski.sampled_maxima).
-`correlators` reads its table from the pair's two amplitudes
-(mermin.pair_table); no subcommand builds a density matrix or a dense
-operator: `verify-appendix` checks the Bell-Zukowski quadrature and its GHZ
-diagonality on the operator's n + 1 distinct entries. `sweep` fills one row
-template per copy count and writes the CSV one copy count at a time.
+`correlators` and `analyze` read the pair's table from its two amplitudes
+(mermin.pair_table), `analyze` as the one input of its N-copy contraction; no
+subcommand builds a density matrix or a dense operator: `verify-appendix`
+checks the Bell-Zukowski quadrature and its GHZ diagonality on the operator's
+n + 1 distinct entries. `sweep` fills one row template per copy count and
+writes the CSV one copy count at a time.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def cmd_correlators(visibility: float) -> dict:
 def cmd_analyze(visibility: float, n_copies: int) -> dict:
     if not 1 <= n_copies <= MAX_SWEEP_COPIES:
         raise CliError(f"copies must lie in [1, {MAX_SWEEP_COPIES}], got {n_copies}")
-    mermin_value = mermin_expectation(visibility, n_copies)
+    mermin_value = mermin_expectation(pair_table(visibility), visibility, n_copies)
     zukowski_value = zukowski_from_mermin(mermin_value, n_copies)
     mermin_ok = local_bound_check(mermin_value)
     zukowski_ok = local_bound_check(zukowski_value)

@@ -14,12 +14,12 @@ f(x, y) = e^{-i pi/4} (x + i y) / sqrt(2): the f-transform of the pair is the
 tensor product of the per-site f-transforms of X and Y, so
 B + i B' = F_PHASE^{-1} (f (x) ... (x) f) with f = f(X, Y). The state is a
 tensor power of one pair, hence <B> + i <B'> = t^N / F_PHASE with
-t = tr[rho_pair (f (x) f)], a sum over the pair's two-party table
-(pair_contraction). mermin_expectation checks the closed form V^N against
-this contraction. The pair as a dense density matrix with its
-correlator traces, the dense recursion, its 2N-qubit trace and the
-Bell-Zukowski operator identity are the test suite's reference routes
-(tests/dense_oracle.py).
+t = tr[rho_pair (f (x) f)], a sum over the pair's two-party table: the
+contraction reads the table, not V (pair_contraction). mermin_expectation
+checks the closed form V^N against this contraction. The pair as a dense
+density matrix with its correlator traces, the dense recursion, its 2N-qubit
+trace and the Bell-Zukowski operator identity are the test suite's reference
+routes (tests/dense_oracle.py).
 
 The Bell relation <Z_{2N}> = (1/2)(pi/2)^{2N} 2^{-(2N-1)/2} <B> turns the
 local-realistic bound |<Z_{2N}>| <= 1 into a bound on |<B>|, and that bound
@@ -51,15 +51,15 @@ PAIR_AMPLITUDES = (1 / math.sqrt(2), 1j / math.sqrt(2))
 SETTING_PHASORS = {"X": 1, "Y": 1j}
 
 
-def pair_contraction(v: float) -> complex:
-    """t = tr[rho_pair (f (x) f)] for the noisy pair at visibility v.
+def pair_contraction(table: dict[str, float]) -> complex:
+    """t = tr[rho_pair (f (x) f)] for the pair with two-party table `table`.
 
     f = F_PHASE (X + iY) at each site, so f (x) f is F_PHASE^2 times the sum
     of u_s1 u_s2 s1 (x) s2 over the settings, and t is the same sum over the
     pair's two-party table: the contraction reads only the correlators.
     """
     return F_PHASE**2 * sum(SETTING_PHASORS[s1] * SETTING_PHASORS[s2] * e
-                            for (s1, s2), e in pair_table(v).items())
+                            for (s1, s2), e in table.items())
 
 
 def pair_table(v: float) -> dict[str, float]:
@@ -76,23 +76,18 @@ def pair_table(v: float) -> dict[str, float]:
             for s1, u1 in SETTING_PHASORS.items() for s2, u2 in SETTING_PHASORS.items()}
 
 
-def contracted_expectation(v: float, n_copies: int) -> complex:
-    """<B> + i<B'> on n_copies noisy pairs: F_PHASE (<B> + i<B'>) = t^N."""
-    if n_copies < 1:
-        raise ValueError("need at least one copy")
-    return pair_contraction(v) ** n_copies / F_PHASE
+def mermin_expectation(table: dict[str, float], v: float, n_copies: int) -> float:
+    """<B> = V^N on n_copies pairs with table `table` (pair_table(v)), checked
+    against the pair contraction: F_PHASE (<B> + i<B'>) = t^N.
 
-
-def mermin_expectation(v: float, n_copies: int) -> float:
-    """<B> = V^N on n_copies noisy pairs, checked against the pair contraction.
-
-    Both <B> (the real part of contracted_expectation) and <B'> (its
-    imaginary part) equal V^N and are required to agree with it within the
+    Both <B> and <B'> equal V^N and are required to agree with it within the
     comparison tolerance; a mismatch means a construction bug, not a
     physical effect, and raises ArithmeticError.
     """
+    if n_copies < 1:
+        raise ValueError("need at least one copy")
     analytic = v**n_copies
-    z = contracted_expectation(v, n_copies)
+    z = pair_contraction(table) ** n_copies / F_PHASE
     for name, value in (("B", z.real), ("B'", z.imag)):
         if abs(analytic - value) > COMPARISON_TOL:
             raise ArithmeticError(

@@ -11,9 +11,11 @@ import numpy as np
 
 from bellbench.cli import main
 from bellbench.mermin import (
-    contracted_expectation,
+    F_PHASE,
     local_bound_check,
     mermin_expectation,
+    pair_contraction,
+    pair_table,
     threshold_visibility,
     zukowski_from_mermin,
 )
@@ -82,8 +84,9 @@ def test_criterion_2_mermin_identity():
         aligned = align_corner_phase(mermin_closed_form(n), phase)
         assert np.abs(pair.b - aligned).max() < 1e-10
         for v in V_GRID:
-            assert mermin_expectation(v, n_copies) == v**n_copies
-            assert abs(contracted_expectation(v, n_copies).real - v**n_copies) < 1e-10
+            assert mermin_expectation(pair_table(v), v, n_copies) == v**n_copies
+            contracted = pair_contraction(pair_table(v)) ** n_copies / F_PHASE
+            assert abs(contracted.real - v**n_copies) < 1e-10
             primed = expectation(copies(v, n_copies), pair.b_prime)
             assert abs(primed - v**n_copies) < 1e-10
     _report("criterion 2 (Mermin recursion vs closed form, <B> = V^N): PASS")

@@ -256,7 +256,9 @@ class TestSweep:
         path = tmp_path / "sweep.csv"
         argv = ["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "1e-5",
                 "--copies", "1,2,3,4,5,6", "--output", str(path)]
-        run_main(argv[:-2] + ["--output", os.devnull])  # warm-up
+        # one-row warm-up: loads the modules and builds the cached parser
+        run_main(["sweep", "--v-min", "0", "--v-max", "0", "--v-step", "0.5", "--copies", "1",
+                  "--output", os.devnull])
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -710,22 +712,37 @@ LIGHT_IMPORT_SCRIPT = '''
 import contextlib, io, json, sys
 from bellbench.cli import main
 
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(["correlators", "--visibility", "0.9"])]
+def loaded(names):
+    return [m for m in names if m in sys.modules]
+
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes.append(main(["analyze", "--visibility", "0.9", "--copies", "2"]))
+    codes.append(main(["sweep", "--v-min", "0.9", "--v-max", "1", "--v-step", "0.05",
+                       "--copies", "1,2"]))
+    try:
+        main(["analyze", "--visibility", "2", "--copies", "2"])
+    except SystemExit as exc:
+        codes.append(exc.code)
+    light = loaded(("dataclasses", "numpy", "bellbench.lhv", "bellbench.zukowski"))
+    codes.append(main(["correlators", "--visibility", "0.9"]))
     sys.stdin = io.StringIO(sys.argv[1])
     codes.append(main(["lhv"]))
-print(json.dumps({"codes": codes,
-                  "loaded": [m for m in ("dataclasses", "numpy") if m in sys.modules]}))
+print(json.dumps({"codes": codes, "analyze_sweep_usage_loaded": light,
+                  "loaded": loaded(("dataclasses", "numpy"))}))
 '''
 
 
 def test_correlators_and_infeasible_lhv_import_neither_dataclasses_nor_numpy():
+    # analyze, sweep and a usage error load no LHV or appendix layer either;
+    # correlators and an infeasible lhv table then load the LHV layer only
     src = str(Path(bellbench.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", LIGHT_IMPORT_SCRIPT,
                            '{"XX": 1, "XY": 1, "YX": 1, "YY": -1}'],
                           capture_output=True, text=True, timeout=60, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert json.loads(proc.stdout) == {"codes": [0, 0], "loaded": []}
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 2, 0, 0],
+                                       "analyze_sweep_usage_loaded": [], "loaded": []}
 
 
 def test_analyze_has_bounded_memory():

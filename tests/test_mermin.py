@@ -5,7 +5,7 @@ import pytest
 
 from bellbench import mermin
 from bellbench.mermin import (
-    contracted_expectation,
+    F_PHASE,
     local_bound_check,
     mermin_expectation,
     pair_contraction,
@@ -18,6 +18,7 @@ from dense_oracle import (
     full_correlation_table,
     mermin_operators,
     noisy_pair,
+    tensor_all,
 )
 from helpers import run_main
 
@@ -29,8 +30,8 @@ def test_expectation_is_v_power_n(n_copies):
     # the dense 2N-qubit recursion and trace are the oracle for the contraction
     pair = mermin_operators(2 * n_copies)
     for v in V_GRID:
-        got = mermin_expectation(v, n_copies)
-        contracted = contracted_expectation(v, n_copies)
+        got = mermin_expectation(pair_table(v), v, n_copies)
+        contracted = pair_contraction(pair_table(v)) ** n_copies / F_PHASE
         assert abs(contracted.real - got) < 1e-10
         rho = copies(v, n_copies)
         assert got == v**n_copies  # the checked closed form itself
@@ -41,7 +42,24 @@ def test_expectation_is_v_power_n(n_copies):
 def test_pair_contraction_matches_dense_trace():
     # plain complex arithmetic on the two amplitudes against the 4x4 matrix trace
     for v in (*V_GRID, 0.1, 1 / 3, 0.9, 0.963934979904):
-        assert abs(pair_contraction(v) - dense_pair_contraction(v)) < 1e-15
+        assert abs(pair_contraction(pair_table(v)) - dense_pair_contraction(v)) < 1e-15
+
+
+def test_contraction_of_random_pairs_matches_dense_trace():
+    # the noisy pair's table has XX = YY = 0; a random state's has all four
+    # correlators, so every term of the contraction is exercised
+    rng = np.random.default_rng(24)
+    for _ in range(48):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        t = pair_contraction(full_correlation_table(rho, 2))
+        for n_copies in (1, 2, 3):
+            pair = mermin_operators(2 * n_copies)
+            state = tensor_all([rho] * n_copies)
+            z = t**n_copies / F_PHASE
+            assert abs(z.real - expectation(state, pair.b)) < 1e-12
+            assert abs(z.imag - expectation(state, pair.b_prime)) < 1e-12
 
 
 def test_pair_table_matches_dense_traces():
@@ -72,13 +90,7 @@ def test_pair_table_needs_a_visibility_in_the_unit_interval():
 
 def test_contraction_needs_a_copy():
     with pytest.raises(ValueError):
-        contracted_expectation(0.5, 0)
-
-
-def test_contraction_needs_a_visibility_in_the_unit_interval():
-    for bad in (-0.1, 1.5):
-        with pytest.raises(ValueError):
-            contracted_expectation(bad, 1)
+        mermin_expectation(pair_table(0.5), 0.5, 0)
 
 
 def _conjugate_phase(monkeypatch):
@@ -97,7 +109,7 @@ def test_broken_contraction_is_a_numerical_failure(monkeypatch, breakage, n_copi
     # a conjugated phase keeps <B> = V^N at even N; only the <B'> check sees it
     breakage(monkeypatch)
     with pytest.raises(ArithmeticError):
-        mermin_expectation(0.9, n_copies)
+        mermin_expectation(pair_table(0.9), 0.9, n_copies)
     code, out, err = run_main(["analyze", "--visibility", "0.9", "--copies", str(n_copies)])
     assert code == 3
     assert out == ""
