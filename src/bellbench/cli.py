@@ -27,17 +27,22 @@ step-function draw of `verify-appendix` (zukowski.sampled_maxima).
 subcommand builds a density matrix or a dense operator: `verify-appendix`
 checks the Bell-Zukowski quadrature and its GHZ diagonality on the operator's
 n + 1 distinct entries. `sweep` fills one row template per copy count and
-writes the CSV one copy count at a time.
+writes each count's block as soon as it is formatted, at most MAX_SWEEP_ROWS
+rows, checked on the grid before the first byte. Each input limit is one
+rule: the parser types take a visibility in [0, 1], a finite positive step
+and copy counts in [1, MAX_COPIES]. Each subparser binds its handler.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from .mermin import (
     BOUND_SLACK,
@@ -55,9 +60,12 @@ from .report import envelope, format_float, render_json
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
-MAX_SWEEP_COPIES = 6
-# Grid steps a sweep may take, so at most MAX_SWEEP_STEPS + 1 points.
-MAX_SWEEP_STEPS = 100_000
+# Copy counts analyze and sweep take: every reported number stays finite.
+# The closed forms overflow past about N = 3300, and format_float(inf) would
+# render non-JSON `inf`.
+MAX_COPIES = 512
+# Rows a sweep may write, over all its copy counts: 6 counts x 100001 points.
+MAX_SWEEP_ROWS = 600_006
 # Trials x grid cells a verify-appendix request may ask for; the default
 # 10000 x 64 is 640000. Each trial is a triple of step functions, so the
 # draw takes three times this many signs.
@@ -81,7 +89,7 @@ def _visibility(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not 0.0 <= v <= 1.0:
         raise argparse.ArgumentTypeError(f"visibility must lie in [0, 1], got {v}")
-    return v
+    return v + 0.0  # -0.0 reads as 0.0, as the sweep grid does
 
 
 def _v_step(text: str) -> float:
@@ -94,19 +102,20 @@ def _v_step(text: str) -> float:
     return step
 
 
-def _copies_list(text: str) -> list[int]:
+def _copies(text: str) -> int:
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if not 1 <= n <= MAX_COPIES:
+        raise argparse.ArgumentTypeError(f"copy count must lie in [1, {MAX_COPIES}], got {n}")
+    return n
+
+
+def _copies_list(text: str) -> list[int]:
+    values = [_copies(part) for part in text.split(",") if part.strip() != ""]
     if not values:
         raise argparse.ArgumentTypeError("empty copy list")
-    for n in values:
-        if not 1 <= n <= MAX_SWEEP_COPIES:
-            raise argparse.ArgumentTypeError(f"copy count must lie in [1, {MAX_SWEEP_COPIES}], got {n}")
-    # Distinct counts in [1, MAX_SWEEP_COPIES] bound the rows a sweep writes.
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"copy counts must not repeat: {text!r}")
     return values
 
 
@@ -119,18 +128,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
+    def add_output(p, handler):
+        """--output, and the handler that returns the text blocks to write;
+        it names its cmd_* in its body, so that is looked up at call time."""
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write to PATH instead of standard output")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("correlators", help="two-party correlators and CHSH-type checks")
     p.add_argument("--visibility", type=_visibility, required=True)
-    add_output(p)
+    add_output(p, lambda a: [render_json(cmd_correlators(a.visibility))])
 
     p = sub.add_parser("analyze", help="Bell operator pipeline for N shared copies")
     p.add_argument("--visibility", type=_visibility, required=True)
-    p.add_argument("--copies", type=int, required=True, metavar="N")
-    add_output(p)
+    p.add_argument("--copies", type=_copies, required=True, metavar="N")
+    add_output(p, lambda a: [render_json(cmd_analyze(a.visibility, a.copies))])
 
     p = sub.add_parser("sweep", help="visibility/copies grid as CSV")
     p.add_argument("--v-min", type=_visibility, required=True)
@@ -138,19 +150,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-step", type=_v_step, required=True)
     p.add_argument("--copies", type=_copies_list, required=True,
                    metavar="N1,N2,...")
-    add_output(p)
+    add_output(p, lambda a: cmd_sweep(a.v_min, a.v_max, a.v_step, a.copies))
 
     p = sub.add_parser("verify-appendix", help="quadrature, diagonality and bound checks")
     p.add_argument("--grid", type=int, default=64, metavar="G",
                    help="step-function cells (even, default 64)")
     p.add_argument("--trials", type=int, default=10000, metavar="T")
     p.add_argument("--seed", type=int, default=42)
-    add_output(p)
+    add_output(p, lambda a: [render_json(cmd_verify_appendix(a.grid, a.trials, a.seed))])
 
     p = sub.add_parser("lhv", help="local-model feasibility of a correlation table")
     p.add_argument("--input", metavar="PATH", default=None,
                    help="correlation-table JSON (default: standard input)")
-    add_output(p)
+    add_output(p, lambda a: [render_json(cmd_lhv(_read_input(a.input)))])
 
     return parser
 
@@ -168,8 +180,6 @@ def cmd_correlators(visibility: float) -> dict:
 
 
 def cmd_analyze(visibility: float, n_copies: int) -> dict:
-    if not 1 <= n_copies <= MAX_SWEEP_COPIES:
-        raise CliError(f"copies must lie in [1, {MAX_SWEEP_COPIES}], got {n_copies}")
     mermin_value = mermin_expectation(pair_table(visibility), visibility, n_copies)
     zukowski_value = zukowski_from_mermin(mermin_value, n_copies)
     mermin_ok = local_bound_check(mermin_value)
@@ -193,29 +203,30 @@ def cmd_analyze(visibility: float, n_copies: int) -> dict:
     )
 
 
-def sweep_grid(v_min: float, v_max: float, v_step: float) -> list[float]:
-    if not 0.0 < v_step < math.inf:
-        raise CliError(f"step must be finite and positive, got {v_step}")
+def sweep_grid(v_min: float, v_max: float, v_step: float, max_points: int) -> list[float]:
+    """v_min + k v_step up to v_max; CliError if empty or over max_points."""
     grid = []
     limit = v_max + 1e-12
     # Points are counted on the bound the grid runs to, not on
     # (v_max - v_min) / v_step: with a tiny step the 1e-12 slack alone holds
     # many points (1e-12 / 1e-300), and rounding adds more (0.5 + 1e-17 is 0.5).
-    for k in range(MAX_SWEEP_STEPS + 2):
+    for k in range(max_points + 1):
         v = v_min + k * v_step
         if v > limit:
             break
         grid.append(min(v, 1.0))
     else:
-        raise CliError(f"grid exceeds {MAX_SWEEP_STEPS} steps; use a larger step")
+        raise CliError(f"sweep exceeds the {MAX_SWEEP_ROWS}-row cap (more than {max_points} "
+                       "grid points per copy count); use a larger step")
     if not grid:
         raise CliError("empty visibility grid")
     return grid
 
 
-def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int]) -> list[str]:
+def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int]) -> Iterator[str]:
     """CSV over the grid, copy count outer, visibility inner: the header, then
-    one block per copy count, so one count's row strings are alive at a time.
+    one block per copy count, made as it is written. The grid is checked on
+    the call, before any block is made.
 
     Values use the closed forms <B> = V^N and <Z_2N> = scale(N) <B>, the
     numbers zukowski_from_mermin gives; the agreement of V^N with the
@@ -226,20 +237,21 @@ def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int])
     rows; "%.12g" renders a float as format_float does, and the violation
     test is local_bound_check's.
     """
-    grid = sweep_grid(v_min, v_max, v_step)
-    v_texts = [format_float(v) for v in grid]
+    grid = sweep_grid(v_min, v_max, v_step, MAX_SWEEP_ROWS // len(copies_list))
     limit = 1.0 + BOUND_SLACK
     fields = [None] * (4 * len(grid))
-    fields[0::4] = v_texts
-    blocks = ["V,N,mermin,zukowski,modified_bound,violated\n"]
-    for n in copies_list:
+    fields[0::4] = [format_float(v) for v in grid]
+
+    def block(n: int) -> str:
         scale = bell_relation_scale(n)
         row = f"%s,{n},%.12g,%.12g,{format_float(modified_mermin_bound(n))},%s\n"
         fields[1::4] = mermin = [v**n for v in grid]
         fields[2::4] = zukowski = [scale * m for m in mermin]
         fields[3::4] = ["false" if abs(z) <= limit else "true" for z in zukowski]
-        blocks.append(row * len(grid) % tuple(fields))
-    return blocks
+        return row * len(grid) % tuple(fields)
+
+    return itertools.chain(["V,N,mermin,zukowski,modified_bound,violated\n"],
+                           map(block, copies_list))
 
 
 def cmd_verify_appendix(grid_cells: int, trials: int, seed: int) -> dict:
@@ -360,8 +372,9 @@ def _read_input(path: str | None) -> str:
     return text
 
 
-def _write_output(path: str | None, blocks: list[str]) -> None:
-    """Write the text `blocks` to PATH, or to standard output when PATH is None.
+def _write_output(path: str | None, blocks: Iterable[str]) -> None:
+    """Write the text `blocks`, each as it is made, to PATH, or to standard
+    output when PATH is None.
 
     Standard output is flushed here, so a closed pipe is reported as a
     write error instead of surfacing at interpreter exit.
@@ -378,24 +391,9 @@ def _write_output(path: str | None, blocks: list[str]) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            blocks = cmd_sweep(args.v_min, args.v_max, args.v_step, args.copies)
-        else:
-            if args.command == "correlators":
-                report = cmd_correlators(args.visibility)
-            elif args.command == "analyze":
-                report = cmd_analyze(args.visibility, args.copies)
-            elif args.command == "verify-appendix":
-                report = cmd_verify_appendix(args.grid, args.trials, args.seed)
-            elif args.command == "lhv":
-                report = cmd_lhv(_read_input(args.input))
-            else:  # pragma: no cover - argparse enforces the choices
-                raise CliError(f"unknown command {args.command}")
-            blocks = [render_json(report)]
-        _write_output(args.output, blocks)
+        _write_output(args.output, args.handler(args))
     except CliError as exc:
         print(f"bellctl: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import bellbench
-from bellbench.cli import (MAX_APPENDIX_CELLS, MAX_APPENDIX_GRID, MAX_LHV_INPUT_CHARS,
-                           MAX_SWEEP_COPIES, CliError, cmd_analyze, cmd_correlators, main,
-                           sweep_grid)
+from bellbench.cli import (MAX_APPENDIX_CELLS, MAX_APPENDIX_GRID, MAX_COPIES,
+                           MAX_LHV_INPUT_CHARS, MAX_SWEEP_ROWS, CliError, cmd_analyze,
+                           cmd_correlators, main, sweep_grid)
 from bellbench.mermin import BOUND_SLACK, pair_table, threshold_visibility
 from bellbench.report import render_json
 from bellbench.zukowski import cell_weights
@@ -88,7 +88,7 @@ class TestCorrelators:
         report = run_json(capsys, "correlators", "--visibility", "0.5")
         assert report["tolerances"] == {
             "bound_slack": 1e-12, "comparison": 1e-10, "complete_set_slack": 1e-9}
-        assert report["tool_version"] == bellbench.__version__ == "0.7.0"
+        assert report["tool_version"] == bellbench.__version__ == "0.8.0"
 
 
 class TestAnalyze:
@@ -114,12 +114,36 @@ class TestAnalyze:
         assert report["verdicts"]["conflict_revealed"] is False
         assert "threshold_visibility" not in report["results"]
 
-    def test_copies_out_of_range_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "analyze", "--visibility", "1", "--copies", "7")
-        assert code == 2
-        assert "copies" in err
+    def test_copies_out_of_range_exits_2(self):
+        for n in (0, MAX_COPIES + 1):
+            for argv in (["analyze", "--visibility", "1", "--copies", str(n)],
+                         ["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.5",
+                          "--copies", f"1,{n}"]):
+                code, out, err = run_main(argv)
+                assert (code, out) == (2, ""), argv
+                assert f"copy count must lie in [1, {MAX_COPIES}], got {n}" in err
+                assert "Traceback" not in err
 
-    @pytest.mark.parametrize("n", range(2, MAX_SWEEP_COPIES + 1))
+    @pytest.mark.parametrize("v", [0.0, 0.5, threshold_visibility(MAX_COPIES), 1.0])
+    def test_largest_copy_count_reports_strict_json(self, v):
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        code, out, err = run_main(["analyze", "--visibility", repr(v),
+                                   "--copies", str(MAX_COPIES)])
+        assert code == 0, err
+        report = json.loads(out, parse_constant=refuse)
+        assert report["parameters"]["copies"] == MAX_COPIES
+        assert report["parameters"]["visibility"] == pytest.approx(v, rel=1e-11)
+        assert report["results"]["mermin_value"] == pytest.approx(v**MAX_COPIES, rel=1e-11)
+
+    @pytest.mark.parametrize("text", ["-0", "-0.0"])
+    def test_negative_zero_visibility_reads_as_zero(self, text):
+        for argv in (["analyze", "--copies", "1"], ["correlators"]):
+            assert run_main(argv + ["--visibility", text]) == \
+                run_main(argv + ["--visibility", "0"])
+
+    @pytest.mark.parametrize("n", [*range(2, 7), 7, 64, MAX_COPIES])
     def test_zukowski_verdict_flips_within_slack_of_threshold(self, n):
         # Bisect on the bit patterns of the doubles in [0, 1], which order as
         # their values do, for the smallest V that analyze reports as a
@@ -150,7 +174,7 @@ class TestAnalyze:
 
 class TestSweep:
     def test_grid_is_exact(self):
-        grid = sweep_grid(0.9, 1.0, 0.02)
+        grid = sweep_grid(0.9, 1.0, 0.02, MAX_SWEEP_ROWS)
         assert grid == pytest.approx([0.9, 0.92, 0.94, 0.96, 0.98, 1.0])
 
     def test_violated_flips_at_threshold(self, capsys):
@@ -198,28 +222,45 @@ class TestSweep:
                                  "--v-step", "1e-9", "--copies", "1")
         assert code == 2
         assert out == ""
-        assert "steps" in err
+        assert f"{MAX_SWEEP_ROWS}-row cap" in err
 
     @pytest.mark.parametrize("v, step", [("0", "1e-300"), ("0.5", "1e-17")])
     def test_steps_counted_on_the_loop_bound(self, v, step):
         # (v_max - v_min) / v_step is 0, but the grid runs on to v_max + 1e-12,
         # which holds 1e-12 / 1e-300 points at V = 0 and, since 0.5 + k 1e-17
-        # rounds back to 0.5 for small k, 100004 at V = 0.5.
-        with pytest.raises(CliError, match="steps"):
-            sweep_grid(float(v), float(v), float(step))
+        # rounds back to 0.5 for small k, 100004 at V = 0.5: over the 100001
+        # points each of six copy counts may take.
+        with pytest.raises(CliError, match="row cap"):
+            sweep_grid(float(v), float(v), float(step), MAX_SWEEP_ROWS // 6)
         code, out, err = run_main(["sweep", "--v-min", v, "--v-max", v,
-                                   "--v-step", step, "--copies", "1"])
+                                   "--v-step", step, "--copies", "1,2,3,4,5,6"])
         assert (code, out) == (2, "")
-        assert "exceeds 100000 steps" in err
+        assert f"exceeds the {MAX_SWEEP_ROWS}-row cap" in err
+
+    def test_one_point_over_the_row_cap_exits_2_and_writes_nothing(self, tmp_path):
+        # 1 / 100001 steps give 100002 points, one more than six copy counts
+        # may take; 1e-5 steps give 100001, exactly MAX_SWEEP_ROWS rows.
+        assert len(sweep_grid(0.0, 1.0, 1e-5, MAX_SWEEP_ROWS // 6)) == MAX_SWEEP_ROWS // 6
+        path = tmp_path / "sweep.csv"
+        for output in ([], ["--output", str(path)]):
+            code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
+                                       "--v-step", repr(1 / 100_001),
+                                       "--copies", "1,2,3,4,5,6", *output])
+            assert (code, out) == (2, "")
+            assert err == (f"bellctl: error: sweep exceeds the {MAX_SWEEP_ROWS}-row cap "
+                           f"(more than {MAX_SWEEP_ROWS // 6} grid points per copy count); "
+                           "use a larger step\n")
+        assert not path.exists()
 
     @pytest.mark.parametrize("copies", ["6,6", "1,2,1"])
-    def test_repeated_copy_count_exits_2(self, copies):
+    def test_repeated_copy_count_repeats_its_block(self, copies):
         code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
                                    "--v-step", "0.5", "--copies", copies])
-        assert code == 2
-        assert out == ""
-        assert "must not repeat" in err
-        assert "Traceback" not in err
+        assert (code, err) == (0, "")
+        header, *rows = out.splitlines()
+        blocks = [rows[k:k + 3] for k in range(0, len(rows), 3)]
+        assert [block[0].split(",")[1] for block in blocks] == copies.split(",")
+        assert blocks[0] == blocks[-1]
 
     def test_json_format_rejected(self):
         # There is no --format option; each subcommand has one output format.
@@ -267,11 +308,11 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert (code, out, err) == (0, "", "")
-        assert path.read_bytes().count(b"\n") == 6 * 100_001 + 1
-        # The 36 MB of CSV text is held once, one copy count's row strings at
-        # a time; every row string of all six counts alive at once, as when
-        # the whole CSV is joined in one piece, peaks near 110 MiB.
-        assert peak - before < 80 * 2**20
+        assert path.read_bytes().count(b"\n") == MAX_SWEEP_ROWS + 1
+        # Each copy count's block is written as soon as it is formatted, so
+        # one of the six 6 MB blocks is alive at a time: the peak is 30.5
+        # MiB. Holding the whole 36 MB CSV until the end peaks at 59.6 MiB.
+        assert peak - before < 40 * 2**20
 
     def test_violation_iff_above_threshold(self, capsys):
         from bellbench.mermin import threshold_visibility
@@ -806,7 +847,7 @@ class TestDeterminism:
 
 
 TOLERANCES_TEXT = ('"tolerances": {"bound_slack": 1e-12, "comparison": 1e-10, '
-                   '"complete_set_slack": 1e-09}, "tool_version": "0.7.0"')
+                   '"complete_set_slack": 1e-09}, "tool_version": "0.8.0"')
 
 # Whole reports whose numbers do not depend on summation order: the two lhv
 # tables are dyadic, so the sign transform and the witness rebuild are exact,

@@ -20,6 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from bellbench.cli import MAX_COPIES  # noqa: E402
 from bellbench.mermin import threshold_visibility  # noqa: E402
 from helpers import run_main  # noqa: E402
 
@@ -37,12 +38,15 @@ def _ints(lo, hi):
 
 VISIBILITY = st.one_of(_floats(0.0, 1.0), _floats(-0.5, 1.5),
                        st.sampled_from(BAD_NUMBERS + ["0", "1"]))
-COPIES = st.one_of(_ints(1, 6), _ints(-2, 8), st.sampled_from(BAD_NUMBERS + HUGE_INTS))
-# Valid steps stay coarse enough to keep each run short; 1e-9 is over the step cap.
+# Counts at the cap and one over it, MAX_COPIES and MAX_COPIES + 1.
+EDGE_COPIES = [MAX_COPIES, MAX_COPIES + 1]
+COPIES = st.one_of(_ints(1, 6), _ints(-2, 8),
+                   st.sampled_from(BAD_NUMBERS + HUGE_INTS + list(map(str, EDGE_COPIES))))
+# Valid steps stay coarse enough to keep each run short; 1e-9 is over the row cap.
 V_STEP = st.one_of(_floats(0.01, 2.0), st.sampled_from(BAD_NUMBERS + ["0", "-0.1", "1e-9"]))
 COPY_LIST = st.one_of(
-    st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True),
-    st.lists(st.integers(-1, 8), max_size=8),
+    st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    st.lists(st.integers(-1, 8) | st.sampled_from(EDGE_COPIES), max_size=8),
 ).map(lambda ns: ",".join(map(str, ns))) | st.sampled_from(
     ["6,6", "1,,2", ",", "1;2", "2," * 50, "nan"] + HUGE_INTS)
 # Valid draws stay small; 4098 is over the grid cap, the huge values over
@@ -140,12 +144,12 @@ def test_lhv_exit_code_contract(text):
     assert run_main(["lhv"], stdin=text) == (code, out, err)
 
 
-# Visibilities in [0, 1], and the doubles on either side of each threshold.
+# Visibilities in [0, 1], -0.0, and the doubles on either side of each threshold.
 THRESHOLDS = [threshold_visibility(n) for n in range(2, 7)]
 UNIT_VISIBILITY = st.one_of(
     st.floats(0.0, 1.0),
     st.sampled_from([math.nextafter(t, d) for t in THRESHOLDS for d in (0.0, 2.0)]
-                    + THRESHOLDS),
+                    + THRESHOLDS + [-0.0]),
 )
 
 
