@@ -16,11 +16,13 @@ from lp_oracle import settings
 
 
 def run_main(argv, stdin=""):
-    """Exit code, stdout and stderr of main(argv) reading `stdin`, usage
-    errors included."""
+    """Exit code, stdout and stderr of main(argv) reading `stdin` (a string,
+    or an open text file), usage errors included."""
+    if isinstance(stdin, str):
+        stdin = io.StringIO(stdin)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch("sys.stdin", io.StringIO(stdin)):
+            mock.patch("sys.stdin", stdin):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects usage errors this way

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import random
@@ -26,10 +25,10 @@ def table_json(table):
     return json.dumps(table.values)
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run_json(argv, stdin=""):
+    code, out, err = run_main(argv, stdin)
+    assert code == 0, err
+    return json.loads(out)
 
 
 def unchunked_appendix_maxima(grid, trials, seed):
@@ -49,12 +48,6 @@ def unchunked_appendix_maxima(grid, trials, seed):
             float(np.abs(z.prod(axis=1).real).max()))
 
 
-def run_json(capsys, *argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    return json.loads(out)
-
-
 class TestCorrelators:
     def test_table_is_the_pair_table(self):
         for k in range(1001):
@@ -63,37 +56,35 @@ class TestCorrelators:
             table = pair_table(v)
             assert res["table"] == table
 
-    def test_full_visibility(self, capsys):
-        report = run_json(capsys, "correlators", "--visibility", "1")
+    def test_full_visibility(self):
+        report = run_json(["correlators", "--visibility", "1"])
         res = report["results"]
         assert res["table"] == pytest.approx({"XX": 0, "XY": 1, "YX": 1, "YY": 0}, abs=1e-12)
         assert res["quadruples"] == pytest.approx([2, 0, 0, 2], abs=1e-12)
         assert report["verdicts"] == {"lhv_feasible": True}
 
-    def test_zero_visibility(self, capsys):
-        report = run_json(capsys, "correlators", "--visibility", "0")
+    def test_zero_visibility(self):
+        report = run_json(["correlators", "--visibility", "0"])
         assert report["results"]["quadruples"] == pytest.approx([0, 0, 0, 0], abs=1e-12)
         assert report["verdicts"]["lhv_feasible"] is True
 
-    def test_half_visibility_quadruple(self, capsys):
-        report = run_json(capsys, "correlators", "--visibility", "0.5")
+    def test_half_visibility_quadruple(self):
+        report = run_json(["correlators", "--visibility", "0.5"])
         assert report["results"]["quadruples"] == pytest.approx([1, 0, 0, 1], abs=1e-12)
 
-    def test_invalid_visibility_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["correlators", "--visibility", "1.5"])
-        assert exc.value.code == 2
+    def test_invalid_visibility_exits_2(self):
+        assert run_main(["correlators", "--visibility", "1.5"])[0] == 2
 
-    def test_report_embeds_tolerances(self, capsys):
-        report = run_json(capsys, "correlators", "--visibility", "0.5")
+    def test_report_embeds_tolerances(self):
+        report = run_json(["correlators", "--visibility", "0.5"])
         assert report["tolerances"] == {
             "bound_slack": 1e-12, "comparison": 1e-10, "complete_set_slack": 1e-9}
         assert report["tool_version"] == bellbench.__version__ == "0.8.0"
 
 
 class TestAnalyze:
-    def test_conflict_at_full_visibility_two_copies(self, capsys):
-        report = run_json(capsys, "analyze", "--visibility", "1", "--copies", "2")
+    def test_conflict_at_full_visibility_two_copies(self):
+        report = run_json(["analyze", "--visibility", "1", "--copies", "2"])
         res, verdicts = report["results"], report["verdicts"]
         assert res["mermin_value"] == pytest.approx(1.0, abs=1e-12)
         assert res["zukowski_value"] == pytest.approx(1.076228575302513, abs=1e-9)
@@ -101,14 +92,14 @@ class TestAnalyze:
         assert verdicts["zukowski_satisfied"] is False
         assert verdicts["conflict_revealed"] is True
 
-    def test_no_conflict_below_threshold(self, capsys):
-        report = run_json(capsys, "analyze", "--visibility", "0.9", "--copies", "2")
+    def test_no_conflict_below_threshold(self):
+        report = run_json(["analyze", "--visibility", "0.9", "--copies", "2"])
         assert report["results"]["zukowski_value"] == pytest.approx(
             0.81 * 1.076228575302513, abs=1e-9)
         assert report["verdicts"]["conflict_revealed"] is False
 
-    def test_single_copy_never_conflicts(self, capsys):
-        report = run_json(capsys, "analyze", "--visibility", "1", "--copies", "1")
+    def test_single_copy_never_conflicts(self):
+        report = run_json(["analyze", "--visibility", "1", "--copies", "1"])
         assert report["results"]["zukowski_value"] == pytest.approx(
             0.8723580249548598, abs=1e-9)
         assert report["verdicts"]["conflict_revealed"] is False
@@ -177,10 +168,9 @@ class TestSweep:
         grid = sweep_grid(0.9, 1.0, 0.02, MAX_SWEEP_ROWS)
         assert grid == pytest.approx([0.9, 0.92, 0.94, 0.96, 0.98, 1.0])
 
-    def test_violated_flips_at_threshold(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--v-min", "0.9", "--v-max", "1.0",
-            "--v-step", "0.01", "--copies", "2")
+    def test_violated_flips_at_threshold(self):
+        code, out, _ = run_main(["sweep", "--v-min", "0.9", "--v-max", "1.0",
+                                 "--v-step", "0.01", "--copies", "2"])
         assert code == 0
         rows = out.strip().splitlines()
         assert rows[0] == "V,N,mermin,zukowski,modified_bound,violated"
@@ -191,35 +181,32 @@ class TestSweep:
         assert flags["0.96"] == "false"
         assert flags["0.97"] == "true"
 
-    def test_single_copy_never_violates(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "sweep", "--v-min", "0", "--v-max", "1",
-            "--v-step", "0.1", "--copies", "1")
+    def test_single_copy_never_violates(self):
+        _, out, _ = run_main(["sweep", "--v-min", "0", "--v-max", "1",
+                              "--v-step", "0.1", "--copies", "1"])
         assert "true" not in out
 
-    def test_row_order_copies_outer(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "sweep", "--v-min", "0.5", "--v-max", "0.6",
-            "--v-step", "0.1", "--copies", "2,1")
+    def test_row_order_copies_outer(self):
+        _, out, _ = run_main(["sweep", "--v-min", "0.5", "--v-max", "0.6",
+                              "--v-step", "0.1", "--copies", "2,1"])
         ns = [row.split(",")[1] for row in out.strip().splitlines()[1:]]
         assert ns == ["2", "2", "1", "1"]
 
-    def test_empty_grid_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "sweep", "--v-min", "0.9", "--v-max", "0.1",
-                             "--v-step", "0.1", "--copies", "1")
+    def test_empty_grid_exits_2(self):
+        code, _, _ = run_main(["sweep", "--v-min", "0.9", "--v-max", "0.1",
+                               "--v-step", "0.1", "--copies", "1"])
         assert code == 2
 
     @pytest.mark.parametrize("step", ["nan", "inf", "0", "-0.1"])
-    def test_non_finite_or_non_positive_step_exits_2(self, capsys, step):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--v-min", "0", "--v-max", "1", "--v-step", step,
-                  "--copies", "1"])
-        assert exc.value.code == 2
-        assert "finite and positive" in capsys.readouterr().err
+    def test_non_finite_or_non_positive_step_exits_2(self, step):
+        code, _, err = run_main(["sweep", "--v-min", "0", "--v-max", "1", "--v-step", step,
+                                 "--copies", "1"])
+        assert code == 2
+        assert "finite and positive" in err
 
-    def test_too_many_grid_steps_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "sweep", "--v-min", "0", "--v-max", "1",
-                                 "--v-step", "1e-9", "--copies", "1")
+    def test_too_many_grid_steps_exits_2(self):
+        code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
+                                   "--v-step", "1e-9", "--copies", "1"])
         assert code == 2
         assert out == ""
         assert f"{MAX_SWEEP_ROWS}-row cap" in err
@@ -314,12 +301,11 @@ class TestSweep:
         # MiB. Holding the whole 36 MB CSV until the end peaks at 59.6 MiB.
         assert peak - before < 40 * 2**20
 
-    def test_violation_iff_above_threshold(self, capsys):
+    def test_violation_iff_above_threshold(self):
         from bellbench.mermin import threshold_visibility
 
-        _, out, _ = run_cli(
-            capsys, "sweep", "--v-min", "0", "--v-max", "1",
-            "--v-step", "0.02", "--copies", "1,2,3")
+        _, out, _ = run_main(["sweep", "--v-min", "0", "--v-max", "1",
+                              "--v-step", "0.02", "--copies", "1,2,3"])
         thresholds = {2: threshold_visibility(2), 3: threshold_visibility(3)}
         for row in out.strip().splitlines()[1:]:
             fields = row.split(",")
@@ -329,19 +315,19 @@ class TestSweep:
 
 
 class TestVerifyAppendix:
-    def test_default_checks_pass(self, capsys):
-        report = run_json(capsys, "verify-appendix", "--trials", "500", "--seed", "42")
+    def test_default_checks_pass(self):
+        report = run_json(["verify-appendix", "--trials", "500", "--seed", "42"])
         assert all(report["verdicts"].values())
         assert report["results"]["extremal_z_prime_real"] == pytest.approx(2.0)
         assert report["results"]["quadrature_max_error"] < 1e-10
         assert report["results"]["ghz_offdiagonal_max"] < 1e-12
 
-    def test_odd_grid_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "verify-appendix", "--grid", "63")
+    def test_odd_grid_rejected(self):
+        code, _, _ = run_main(["verify-appendix", "--grid", "63"])
         assert code == 2
 
     @pytest.mark.parametrize("grid, trials", [(64, 65537), (2**23, 1), (2, 10**12), (4098, 1)])
-    def test_oversized_draw_exits_2_before_drawing(self, capsys, monkeypatch, grid, trials):
+    def test_oversized_draw_exits_2_before_drawing(self, monkeypatch, grid, trials):
         from bellbench import cli, zukowski
 
         def refuse(*args, **kwargs):
@@ -351,20 +337,20 @@ class TestVerifyAppendix:
         monkeypatch.setattr(zukowski, "cell_weights", refuse)
         monkeypatch.setattr(zukowski, "sign_cos_step", refuse)
         assert grid > MAX_APPENDIX_GRID or grid * trials > MAX_APPENDIX_CELLS
-        code, out, err = run_cli(capsys, "verify-appendix", "--grid", str(grid),
-                                 "--trials", str(trials))
+        code, out, err = run_main(["verify-appendix", "--grid", str(grid),
+                                   "--trials", str(trials)])
         assert code == 2
         assert out == ""
         assert "must not exceed" in err
 
-    def test_draw_at_the_cap_runs(self, capsys):
+    def test_draw_at_the_cap_runs(self):
         trials = MAX_APPENDIX_CELLS // 64
-        report = run_json(capsys, "verify-appendix", "--grid", "64", "--trials", str(trials))
+        report = run_json(["verify-appendix", "--grid", "64", "--trials", str(trials)])
         assert report["parameters"]["trials"] == trials
         assert all(report["verdicts"].values())
 
-    def test_seed_42_default_results(self, capsys):
-        _, out, _ = run_cli(capsys, "verify-appendix", "--seed", "42")
+    def test_seed_42_default_results(self):
+        _, out, _ = run_main(["verify-appendix", "--seed", "42"])
         assert '"max_abs_z_prime": 1.19728757722' in out
         assert '"max_abs_s_n2": 0.738052646128' in out
         assert '"max_abs_s_n3": 0.510918713272' in out
@@ -378,8 +364,8 @@ class TestVerifyAppendix:
         (["--grid", "130", "--trials", "777", "--seed", "5"],
          ("0.908678879923", "0.25610859635", "0.0864010713838")),
     ], ids=["grid-8", "grid-130"])
-    def test_known_answer_results(self, capsys, argv, expected):
-        _, out, _ = run_cli(capsys, "verify-appendix", *argv)
+    def test_known_answer_results(self, argv, expected):
+        _, out, _ = run_main(["verify-appendix", *argv])
         for key, value in zip(("max_abs_z_prime", "max_abs_s_n2", "max_abs_s_n3"), expected):
             assert f'"{key}": {value},' in out
 
@@ -423,22 +409,22 @@ class TestVerifyAppendix:
 
 
 class TestLhv:
-    def test_reads_table_file(self, capsys, tmp_path):
+    def test_reads_table_file(self, tmp_path):
         path = tmp_path / "table.json"
         path.write_text('{"XX": 0, "XY": 0.5, "YX": 0.5, "YY": 0}')
-        report = run_json(capsys, "lhv", "--input", str(path))
+        report = run_json(["lhv", "--input", str(path)])
         assert report["verdicts"]["lhv_feasible"] is True
         assert report["verdicts"]["oracles_agree"] is True
 
-    def test_reads_correlators_report(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, "correlators", "--visibility", "1")
+    def test_reads_correlators_report(self, tmp_path):
+        code, out, _ = run_main(["correlators", "--visibility", "1"])
         assert code == 0
         path = tmp_path / "report.json"
         path.write_text(out)
-        report = run_json(capsys, "lhv", "--input", str(path))
+        report = run_json(["lhv", "--input", str(path)])
         assert report["verdicts"]["lhv_feasible"] is True
 
-    def test_witness_check_does_not_share_the_settings_order(self, capsys, monkeypatch):
+    def test_witness_check_does_not_share_the_settings_order(self, monkeypatch):
         # 0.7 "+-,++,++" + 0.3 "--,+-,++" is not symmetric under party
         # reversal, so a reversed key order yields a witness for the reversed
         # table, and the check must see that it does not rebuild this one.
@@ -446,15 +432,14 @@ class TestLhv:
 
         monkeypatch.setattr(CorrelationTable, "settings",
                             lambda self: sorted(self.values, key=lambda k: k[::-1]))
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        report = run_json(["lhv"], json.dumps(
             {"XXX": 0.4, "XXY": 0.4, "XYX": 1.0, "XYY": 1.0,
-             "YXX": -1.0, "YXY": -1.0, "YYX": -0.4, "YYY": -0.4})))
-        report = run_json(capsys, "lhv")
+             "YXX": -1.0, "YXY": -1.0, "YYX": -0.4, "YYY": -0.4}))
         assert report["verdicts"]["lhv_feasible"] is True
         assert report["results"]["witness_error"] > 1
         assert report["verdicts"]["oracles_agree"] is False
 
-    def test_inequality_check_does_not_share_the_settings_order(self, capsys, monkeypatch):
+    def test_inequality_check_does_not_share_the_settings_order(self, monkeypatch):
         # Ordering by Y count is not a party permutation, so the transform
         # reads a scrambled vector: the same local table comes out infeasible,
         # with coefficients keyed to the wrong settings. Its "violated
@@ -464,33 +449,32 @@ class TestLhv:
 
         monkeypatch.setattr(CorrelationTable, "settings",
                             lambda self: sorted(self.values, key=lambda k: (k.count("Y"), k)))
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        report = run_json(["lhv"], json.dumps(
             {"XXX": 0.4, "XXY": 0.4, "XYX": 1.0, "XYY": 1.0,
-             "YXX": -1.0, "YXY": -1.0, "YYX": -0.4, "YYY": -0.4})))
-        report = run_json(capsys, "lhv")
+             "YXX": -1.0, "YXY": -1.0, "YYX": -0.4, "YYY": -0.4}))
         assert report["verdicts"]["lhv_feasible"] is False
         inequality = report["results"]["witness_inequality"]
         assert inequality["value"] > inequality["bound"]
         assert report["verdicts"]["oracles_agree"] is False
 
-    def test_infeasible_witness(self, capsys, tmp_path):
+    def test_infeasible_witness(self, tmp_path):
         path = tmp_path / "pr.json"
         path.write_text('{"XX": 1, "XY": 1, "YX": 1, "YY": -1}')
-        report = run_json(capsys, "lhv", "--input", str(path))
+        report = run_json(["lhv", "--input", str(path)])
         assert report["verdicts"]["lhv_feasible"] is False
         witness = report["results"]["witness_inequality"]
         assert witness["quadruple_index"] == 0
         assert witness["value"] > witness["bound"]
 
-    def test_malformed_json_exits_2(self, capsys, tmp_path):
+    def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        code, _, err = run_cli(capsys, "lhv", "--input", str(path))
+        code, _, err = run_main(["lhv", "--input", str(path)])
         assert code == 2
         assert "invalid JSON" in err
 
-    def test_missing_file_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "lhv", "--input", "/nonexistent/t.json")
+    def test_missing_file_exits_2(self):
+        code, _, _ = run_main(["lhv", "--input", "/nonexistent/t.json"])
         assert code == 2
 
     def test_non_utf8_file_exits_2(self, tmp_path):
@@ -567,7 +551,7 @@ class TestLhv:
         assert code == 0, err
         assert len(calls) == transforms
 
-    def test_solver_failure_exits_3(self, capsys, tmp_path, monkeypatch):
+    def test_solver_failure_exits_3(self, tmp_path, monkeypatch):
         from bellbench import lhv
 
         def boom(table):
@@ -576,14 +560,14 @@ class TestLhv:
         monkeypatch.setattr(lhv, "lhv_feasible", boom)
         path = tmp_path / "t.json"
         path.write_text('{"XX": 0, "XY": 0, "YX": 0, "YY": 0}')
-        code, _, err = run_cli(capsys, "lhv", "--input", str(path))
+        code, _, err = run_main(["lhv", "--input", str(path)])
         assert code == 3
         assert "numerical failure" in err
 
-    def test_party_cap_exits_2(self, capsys, tmp_path):
+    def test_party_cap_exits_2(self, tmp_path):
         path = tmp_path / "t13.json"
         path.write_text(json.dumps(dict.fromkeys(settings(13), 0.0)))
-        code, out, err = run_cli(capsys, "lhv", "--input", str(path))
+        code, out, err = run_main(["lhv", "--input", str(path)])
         assert (code, out, err) == (2, "", "bellctl: error: invalid correlation table: "
                                            "key length 13 exceeds the 12-party cap\n")
 
@@ -592,14 +576,13 @@ class TestLhv:
     @pytest.mark.parametrize("size", [MAX_LHV_INPUT_CHARS, MAX_LHV_INPUT_CHARS + 1],
                              ids=["at-cap", "over-cap"])
     @pytest.mark.parametrize("source", ["stdin", "input"])
-    def test_input_cap(self, capsys, monkeypatch, tmp_path, source, size):
+    def test_input_cap(self, tmp_path, source, size):
         table = '{"X": 0.3, "Y": -0.2}'
         path = tmp_path / "padded.json"
         path.write_text(" " * (size - len(table)) + table)
         argv = ["lhv"] if source == "stdin" else ["lhv", "--input", str(path)]
         with path.open(encoding="utf-8") as fh:
-            monkeypatch.setattr("sys.stdin", fh)
-            code, out, err = run_cli(capsys, *argv)
+            code, out, err = run_main(argv, stdin=fh)
         if size == MAX_LHV_INPUT_CHARS:
             assert (code, out, err) == run_main(["lhv"], stdin=table)
         else:
@@ -622,13 +605,13 @@ class TestLhv:
         assert report["verdicts"]["lhv_feasible"] is True
         assert report["verdicts"]["oracles_agree"] is True
 
-    def test_seven_party_tables(self, capsys, tmp_path):
+    def test_seven_party_tables(self, tmp_path):
         rng = np.random.default_rng(7)
         for table, feasible in ((mixture_table(rng, 7), True),
                                 (ghz_type_table(rng, 7, 1.0), False)):
             path = tmp_path / "t7.json"
             path.write_text(table_json(table))
-            report = run_json(capsys, "lhv", "--input", str(path))
+            report = run_json(["lhv", "--input", str(path)])
             assert report["results"]["parties"] == 7
             assert report["verdicts"]["lhv_feasible"] is feasible
             assert report["verdicts"]["oracles_agree"] is True
@@ -685,105 +668,73 @@ def test_closed_stdout_exits_2(case):
     assert out.endswith("\n")
 
 
-# Run in a fresh interpreter: the analyze, sweep, usage-error, help,
-# correlators and infeasible-lhv paths first, then the two that need numpy
-# (verify-appendix's draw, a feasible lhv's witness rebuild), then analyze
-# again. Prints whether numpy and the appendix layer were imported after the
-# first six, and each (code, stdout, stderr).
-GUARD_SCRIPT = '''
-import contextlib, io, json, sys
-from unittest import mock
-from bellbench.cli import main
-
-def call(argv, stdin):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \\
-            mock.patch("sys.stdin", io.StringIO(stdin)):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return [code, out.getvalue(), err.getvalue()]
-
-calls = json.loads(sys.argv[1])
-outcomes = [call(argv, stdin) for argv, stdin in calls[:6]]
-numpy_free = "numpy" not in sys.modules
-appendix_free = "bellbench.zukowski" not in sys.modules
-outcomes += [call(argv, stdin) for argv, stdin in calls[6:]]
-print(json.dumps({"numpy_free": numpy_free, "appendix_free": appendix_free,
-                  "outcomes": outcomes}))
-'''
-
-GUARD_CALLS = [
-    (["analyze", "--visibility", "0.9", "--copies", "2"], ""),
+# Representative bellctl calls, in the order one interpreter runs them: argv,
+# standard input, exit code, and which of numpy, dataclasses, bellbench.lhv and
+# bellbench.zukowski (the appendix layer) are loaded after the call. analyze,
+# sweep, a usage error and --help load none of them; correlators and an
+# infeasible lhv table load the LHV layer only. numpy, without which no dense
+# operator can be built, comes only with the two bulk kernels: a feasible lhv
+# verdict's witness rebuild and verify-appendix's draw. The last three rows
+# run analyze and sweep again after both.
+BULK_KERNELS = {"numpy", "bellbench.lhv", "bellbench.zukowski"}
+CALL_TABLE = [
+    (["analyze", "--visibility", "0.9", "--copies", "2"], "", 0, set()),
     (["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.01",
-      "--copies", "1,2,3,4,5,6"], ""),
-    (["analyze", "--visibility", "2", "--copies", "1"], ""),
-    (["--help"], ""),
-    (["correlators", "--visibility", "0.9"], ""),
-    (["lhv"], '{"XX": 1, "XY": 1, "YX": 1, "YY": -1}'),
-    (["verify-appendix", "--trials", "200", "--grid", "8"], ""),
-    (["lhv"], '{"XX": 0.5, "XY": 0.25, "YX": 0.25, "YY": -0.5}'),
-    (["analyze", "--visibility", "1", "--copies", "3"], ""),
+      "--copies", "1,2,3,4,5,6"], "", 0, set()),
+    (["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.5", "--copies", "6,6"],
+     "", 0, set()),
+    (["analyze", "--visibility", "2", "--copies", "1"], "", 2, set()),
+    (["--help"], "", 0, set()),
+    (["correlators", "--visibility", "0.9"], "", 0, {"bellbench.lhv"}),
+    (["lhv"], '{"XX": 1, "XY": 1, "YX": 1, "YY": -1}', 0, {"bellbench.lhv"}),
+    (["lhv"], '{"XX": 0.5, "XY": 0.25, "YX": 0.25, "YY": -0.5}', 0,
+     {"numpy", "bellbench.lhv"}),
+    (["verify-appendix", "--trials", "200", "--grid", "8"], "", 0, BULK_KERNELS),
+    (["analyze", "--visibility", "1", "--copies", "3"], "", 0, BULK_KERNELS),
+    (["sweep", "--v-min", "0.9", "--v-max", "1", "--v-step", "0.05", "--copies", "2,1"],
+     "", 0, BULK_KERNELS),
+    (["analyze", "--visibility", "0.9", "--copies", "3"], "", 0, BULK_KERNELS),
 ]
 
-
-def test_hot_path_builds_no_dense_operator():
-    # Without numpy no dense operator can be built: analyze, sweep, usage
-    # errors, --help, correlators and an infeasible lhv table must not import
-    # it, nor the appendix layer, bellbench.zukowski. The lazy imports of the two bulk kernels must not depend on call
-    # order: one process running them all answers as a fresh process per
-    # call does.
-    src = str(Path(bellbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
-    proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT, json.dumps(GUARD_CALLS)],
-                          capture_output=True, text=True, env=env, timeout=120, check=True)
-    result = json.loads(proc.stdout)
-    assert result["numpy_free"]
-    assert result["appendix_free"]
-    for (argv, stdin), outcome in zip(GUARD_CALLS, result["outcomes"], strict=True):
-        fresh = subprocess.run([sys.executable, "-m", "bellbench", *argv], input=stdin,
-                               capture_output=True, text=True, env=env, timeout=120)
-        assert outcome == [fresh.returncode, fresh.stdout, fresh.stderr], argv
-    assert [code for code, _, _ in result["outcomes"]] == [0, 0, 2, 0, 0, 0, 0, 0, 0]
-
-
-# A plain script, without unittest.mock: mock imports inspect by itself.
-LIGHT_IMPORT_SCRIPT = '''
+# Runs the (argv, stdin) pairs it is given through main and prints, for each,
+# [code, stdout, stderr, watched modules loaded]. It swaps the standard
+# streams by hand: unittest.mock itself loads dataclasses and inspect.
+CALL_TABLE_SCRIPT = '''
 import contextlib, io, json, sys
 from bellbench.cli import main
 
-def loaded(names):
-    return [m for m in names if m in sys.modules]
-
-codes = []
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    codes.append(main(["analyze", "--visibility", "0.9", "--copies", "2"]))
-    codes.append(main(["sweep", "--v-min", "0.9", "--v-max", "1", "--v-step", "0.05",
-                       "--copies", "1,2"]))
-    try:
-        main(["analyze", "--visibility", "2", "--copies", "2"])
-    except SystemExit as exc:
-        codes.append(exc.code)
-    light = loaded(("dataclasses", "numpy", "bellbench.lhv", "bellbench.zukowski"))
-    codes.append(main(["correlators", "--visibility", "0.9"]))
-    sys.stdin = io.StringIO(sys.argv[1])
-    codes.append(main(["lhv"]))
-print(json.dumps({"codes": codes, "analyze_sweep_usage_loaded": light,
-                  "loaded": loaded(("dataclasses", "numpy"))}))
+WATCHED = ("numpy", "dataclasses", "bellbench.lhv", "bellbench.zukowski")
+rows = []
+for argv, stdin in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors and --help
+            code = exc.code
+    rows.append([code, out.getvalue(), err.getvalue(),
+                 [name for name in WATCHED if name in sys.modules]])
+print(json.dumps(rows))
 '''
 
 
-def test_correlators_and_infeasible_lhv_import_neither_dataclasses_nor_numpy():
-    # analyze, sweep and a usage error load no LHV or appendix layer either;
-    # correlators and an infeasible lhv table then load the LHV layer only
+def test_call_table_pins_imports_and_matches_fresh_processes():
+    # main() reuses one parser and imports its bulk kernels on first use; each
+    # call must still answer as a fresh process does. COLUMNS fixes argparse's
+    # usage width on both sides.
     src = str(Path(bellbench.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", LIGHT_IMPORT_SCRIPT,
-                           '{"XX": 1, "XY": 1, "YX": 1, "YY": -1}'],
-                          capture_output=True, text=True, timeout=60, check=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert json.loads(proc.stdout) == {"codes": [0, 0, 2, 0, 0],
-                                       "analyze_sweep_usage_loaded": [], "loaded": []}
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    calls = [(argv, stdin) for argv, stdin, _, _ in CALL_TABLE]
+    proc = subprocess.run([sys.executable, "-c", CALL_TABLE_SCRIPT, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    for (argv, stdin, code, loaded), row in zip(CALL_TABLE, json.loads(proc.stdout),
+                                                strict=True):
+        *outcome, now_loaded = row
+        assert (outcome[0], set(now_loaded)) == (code, loaded), argv
+        fresh = subprocess.run([sys.executable, "-m", "bellbench", *argv], input=stdin,
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert outcome == [fresh.returncode, fresh.stdout, fresh.stderr], argv
 
 
 def test_analyze_has_bounded_memory():
@@ -839,9 +790,9 @@ class TestDeterminism:
         assert all(json.loads(first[1])["verdicts"].values())
         assert run_main(argv) == first
 
-    def test_seed_changes_stream_not_verdicts(self, capsys):
-        r1 = run_json(capsys, "verify-appendix", "--trials", "200", "--seed", "1")
-        r2 = run_json(capsys, "verify-appendix", "--trials", "200", "--seed", "2")
+    def test_seed_changes_stream_not_verdicts(self):
+        r1 = run_json(["verify-appendix", "--trials", "200", "--seed", "1"])
+        r2 = run_json(["verify-appendix", "--trials", "200", "--seed", "2"])
         assert r1["results"]["max_abs_z_prime"] != r2["results"]["max_abs_z_prime"]
         assert all(r1["verdicts"].values()) and all(r2["verdicts"].values())
 
@@ -885,25 +836,6 @@ PINNED_REPORTS = {
 def test_report_text_is_pinned(case):
     argv, stdin, expected = PINNED_REPORTS[case]
     assert run_main(argv, stdin) == (0, expected, "")
-
-
-def test_repeated_calls_match_fresh_processes(monkeypatch):
-    # main() reuses one parser; each call must still behave like a new process.
-    # COLUMNS fixes argparse's usage width on both sides.
-    monkeypatch.setenv("COLUMNS", "80")
-    calls = [
-        ["analyze", "--visibility", "0.9", "--copies", "3"],
-        ["sweep", "--v-min", "0.9", "--v-max", "1", "--v-step", "0.05", "--copies", "2,1"],
-        ["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.5", "--copies", "6,6"],
-        ["verify-appendix", "--trials", "200", "--grid", "8"],
-        ["analyze", "--visibility", "2", "--copies", "1"],
-    ]
-    src = str(Path(bellbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
-    for argv in calls:
-        fresh = subprocess.run([sys.executable, "-m", "bellbench", *argv],
-                               capture_output=True, text=True, env=env, timeout=60)
-        assert run_main(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_render_json_is_sorted_and_12_digits():
