@@ -719,19 +719,37 @@ print(json.dumps(rows))
 '''
 
 
-def test_call_table_pins_imports_and_matches_fresh_processes():
-    # main() reuses one parser and imports its bulk kernels on first use; each
-    # call must still answer as a fresh process does. COLUMNS fixes argparse's
-    # usage width on both sides.
+@pytest.fixture(scope="module")
+def call_table_rows():
+    # COLUMNS fixes argparse's usage width here and in the fresh processes
     src = str(Path(bellbench.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
     calls = [(argv, stdin) for argv, stdin, _, _ in CALL_TABLE]
     proc = subprocess.run([sys.executable, "-c", CALL_TABLE_SCRIPT, json.dumps(calls)],
                           capture_output=True, text=True, env=env, timeout=120, check=True)
-    for (argv, stdin, code, loaded), row in zip(CALL_TABLE, json.loads(proc.stdout),
-                                                strict=True):
-        *outcome, now_loaded = row
-        assert (outcome[0], set(now_loaded)) == (code, loaded), argv
+    return env, list(zip(CALL_TABLE, json.loads(proc.stdout), strict=True))
+
+
+def test_hot_path_builds_no_dense_operator(call_table_rows):
+    # Without numpy no dense operator can be built: numpy and the appendix
+    # layer load only where a row names them, and each call exits as pinned
+    dense = {"numpy", "bellbench.zukowski"}
+    for (argv, _, code, loaded), (now_code, _, _, now_loaded) in call_table_rows[1]:
+        assert (now_code, dense.intersection(now_loaded)) == (code, loaded & dense), argv
+
+
+def test_correlators_and_infeasible_lhv_import_neither_dataclasses_nor_numpy(call_table_rows):
+    # no call loads dataclasses; the LHV layer loads only where a row names it
+    light = {"dataclasses", "bellbench.lhv"}
+    for (argv, _, _, loaded), (*_, now_loaded) in call_table_rows[1]:
+        assert light.intersection(now_loaded) == loaded & light, argv
+
+
+def test_repeated_calls_match_fresh_processes(call_table_rows):
+    # main() reuses one parser and imports its bulk kernels on first use; each
+    # call in the shared interpreter must still answer as a fresh process does
+    env, rows = call_table_rows
+    for (argv, stdin, _, _), (*outcome, _) in rows:
         fresh = subprocess.run([sys.executable, "-m", "bellbench", *argv], input=stdin,
                                capture_output=True, text=True, env=env, timeout=60)
         assert outcome == [fresh.returncode, fresh.stdout, fresh.stderr], argv
