@@ -113,10 +113,7 @@ def _copies(text: str) -> int:
 
 
 def _copies_list(text: str) -> list[int]:
-    values = [_copies(part) for part in text.split(",") if part.strip() != ""]
-    if not values:
-        raise argparse.ArgumentTypeError("empty copy list")
-    return values
+    return [_copies(part) for part in text.split(",")]
 
 
 @functools.cache

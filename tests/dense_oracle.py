@@ -19,6 +19,10 @@ with:
   of the recursion, equal to the Bell-relation rescaling of the recursive B as
   operators.
 
+Matrices are plain numpy arrays, built with np.kron and np.outer, which raise
+on mismatched shapes themselves. The module checks the MAX_QUBITS cap (one
+13-qubit complex matrix is 1 GiB) and the realness of expectation values.
+
 It imports nothing from bellbench: the constants it shares with the package
 are restated here from their definitions, and a route that needs a package
 function takes it as an argument, so a defect in the package cannot enter
@@ -30,16 +34,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
-IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 MAX_QUBITS = 12
 
@@ -58,46 +60,17 @@ REALNESS_TOL = 1e-10
 # --- dense linear algebra --------------------------------------------------
 
 
-def as_square_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting anything else."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def tensor(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product; entry ((i*db+k),(j*db+l)) = a[i,j]*b[k,l]."""
-    return np.kron(as_square_matrix(a), as_square_matrix(b))
-
-
-def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    ms = [as_square_matrix(m) for m in mats]
-    if not ms:
-        raise ValueError("tensor_all needs at least one factor")
-    return reduce(np.kron, ms)
-
-
 def expectation(rho, o) -> float:
     """Real expectation value tr[rho @ o].
 
-    Raises on dimension mismatch, and if the imaginary residue of the trace
-    exceeds the comparison tolerance (diagnostic for non-Hermitian input).
+    Raises if the imaginary residue of the trace exceeds the comparison
+    tolerance (diagnostic for non-Hermitian input).
     """
-    r = as_square_matrix(rho)
-    a = as_square_matrix(o)
-    if r.shape != a.shape:
-        raise ValueError(f"dimension mismatch: state {r.shape} vs observable {a.shape}")
     # tr[R O] without forming the product matrix
-    val = complex(np.sum(r * a.T))
+    val = complex(np.sum(rho * o.T))
     if abs(val.imag) >= REALNESS_TOL:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
-
-
-def projector(ket: Sequence[complex]) -> np.ndarray:
-    v = np.asarray(ket, dtype=complex).reshape(-1)
-    return np.outer(v, v.conj())
 
 
 def phase_observable(phi: float) -> np.ndarray:
@@ -111,6 +84,11 @@ def phase_observable(phi: float) -> np.ndarray:
     return math.cos(phi) * SIGMA_X + math.sin(phi) * SIGMA_Y
 
 
+def _check_sites(n: int) -> None:
+    if not 2 <= n <= MAX_QUBITS:
+        raise ValueError(f"site count must lie in [2, {MAX_QUBITS}], got {n}")
+
+
 def ghz_basis(n: int) -> list[np.ndarray]:
     """Orthonormal GHZ basis of the n-qubit space, no extra phases.
 
@@ -118,8 +96,7 @@ def ghz_basis(n: int) -> list[np.ndarray]:
     complement (followed by 1): (|j,0> +- |~j,1>)/sqrt(2). Order is
     (j, +), (j, -) with j ascending.
     """
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"party count must lie in [2, {MAX_QUBITS}], got {n}")
+    _check_sites(n)
     dim = 2**n
     half = dim // 2
     basis = []
@@ -139,27 +116,20 @@ def ghz_basis(n: int) -> list[np.ndarray]:
 
 def bell_pair() -> np.ndarray:
     """The shared two-qubit state (|00> + i|11>)/sqrt(2)."""
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = 1 / math.sqrt(2)
-    ket[3] = 1j / math.sqrt(2)
-    return ket
+    return np.array([1, 0, 0, 1j]) / math.sqrt(2)
 
 
 def noisy_pair(v: float) -> np.ndarray:
     """Bell pair mixed with white noise: V |psi><psi| + (1-V) I/4."""
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    return v * projector(bell_pair()) + (1.0 - v) * np.eye(4, dtype=complex) / 4
+    ket = bell_pair()
+    return v * np.outer(ket, ket.conj()) + (1.0 - v) * np.eye(4, dtype=complex) / 4
 
 
 def correlation(rho, phases) -> float:
     """Full correlation function tr[rho (sigma_phi_1 x ... x sigma_phi_n)]."""
-    r = as_square_matrix(rho)
-    n = len(phases)
-    if r.shape[0] != 2**n:
-        raise ValueError(f"state dimension {r.shape[0]} does not match {n} settings")
-    obs = tensor_all([phase_observable(p) for p in phases])
-    return expectation(r, obs)
+    return expectation(rho, reduce(np.kron, [phase_observable(p) for p in phases]))
 
 
 def full_correlation_table(rho, n: int) -> dict[str, float]:
@@ -171,14 +141,8 @@ def full_correlation_table(rho, n: int) -> dict[str, float]:
 # --- the Bell-Zukowski operator as a dense matrix ----------------------------
 
 
-def _check_sites(n: int) -> None:
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"site count must lie in [2, {MAX_QUBITS}], got {n}")
-
-
 def zukowski_closed(n: int) -> np.ndarray:
     """Closed corner form (1/2)(pi/2)^n (P+ - P-), eigenvalues +-(1/2)(pi/2)^n."""
-    _check_sites(n)
     plus, minus = ghz_basis(n)[:2]
     return 0.5 * (math.pi / 2) ** n * (np.outer(plus, plus.conj()) - np.outer(minus, minus.conj()))
 
@@ -235,33 +199,15 @@ def dense_ghz_offdiagonal_max(n: int, op: np.ndarray | None = None) -> float:
 # --- the Bell-Mermin recursion and the Bell-Zukowski identity ----------------
 
 
-def hermitian_split(f) -> tuple[np.ndarray, np.ndarray]:
-    """Split F into Hermitian parts (re, im) with F = re + 1j*im.
-
-    re = (F + F^dag)/2 and im = (F - F^dag)/(2i); both outputs are Hermitian
-    to the last bit, and the reconstruction is exact up to rounding.
-    """
-    a = as_square_matrix(f)
-    ad = a.conj().T
-    return (a + ad) / 2, (a - ad) / 2j
-
-
 def copies(v: float, n_copies: int) -> np.ndarray:
     """n_copies independent noisy pairs; party 2i-1 and 2i share copy i."""
-    if n_copies < 1:
-        raise ValueError("need at least one copy")
-    if 2 * n_copies > MAX_QUBITS:
-        raise ValueError(f"{2 * n_copies} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    return tensor_all([noisy_pair(v)] * n_copies)
+    _check_sites(2 * n_copies)
+    return reduce(np.kron, [noisy_pair(v)] * n_copies)
 
 
 def local_f(a, a_prime) -> np.ndarray:
     """Complex combination e^{-i pi/4}(a + i a')/sqrt(2) of two observables."""
-    x = as_square_matrix(a)
-    y = as_square_matrix(a_prime)
-    if x.shape != y.shape:
-        raise ValueError("observables must share a dimension")
-    return F_PHASE * (x + 1j * y)
+    return F_PHASE * (a + 1j * a_prime)
 
 
 def dense_pair_contraction(v: float) -> complex:
@@ -270,42 +216,26 @@ def dense_pair_contraction(v: float) -> complex:
     return complex(np.trace(noisy_pair(v) @ np.kron(f, f)))
 
 
-@dataclass(frozen=True, eq=False)
-class MerminPair:
-    """Bell-Mermin operator pair acting on the listed sites (in slot order)."""
-
-    b: np.ndarray
-    b_prime: np.ndarray
-    parties: tuple[int, ...]
-
-
-def site_pair(site: int) -> MerminPair:
-    """Single-site pair: B = X, B' = Y."""
-    return MerminPair(SIGMA_X.copy(), SIGMA_Y.copy(), (site,))
+MerminPair = namedtuple("MerminPair", ("b", "b_prime"))
 
 
 def compose(alpha: MerminPair, beta: MerminPair) -> MerminPair:
-    """Combine pairs on disjoint site sets.
+    """Combine the pairs of two disjoint site sets, alpha's sites first.
 
     B_{ab} = (B_a (x) (B_b + B'_b) + B'_a (x) (B_b - B'_b)) / 2 and the
     primed analogue; equivalent to multiplying the f-transforms.
     """
-    if set(alpha.parties) & set(beta.parties):
-        raise ValueError(f"site sets overlap: {alpha.parties} and {beta.parties}")
     s = beta.b + beta.b_prime
     d = beta.b - beta.b_prime
     b = 0.5 * (np.kron(alpha.b, s) + np.kron(alpha.b_prime, d))
     b_prime = 0.5 * (np.kron(alpha.b_prime, s) - np.kron(alpha.b, d))
-    return MerminPair(b, b_prime, alpha.parties + beta.parties)
+    return MerminPair(b, b_prime)
 
 
 def mermin_operators(n_parties: int) -> MerminPair:
-    """Full pair on sites 1..n, built by folding compose over singletons."""
-    _check_party_count(n_parties)
-    pair = site_pair(1)
-    for site in range(2, n_parties + 1):
-        pair = compose(pair, site_pair(site))
-    return pair
+    """Full pair on n sites: compose folded over n single-site pairs (X, Y)."""
+    _check_sites(n_parties)
+    return reduce(compose, [MerminPair(SIGMA_X, SIGMA_Y)] * n_parties)
 
 
 def mermin_closed_form(n_parties: int) -> np.ndarray:
@@ -314,23 +244,20 @@ def mermin_closed_form(n_parties: int) -> np.ndarray:
     Built in the computational basis without extra phases; it matches the
     recursive construction only after the corner-phase alignment below.
     """
-    _check_party_count(n_parties)
     plus, minus = ghz_basis(n_parties)[:2]
-    return 2 ** ((n_parties - 1) / 2) * (projector(plus) - projector(minus))
+    doublet = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+    return 2 ** ((n_parties - 1) / 2) * doublet
 
 
 def corner_phase(op) -> complex:
     """Unimodular phase of the |0..0><1..1| corner of a corner-form operator."""
-    a = as_square_matrix(op)
-    c = complex(a[0, -1])
-    if abs(c) == 0.0:
-        raise ValueError("operator has no upper corner entry")
+    c = complex(op[0, -1])
     return c / abs(c)
 
 
 def align_corner_phase(op, phase: complex) -> np.ndarray:
     """Multiply the |0..0><1..1| corner by phase (adjoint corner by its conjugate)."""
-    a = as_square_matrix(op).copy()
+    a = np.array(op, dtype=complex)
     a[0, -1] *= phase
     a[-1, 0] *= phase.conjugate()
     return a
@@ -362,9 +289,3 @@ def bell_relation_operator_gap(n_copies: int, scale: Callable[[int], float]) -> 
     scaled = scale(n_copies) * mermin_operators(2 * n_copies).b
     return float(np.abs(zukowski_aligned(n_copies) - scaled).max())
 
-
-def _check_party_count(n_parties: int) -> None:
-    if n_parties % 2 != 0:
-        raise ValueError(f"party count must be even, got {n_parties}")
-    if not 2 <= n_parties <= MAX_QUBITS:
-        raise ValueError(f"party count must lie in [2, {MAX_QUBITS}], got {n_parties}")

@@ -114,6 +114,13 @@ class TestAnalyze:
                 assert (code, out) == (2, ""), argv
                 assert f"copy count must lie in [1, {MAX_COPIES}], got {n}" in err
                 assert "Traceback" not in err
+        # an empty comma-separated entry is not a count
+        for copies in ("1,,2", ",2", "2,", ""):
+            code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
+                                       "--v-step", "0.5", "--copies", copies])
+            assert (code, out) == (2, ""), copies
+            assert "not an integer: ''" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("v", [0.0, 0.5, threshold_visibility(MAX_COPIES), 1.0])
     def test_largest_copy_count_reports_strict_json(self, v):
@@ -771,23 +778,6 @@ def test_analyze_has_bounded_memory():
 
 
 class TestDeterminism:
-    def test_sweep_byte_identical(self, tmp_path):
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for p in paths:
-            code = main(["sweep", "--v-min", "0.8", "--v-max", "1.0",
-                         "--v-step", "0.01", "--copies", "1,2,3",
-                         "--output", str(p)])
-            assert code == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_verify_appendix_byte_identical(self, tmp_path):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        for p in paths:
-            code = main(["verify-appendix", "--seed", "42", "--trials", "500",
-                         "--output", str(p)])
-            assert code == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
     @pytest.mark.parametrize("feasible", [True, False], ids=["feasible", "infeasible"])
     def test_lhv_byte_identical(self, tmp_path, feasible):
         rng = np.random.default_rng(6)

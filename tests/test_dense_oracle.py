@@ -1,27 +1,28 @@
 """Checks of tests/dense_oracle.py on its own: that it imports nothing from
-bellbench, its dense linear algebra, the noisy pair, its copies, the GHZ
+bellbench; its expectation values, the noisy pair, its copies, the GHZ
 basis, its phase observables, its correlators and its dense Bell-Zukowski
-forms (closed, quadrature and aligned), and its Bell-Mermin recursion: the
-local_f and compose steps, and the built pairs against the closed form (its
-alignment phase, spectra, norm and trace, party count). The dense routes are
-compared with bellbench in test_mermin.py and test_zukowski.py.
+forms (closed, quadrature and aligned); and its Bell-Mermin recursion: the
+local_f and compose steps, the built pairs against the tensored f-transforms
+and against the closed form (its alignment phase, spectra, norm and trace,
+site count). numpy itself is not tested here. The dense routes are compared
+with bellbench in test_mermin.py, test_zukowski.py, test_lhv.py and
+test_acceptance.py.
 """
 
 import ast
 import cmath
 import itertools
 import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dense_oracle import (
-    IDENTITY_2,
     MerminPair,
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     X_PHASE,
     Y_PHASE,
     align_corner_phase,
@@ -36,22 +37,20 @@ from dense_oracle import (
     full_correlation_table,
     ghz_basis,
     ghz_diagonal,
-    hermitian_split,
     local_f,
     mermin_closed_form,
     mermin_operators,
     noisy_pair,
     phase_observable,
-    projector,
-    site_pair,
-    tensor,
-    tensor_all,
     zukowski_aligned,
     zukowski_closed,
     zukowski_quadrature,
 )
 
 V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
+
+# The single-site Bell-Mermin pair, B = X and B' = Y.
+SITE = MerminPair(SIGMA_X, SIGMA_Y)
 
 
 def test_imports_nothing_from_bellbench():
@@ -65,122 +64,34 @@ def test_imports_nothing_from_bellbench():
     assert [m for m in modules if m.split(".")[0] == "bellbench"] == []
 
 
-# --- dense linear algebra ----------------------------------------------------
-
-
-def random_complex(rng, dim):
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
-
-class TestTensor:
-    def test_identity_case(self):
-        np.testing.assert_array_equal(tensor(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_basis_flip(self):
-        ket00 = np.array([1, 0, 0, 0], dtype=complex)
-        ket11 = np.array([0, 0, 0, 1], dtype=complex)
-        np.testing.assert_array_equal(tensor(SIGMA_X, SIGMA_X) @ ket00, ket11)
-
-    def test_pauli_algebra(self):
-        xy = tensor(SIGMA_X, SIGMA_Y)
-        assert np.trace(xy) == 0
-        np.testing.assert_allclose(xy @ xy, np.eye(4), atol=1e-15)
-
-    def test_entry_layout(self):
-        a = np.arange(4, dtype=complex).reshape(2, 2)
-        b = np.arange(4, 8, dtype=complex).reshape(2, 2)
-        t = tensor(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert t[i * 2 + k, j * 2 + l] == a[i, j] * b[k, l]
-
-    def test_associative_exact_on_pauli_entries(self):
-        # entries in {0, +-1, +-i}: products are exact, so equality is exact
-        mats = [SIGMA_X, SIGMA_Y, SIGMA_Z]
-        for a in mats:
-            for b in mats:
-                for c in mats:
-                    np.testing.assert_array_equal(
-                        tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
-    def test_associative_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a, b, c = (random_complex(rng, 2) for _ in range(3))
-            left = tensor(tensor(a, b), c)
-            right = tensor(a, tensor(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-13, atol=0)
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            a, b = random_complex(rng, 2), random_complex(rng, 2)
-            assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            tensor(np.ones((2, 3)), SIGMA_X)
-
-
-class TestHermitianSplit:
-    def test_identity(self):
-        re, im = hermitian_split(np.eye(2))
-        np.testing.assert_array_equal(re, np.eye(2))
-        np.testing.assert_array_equal(im, np.zeros((2, 2)))
-
-    def test_i_times_identity(self):
-        re, im = hermitian_split(1j * np.eye(2))
-        np.testing.assert_array_equal(re, np.zeros((2, 2)))
-        np.testing.assert_array_equal(im, np.eye(2))
-
-    def test_raising_operator(self):
-        # 2|0><1| splits into (sigma_x, sigma_y); frozen from the two formulas
-        f = np.array([[0, 2], [0, 0]], dtype=complex)
-        re, im = hermitian_split(f)
-        np.testing.assert_allclose(re, SIGMA_X, atol=1e-15)
-        np.testing.assert_allclose(im, SIGMA_Y, atol=1e-15)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(13)
-        for dim in (2, 4, 8):
-            f = random_complex(rng, dim)
-            re, im = hermitian_split(f)
-            np.testing.assert_array_equal(re, re.conj().T)
-            np.testing.assert_array_equal(im, im.conj().T)
-            assert np.abs(re + 1j * im - f).max() < 1e-14
+# --- expectation values ------------------------------------------------------
 
 
 class TestExpectation:
     def test_traceless_observable(self):
-        assert expectation(np.eye(4) / 4, tensor(SIGMA_X, SIGMA_X)) == 0
+        assert expectation(np.eye(4) / 4, np.kron(SIGMA_X, SIGMA_X)) == 0
 
     def test_noisy_pair_correlator(self):
         for v in (0.0, 0.3, 1.0):
-            val = expectation(noisy_pair(v), tensor(SIGMA_X, SIGMA_Y))
+            val = expectation(noisy_pair(v), np.kron(SIGMA_X, SIGMA_Y))
             assert abs(val - v) < 1e-12
 
     def test_ghz_doublet_value(self):
         plus = np.zeros(4, dtype=complex)
         plus[0] = plus[3] = 1 / np.sqrt(2)
-        val = expectation(projector(plus), zukowski_closed(2))
+        val = expectation(np.outer(plus, plus.conj()), zukowski_closed(2))
         assert abs(val - 1.2337005501361697) < 1e-12
 
     def test_real_linear_in_observable(self):
         rng = np.random.default_rng(14)
         rho = noisy_pair(0.6)
-        a = tensor(SIGMA_X, SIGMA_Y)
-        b = tensor(SIGMA_Y, SIGMA_X)
+        a = np.kron(SIGMA_X, SIGMA_Y)
+        b = np.kron(SIGMA_Y, SIGMA_X)
         for _ in range(10):
             s, t = rng.normal(size=2)
             lhs = expectation(rho, s * a + t * b)
             rhs = s * expectation(rho, a) + t * expectation(rho, b)
             assert abs(lhs - rhs) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expectation(np.eye(4) / 4, SIGMA_X)
 
 
 class TestSpectralCheck:
@@ -200,8 +111,8 @@ def test_bell_pair_norm_and_correlators():
     ket = bell_pair()
     assert abs(np.linalg.norm(ket) - 1) < 1e-12
     rho = np.outer(ket, ket.conj())
-    assert abs(expectation(rho, tensor(SIGMA_X, SIGMA_Y)) - 1) < 1e-12
-    assert abs(expectation(rho, tensor(SIGMA_X, SIGMA_X))) < 1e-12
+    assert abs(expectation(rho, np.kron(SIGMA_X, SIGMA_Y)) - 1) < 1e-12
+    assert abs(expectation(rho, np.kron(SIGMA_X, SIGMA_X))) < 1e-12
 
 
 def test_noisy_pair_limits():
@@ -312,10 +223,6 @@ class TestCorrelation:
                 val = correlation(noisy_pair(v), list(phases))
                 assert abs(val - v * base) < 1e-12
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            correlation(noisy_pair(0.5), [X_PHASE] * 3)
-
 
 class TestCorrelationTable:
     def test_pair_table(self):
@@ -361,8 +268,6 @@ class TestOperatorForms:
 
     def test_quadrature_against_dense_grid_oracle(self):
         # independent oracle: walk the full 2-d midpoint grid
-        from dense_oracle import phase_observable
-
         m = 16
         nodes = (np.arange(m) + 0.5) * math.pi / m
         acc = np.zeros((4, 4), dtype=complex)
@@ -414,42 +319,16 @@ def test_local_f_of_identity_pair():
     np.testing.assert_allclose(f, np.eye(2), atol=1e-15)
 
 
-def test_local_f_inverts_via_hermitian_split():
-    re, im = hermitian_split(math.sqrt(2) * cmath.exp(1j * math.pi / 4) * local_f(SIGMA_X, SIGMA_Y))
-    np.testing.assert_allclose(re, SIGMA_X, atol=1e-15)
-    np.testing.assert_allclose(im, SIGMA_Y, atol=1e-15)
-
-
 def test_compose_two_sites_explicit():
-    pair = compose(site_pair(1), site_pair(2))
+    pair = compose(SITE, SITE)
     expected_b = 0.5 * (np.kron(SIGMA_X, SIGMA_X + SIGMA_Y)
                         + np.kron(SIGMA_Y, SIGMA_X - SIGMA_Y))
     np.testing.assert_allclose(pair.b, expected_b, atol=1e-15)
-    assert pair.parties == (1, 2)
-
-
-def test_compose_rejects_overlap():
-    with pytest.raises(ValueError):
-        compose(site_pair(1), site_pair(1))
-
-
-def test_compose_matches_f_product_oracle():
-    # oracle: tensor the local f-transforms, then split (odd sizes included,
-    # since compose is defined for any disjoint subsets)
-    for n in (2, 3, 4):
-        pair = site_pair(1)
-        for k in range(2, n + 1):
-            pair = compose(pair, site_pair(k))
-        target = tensor_all([local_f(SIGMA_X, SIGMA_Y)] * n)
-        g = math.sqrt(2) * cmath.exp(1j * math.pi / 4) * target
-        b_expected, b_prime_expected = hermitian_split(g)
-        np.testing.assert_allclose(pair.b, b_expected, atol=1e-12)
-        np.testing.assert_allclose(pair.b_prime, b_prime_expected, atol=1e-12)
 
 
 def test_compose_expectation_identity_on_product_state():
-    alpha = compose(site_pair(1), site_pair(2))
-    beta = compose(site_pair(3), site_pair(4))
+    alpha = compose(SITE, SITE)
+    beta = compose(SITE, SITE)
     rho_a, rho_b = noisy_pair(0.7), noisy_pair(0.4)
     rho = np.kron(rho_a, rho_b)
     lhs = expectation(rho, compose(alpha, beta).b)
@@ -466,7 +345,7 @@ def test_grouping_independence():
     reference = {n: mermin_operators(n) for n in (2, 4, 6)}
     for n in (2, 4, 6):
         for _ in range(5):
-            pairs = [site_pair(k) for k in range(1, n + 1)]
+            pairs = [SITE] * n
             while len(pairs) > 1:
                 idx = int(rng.integers(len(pairs) - 1))
                 merged = compose(pairs[idx], pairs[idx + 1])
@@ -476,9 +355,12 @@ def test_grouping_independence():
 
 
 def test_f_consistency_of_built_pairs():
-    for n in (2, 4, 6):
+    # Hermitian B, B' with f(B, B') equal to the tensored site f-transforms:
+    # the Hermitian split of that product is unique, so this pins both
+    # operators (odd sizes included, since compose takes any disjoint sites)
+    for n in range(2, 7):
         pair = mermin_operators(n)
-        target = tensor_all([local_f(SIGMA_X, SIGMA_Y)] * n)
+        target = reduce(np.kron, [local_f(SIGMA_X, SIGMA_Y)] * n)
         assert np.abs(local_f(pair.b, pair.b_prime) - target).max() < 1e-12
         np.testing.assert_array_equal(pair.b, pair.b.conj().T)
         np.testing.assert_array_equal(pair.b_prime, pair.b_prime.conj().T)
@@ -520,14 +402,9 @@ def test_closed_form_norm_and_trace():
 
 
 def test_party_count_validation():
-    for bad in (3, 0, 14):
+    for bad in (0, 1, 13):
         with pytest.raises(ValueError):
             mermin_operators(bad)
         with pytest.raises(ValueError):
             mermin_closed_form(bad)
 
-
-def test_pair_is_dataclass_with_parties():
-    pair = mermin_operators(4)
-    assert isinstance(pair, MerminPair)
-    assert pair.parties == (1, 2, 3, 4)

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from dense_oracle import (
     full_correlation_table,
     mermin_operators,
     noisy_pair,
-    tensor_all,
 )
 from helpers import run_main
 
@@ -56,7 +56,7 @@ def test_contraction_of_random_pairs_matches_dense_trace():
         t = pair_contraction(full_correlation_table(rho, 2))
         for n_copies in (1, 2, 3):
             pair = mermin_operators(2 * n_copies)
-            state = tensor_all([rho] * n_copies)
+            state = reduce(np.kron, [rho] * n_copies)
             z = t**n_copies / F_PHASE
             assert abs(z.real - expectation(state, pair.b)) < 1e-12
             assert abs(z.imag - expectation(state, pair.b_prime)) < 1e-12
