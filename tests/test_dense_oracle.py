@@ -326,6 +326,20 @@ def test_compose_two_sites_explicit():
     np.testing.assert_allclose(pair.b, expected_b, atol=1e-15)
 
 
+def test_compose_matches_f_product_oracle():
+    # oracle: tensor the local f-transforms, then split into Hermitian parts
+    # (odd sizes included, since compose is defined for any disjoint sites)
+    for n in (2, 3, 4):
+        pair = SITE
+        for _ in range(n - 1):
+            pair = compose(pair, SITE)
+        target = reduce(np.kron, [local_f(SIGMA_X, SIGMA_Y)] * n)
+        g = math.sqrt(2) * cmath.exp(1j * math.pi / 4) * target
+        gd = g.conj().T
+        np.testing.assert_allclose(pair.b, (g + gd) / 2, atol=1e-12)
+        np.testing.assert_allclose(pair.b_prime, (g - gd) / 2j, atol=1e-12)
+
+
 def test_compose_expectation_identity_on_product_state():
     alpha = compose(SITE, SITE)
     beta = compose(SITE, SITE)
@@ -355,9 +369,6 @@ def test_grouping_independence():
 
 
 def test_f_consistency_of_built_pairs():
-    # Hermitian B, B' with f(B, B') equal to the tensored site f-transforms:
-    # the Hermitian split of that product is unique, so this pins both
-    # operators (odd sizes included, since compose takes any disjoint sites)
     for n in range(2, 7):
         pair = mermin_operators(n)
         target = reduce(np.kron, [local_f(SIGMA_X, SIGMA_Y)] * n)
