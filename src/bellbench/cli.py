@@ -20,8 +20,9 @@ same sign transform (lhv.quadruple_values, lhv.lhv_feasible).
 bellbench.lhv and the appendix layer, bellbench.zukowski; `correlators` and an
 infeasible `lhv` table import bellbench.lhv but none of the other three. numpy
 is loaded only by two functions, on their first call: the witness rebuild of a
-feasible `lhv` verdict (lhv.witness_reconstruction_error) and the
-step-function draw of `verify-appendix` (zukowski.sampled_maxima).
+feasible `lhv` verdict, one matrix product over the two halves of the parties
+(lhv.witness_reconstruction_error), and the step-function draw of
+`verify-appendix` (zukowski.sampled_maxima).
 `correlators` and `analyze` read the pair's table from its two amplitudes
 (mermin.pair_table), `analyze` as the one input of its N-copy contraction; no
 subcommand builds a density matrix or a dense operator: `verify-appendix`

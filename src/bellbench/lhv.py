@@ -14,8 +14,9 @@ is rebuilt from its strategy labels, an inequality is evaluated on the table
 and maximised over every deterministic strategy.
 
 The decision is plain Python, its sums correctly rounded by math.fsum, so
-they do not depend on summation order. Only the witness rebuild, a blocked
-Kronecker product, imports numpy, on its first call.
+they do not depend on summation order. Only the witness rebuild, one matrix
+product of the Kronecker products over the two halves of the parties, imports
+numpy, on its first call.
 
 A table is checked once, by the CorrelationTable constructor, which reads n
 from the first key and holds the party cap. Per-entry work runs as whole-table
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from operator import add, mul, sub
 
@@ -39,8 +41,6 @@ from .mermin import COMPARISON_TOL, COMPLETE_SET_SLACK
 # each, at most 2^n + 2 of them, so a 12-party rebuild may be off by 4.1e-9.
 WITNESS_TOL = 1e-8
 MAX_TRANSFORM_PARTIES = 12
-# Strategies per block of Kronecker products when a witness is rebuilt.
-RECONSTRUCTION_BLOCK = 256
 
 # Deletes the setting letters: a key string is valid iff nothing is left.
 _NOT_XY = str.maketrans("", "", "XY")
@@ -199,15 +199,19 @@ def lhv_feasible(table: CorrelationTable) -> FeasibilityVerdict:
 def _kronecker_keys(n: int) -> list[str]:
     """Setting key of each Kronecker-product index i: party k (from 0) reads
     bit n - 1 - k of i, and a set bit is Y."""
-    return ["".join("XY"[(i >> (n - 1 - k)) & 1] for k in range(n)) for i in range(2**n)]
+    return list(map("".join, itertools.product("XY", repeat=n)))
 
 
 def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, float]) -> float:
     """How far the witness is from a distribution reproducing the table.
 
     A strategy's correlators are the Kronecker product, in party order, of
-    the outcome pairs (x_k, y_k) parsed from its label. Entry i is compared
-    with the table's value at the key spelt by the bits of i, not through
+    the outcome pairs (x_k, y_k) parsed from its label. With the parties split
+    at h = n // 2, the weighted table is left.T @ right: row s of left is
+    strategy s's weight times the product over parties 1..h, row s of right
+    the product over parties h+1..n, so memory grows as S 2^ceil(n/2) for S
+    strategies. Flattened in row order, entry i is compared with the table's
+    value at the key spelt by the bits of i, not through
     CorrelationTable.settings(), whose order the sign transform reads.
     Returns the largest of the max correlator deviation, |total weight - 1|
     and the most negative weight. Raises ValueError unless every label is an
@@ -215,20 +219,22 @@ def witness_reconstruction_error(table: CorrelationTable, witness: dict[str, flo
     """
     import numpy as np
 
-    n = table.n_parties
+    n, h = table.n_parties, table.n_parties // 2
     pairs = ",".join(witness).split(",")
     if set(map(len, witness)) != {3 * n - 1} or not set(pairs) <= {"++", "+-", "-+", "--"}:
         raise ValueError(f"witness labels are not all {n}-party strategies")
     weights = np.fromiter(witness.values(), float, len(witness))
     # "+" and "-" are the bytes 43 and 45, either side of 44.
     outcomes = (44.0 - np.frombuffer("".join(pairs).encode(), np.uint8)).reshape(-1, n, 2)
-    rebuilt = np.zeros(2**n)
-    for start in range(0, len(weights), RECONSTRUCTION_BLOCK):
-        block = outcomes[start:start + RECONSTRUCTION_BLOCK]
-        products = block[:, 0]
-        for k in range(1, n):
-            products = (products[:, :, None] * block[:, k, None, :]).reshape(len(block), -1)
-        rebuilt += weights[start:start + RECONSTRUCTION_BLOCK] @ products
+
+    def products(rows, parties):
+        for k in parties:
+            rows = (rows[:, :, None] * outcomes[:, k, None, :]).reshape(len(rows), -1)
+        return rows
+
+    left = products(weights[:, None], range(h))
+    right = products(outcomes[:, h], range(h + 1, n))
+    rebuilt = (left.T @ right).ravel()
     expected = [table.values[key] for key in _kronecker_keys(n)]
     deviation = float(np.abs(rebuilt - expected).max())
     return max(deviation, abs(float(weights.sum()) - 1.0), -float(weights.min(initial=0.0)))

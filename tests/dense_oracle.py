@@ -111,6 +111,16 @@ def ghz_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
+def _extreme_ghz_doublet(n: int, scale: float) -> np.ndarray:
+    """scale (P+ - P-) for the first two kets of ghz_basis(n), the extreme
+    GHZ kets (|0...0> +- |1...1>)/sqrt(2): their projectors differ only at the
+    two corners, so this is scale (|0...0><1...1| + |1...1><0...0|)."""
+    _check_sites(n)
+    op = np.zeros((2**n, 2**n), dtype=complex)
+    op[0, -1] = op[-1, 0] = scale
+    return op
+
+
 # --- the shared pair as a density matrix -------------------------------------
 
 
@@ -143,8 +153,7 @@ def full_correlation_table(rho, n: int) -> dict[str, float]:
 
 def zukowski_closed(n: int) -> np.ndarray:
     """Closed corner form (1/2)(pi/2)^n (P+ - P-), eigenvalues +-(1/2)(pi/2)^n."""
-    plus, minus = ghz_basis(n)[:2]
-    return 0.5 * (math.pi / 2) ** n * (np.outer(plus, plus.conj()) - np.outer(minus, minus.conj()))
+    return _extreme_ghz_doublet(n, 0.5 * (math.pi / 2) ** n)
 
 
 def zukowski_quadrature(n: int, nodes_per_axis: int = 8) -> np.ndarray:
@@ -244,9 +253,7 @@ def mermin_closed_form(n_parties: int) -> np.ndarray:
     Built in the computational basis without extra phases; it matches the
     recursive construction only after the corner-phase alignment below.
     """
-    plus, minus = ghz_basis(n_parties)[:2]
-    doublet = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
-    return 2 ** ((n_parties - 1) / 2) * doublet
+    return _extreme_ghz_doublet(n_parties, 2 ** ((n_parties - 1) / 2))
 
 
 def corner_phase(op) -> complex:

@@ -79,7 +79,7 @@ class TestCorrelators:
         report = run_json(["correlators", "--visibility", "0.5"])
         assert report["tolerances"] == {
             "bound_slack": 1e-12, "comparison": 1e-10, "complete_set_slack": 1e-9}
-        assert report["tool_version"] == bellbench.__version__ == "0.8.0"
+        assert report["tool_version"] == bellbench.__version__ == "0.9.0"
 
 
 class TestAnalyze:
@@ -806,7 +806,7 @@ class TestDeterminism:
 
 
 TOLERANCES_TEXT = ('"tolerances": {"bound_slack": 1e-12, "comparison": 1e-10, '
-                   '"complete_set_slack": 1e-09}, "tool_version": "0.8.0"')
+                   '"complete_set_slack": 1e-09}, "tool_version": "0.9.0"')
 
 # Whole reports whose numbers do not depend on summation order: the two lhv
 # tables are dyadic, so the sign transform and the witness rebuild are exact,
