@@ -4,4 +4,4 @@ quadrature cross-checks, visibility thresholds, and an independent
 local-hidden-variable feasibility oracle.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -35,11 +35,8 @@ import itertools
 import math
 from operator import add, mul, sub
 
-from .mermin import COMPARISON_TOL, COMPLETE_SET_SLACK
+from .mermin import COMPARISON_TOL, COMPLETE_SET_SLACK, WITNESS_TOL
 
-# Looser than COMPLETE_SET_SLACK: lhv_feasible drops weights of up to 1e-12
-# each, at most 2^n + 2 of them, so a 12-party rebuild may be off by 4.1e-9.
-WITNESS_TOL = 1e-8
 MAX_TRANSFORM_PARTIES = 12
 
 # Deletes the setting letters: a key string is valid iff nothing is left.

@@ -41,6 +41,10 @@ BOUND_SLACK = 1e-12
 # Slack of the complete-set (cross-polytope) verdict of the LHV oracle.
 COMPLETE_SET_SLACK = 1e-9
 
+# Looser than COMPLETE_SET_SLACK: lhv_feasible drops weights of up to 1e-12
+# each, at most 2^n + 2 of them, so a 12-party rebuild may be off by 4.1e-9.
+WITNESS_TOL = 1e-8
+
 F_PHASE = cmath.exp(-1j * math.pi / 4) / math.sqrt(2)
 
 # Amplitudes of |00> and |11> in the shared pair (|00> + i|11>)/sqrt(2);

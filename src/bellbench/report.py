@@ -17,12 +17,13 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__ as TOOL_VERSION
-from .mermin import BOUND_SLACK, COMPARISON_TOL, COMPLETE_SET_SLACK
+from .mermin import BOUND_SLACK, COMPARISON_TOL, COMPLETE_SET_SLACK, WITNESS_TOL
 
 REPORT_TOLERANCES = {
     "comparison": COMPARISON_TOL,
     "bound_slack": BOUND_SLACK,
     "complete_set_slack": COMPLETE_SET_SLACK,
+    "witness": WITNESS_TOL,
 }
 
 _STR, _FLOAT = {str}, {float}

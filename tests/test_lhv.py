@@ -17,6 +17,7 @@ from lp_oracle import (
     QUADRUPLE_SIGNS,
     chsh_quadruples,
     lp_feasible,
+    settings,
     strategy_matrix,
     witness_table,
 )
@@ -144,19 +145,6 @@ class TestSignTransform:
 
 
 class TestCompleteSet:
-    def test_noisy_pair_sum(self):
-        for v in V_GRID:
-            table = pair_table(0.0, v, v, 0.0)
-            verdict = lhv_feasible(table)
-            assert abs(verdict.sign_sum - 4 * v) < 1e-12
-            assert verdict.feasible
-
-    def test_extreme_point_violates(self):
-        assert not lhv_feasible(pair_table(1.0, 1.0, 1.0, -1.0)).feasible
-
-    def test_all_zero(self):
-        assert lhv_feasible(pair_table(0.0, 0.0, 0.0, 0.0)).feasible
-
     def test_matches_quadruples_exactly_at_two_parties(self):
         # Uniform tables, and tables with one quadruple within 1e-8 of 2:
         # the transform's quadruples match the explicit patterns, and an
@@ -204,13 +192,16 @@ class TestFeasibility:
     @staticmethod
     def assert_certificate_agrees(table):
         # The certificate is checked without the sign transform: a witness
-        # rebuilt from its labels, or an inequality evaluated entrywise.
+        # rebuilt from its labels, or an inequality evaluated entrywise that
+        # no column of lp_oracle's 4^n-strategy matrix exceeds.
         verdict = lhv_feasible(table)
         if verdict.feasible:
             assert_witness_rebuilds(table, verdict.witness)
         else:
-            w = verdict.witness
+            w, n = verdict.witness, table.n_parties
             assert sum(w["coefficients"][k] * table.values[k] for k in table.values) > w["bound"]
+            coefficients = [w["coefficients"][k] for k in settings(n)]
+            assert np.abs(coefficients @ strategy_matrix(n)).max() <= w["bound"] + 1e-9
 
     def test_oracle_agreement_two_parties(self):
         rng = np.random.default_rng(2024)
