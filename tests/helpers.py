@@ -1,6 +1,6 @@
-"""Table builders and an in-process bellctl runner that several test modules
-share. Not collected by pytest; test modules import from here, and never
-from one another.
+"""Constants, table builders and an in-process bellctl runner that several
+test modules share. Not collected by pytest; test modules import from here,
+and never from one another.
 """
 
 import contextlib
@@ -8,11 +8,19 @@ import io
 import math
 from unittest import mock
 
-import numpy as np
-
 from bellbench.cli import main
 from bellbench.lhv import CorrelationTable
-from lp_oracle import settings
+from lp_oracle import correlators, settings
+
+V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
+
+# <Z> at V = 1 for N copies, frozen from the closed Bell-relation factor
+# (1/2)(pi/2)^{2N} 2^{-(2N-1)/2}, which test_acceptance recomputes.
+ZUKOWSKI_AT_FULL_VISIBILITY = {
+    1: 0.8723580249548598,
+    2: 1.076228575302513,
+    3: 1.3277437854229766,
+}
 
 
 def run_main(argv, stdin=""):
@@ -36,9 +44,7 @@ def mixture_table(rng, n):
     weights = rng.uniform(0.05, 1.05, count)
     weights /= weights.sum()
     outcomes = rng.choice([-1.0, 1.0], size=(count, n, 2))
-    vector = sum(w * np.prod(np.array(np.meshgrid(*o, indexing="ij")), axis=0).ravel()
-                 for w, o in zip(weights, outcomes))
-    return CorrelationTable(dict(zip(settings(n), vector)))
+    return CorrelationTable(dict(zip(settings(n), correlators(outcomes) @ weights)))
 
 
 def ghz_type_table(rng, n, scale):

@@ -31,7 +31,6 @@ import numpy as np
 
 # Largest phase-1 residual the LP still calls feasible.
 LP_RESIDUAL_TOL = 1e-9
-MAX_ENUM_PARTIES = 8
 
 PIVOT_EPS = 1e-11
 
@@ -110,32 +109,31 @@ def phase1_feasibility(a, b, max_iterations: int | None = None):
     return x, residual
 
 
-def enumerate_strategies(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """All 4^n deterministic strategies, lexicographic.
-
-    A strategy lists, per party, the predetermined outcomes (at X, at Y);
-    outcome order is +1 before -1, leftmost party most significant.
-    """
-    if n > MAX_ENUM_PARTIES:
-        raise ValueError(f"strategy enumeration capped at {MAX_ENUM_PARTIES} parties")
-    pairs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    return [combo for combo in itertools.product(pairs, repeat=n)]
-
-
 def settings(n: int) -> list[str]:
     """The 2^n setting strings, X before Y, leftmost party most significant."""
     return ["".join(combo) for combo in itertools.product("XY", repeat=n)]
 
 
-def strategy_correlations(strategy) -> dict[str, float]:
-    """Correlation table of one deterministic strategy: E = product of outcomes."""
-    values = {}
-    for key in settings(len(strategy)):
-        e = 1
-        for (x_out, y_out), setting in zip(strategy, key):
-            e *= x_out if setting == "X" else y_out
-        values[key] = float(e)
-    return values
+def correlators(strategies) -> np.ndarray:
+    """Correlators of deterministic strategies, given as an (S, n, 2) array
+    of each party's predetermined outcomes (at X, at Y): row r holds, for
+    each strategy, the product over parties of the outcome at setting string
+    settings(n)[r]."""
+    strategies = np.asarray(strategies, dtype=float)
+    parties = np.arange(strategies.shape[1])
+    # ints, not bools, which numpy would read as a mask
+    return np.array([strategies[:, parties, [int(c == "Y") for c in key]].prod(axis=1)
+                     for key in settings(len(parties))])
+
+
+# A party's outcome pairs (at X, at Y), +1 before -1.
+OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def strategy_matrix(n: int) -> np.ndarray:
+    """Correlators of all 4^n deterministic strategies: rows in settings(n)
+    order, columns in itertools.product(OUTCOME_PAIRS, repeat=n) order."""
+    return correlators(list(itertools.product(OUTCOME_PAIRS, repeat=n)))
 
 
 _SIGNS = {"+": 1, "-": -1}
@@ -147,32 +145,13 @@ def witness_table(witness: dict[str, float], n: int) -> dict[str, float]:
     Each label lists, per party and comma-separated, the outcome at X and
     then at Y, e.g. '+-,++'.
     """
-    table = dict.fromkeys(settings(n), 0.0)
-    for label, weight in witness.items():
+    strategies = []
+    for label in witness:
         parties = label.split(",")
         if len(parties) != n or any(len(p) != 2 or set(p) - _SIGNS.keys() for p in parties):
             raise ValueError(f"witness label {label!r} is not an {n}-party strategy")
-        strategy = [(_SIGNS[p[0]], _SIGNS[p[1]]) for p in parties]
-        for key, e in strategy_correlations(strategy).items():
-            table[key] += weight * e
-    return table
-
-
-def strategy_matrix(n: int) -> np.ndarray:
-    """Strategy correlators: rows in settings(n) order, columns in
-    enumerate_strategies(n) order."""
-    idx = np.arange(4**n)
-    # Per party: two bits of the base-4 digit select the X and Y outcomes.
-    outcomes = np.empty((2, n, 4**n))
-    for k in range(n):
-        digit = (idx // 4 ** (n - 1 - k)) % 4
-        outcomes[0, k] = np.where(digit < 2, 1.0, -1.0)       # X outcome
-        outcomes[1, k] = np.where(digit % 2 == 0, 1.0, -1.0)  # Y outcome
-    rows = np.empty((2**n, 4**n))
-    for r in range(2**n):
-        picks = [(r >> (n - 1 - k)) & 1 for k in range(n)]
-        rows[r] = np.prod([outcomes[picks[k], k] for k in range(n)], axis=0)
-    return rows
+        strategies.append([(_SIGNS[p[0]], _SIGNS[p[1]]) for p in parties])
+    return dict(zip(settings(n), correlators(strategies) @ list(witness.values())))
 
 
 # The four two-party CHSH quadruples, as explicit sign patterns over

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to get one pass line per
 criterion; a failing criterion shows up as an ordinary pytest failure.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -43,18 +42,8 @@ from dense_oracle import (
     zukowski_aligned,
     zukowski_closed,
 )
-from lp_oracle import chsh_quadruples, lp_feasible
-
-V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
-
-# Frozen from the closed Bell-relation factor (1/2)(pi/2)^{2N} 2^{-(2N-1)/2},
-# recomputed independently inside criterion 4.
-ZUKOWSKI_AT_FULL_VISIBILITY = {
-    1: 0.8723580249548598,
-    2: 1.076228575302513,
-    3: 1.3277437854229766,
-}
-
+from helpers import V_GRID, ZUKOWSKI_AT_FULL_VISIBILITY
+from lp_oracle import chsh_quadruples, lp_feasible, settings
 
 def _report(line: str) -> None:
     print(line)
@@ -161,9 +150,8 @@ def test_criterion_7_oracle_agreement():
     for _ in range(500):
         values = dict(zip(["XX", "XY", "YX", "YY"], 2 * rng.random(4) - 1))
         assert lhv_feasible(CorrelationTable(values)).feasible == lp_feasible(values)
-    keys3 = sorted("".join(c) for c in itertools.product("XY", repeat=3))
     for _ in range(100):
-        values = dict(zip(keys3, 2 * rng.random(8) - 1))
+        values = dict(zip(settings(3), 2 * rng.random(8) - 1))
         assert lhv_feasible(CorrelationTable(values)).feasible == lp_feasible(values)
     _report("criterion 7 (LP vs complete-set agreement, 600 tables): PASS")
 

@@ -12,12 +12,12 @@ import pytest
 
 import bellbench
 from bellbench.cli import (MAX_APPENDIX_CELLS, MAX_APPENDIX_GRID, MAX_COPIES,
-                           MAX_LHV_INPUT_CHARS, MAX_SWEEP_ROWS, CliError, cmd_analyze,
+                           MAX_LHV_INPUT_CHARS, MAX_SWEEP_ROWS, cmd_analyze,
                            cmd_correlators, main, sweep_grid)
 from bellbench.mermin import BOUND_SLACK, pair_table, threshold_visibility
 from bellbench.report import render_json
 from bellbench.zukowski import cell_weights
-from helpers import ghz_type_table, mixture_table, run_main
+from helpers import ZUKOWSKI_AT_FULL_VISIBILITY, ghz_type_table, mixture_table, run_main
 from lp_oracle import settings
 
 
@@ -72,9 +72,6 @@ class TestCorrelators:
         report = run_json(["correlators", "--visibility", "0.5"])
         assert report["results"]["quadruples"] == pytest.approx([1, 0, 0, 1], abs=1e-12)
 
-    def test_invalid_visibility_exits_2(self):
-        assert run_main(["correlators", "--visibility", "1.5"])[0] == 2
-
     def test_report_embeds_tolerances(self):
         report = run_json(["correlators", "--visibility", "0.5"])
         assert report["tolerances"] == {
@@ -88,7 +85,7 @@ class TestAnalyze:
         report = run_json(["analyze", "--visibility", "1", "--copies", "2"])
         res, verdicts = report["results"], report["verdicts"]
         assert res["mermin_value"] == pytest.approx(1.0, abs=1e-12)
-        assert res["zukowski_value"] == pytest.approx(1.076228575302513, abs=1e-9)
+        assert res["zukowski_value"] == pytest.approx(ZUKOWSKI_AT_FULL_VISIBILITY[2], abs=1e-9)
         assert verdicts["mermin_satisfied"] is True
         assert verdicts["zukowski_satisfied"] is False
         assert verdicts["conflict_revealed"] is True
@@ -96,32 +93,15 @@ class TestAnalyze:
     def test_no_conflict_below_threshold(self):
         report = run_json(["analyze", "--visibility", "0.9", "--copies", "2"])
         assert report["results"]["zukowski_value"] == pytest.approx(
-            0.81 * 1.076228575302513, abs=1e-9)
+            0.81 * ZUKOWSKI_AT_FULL_VISIBILITY[2], abs=1e-9)
         assert report["verdicts"]["conflict_revealed"] is False
 
     def test_single_copy_never_conflicts(self):
         report = run_json(["analyze", "--visibility", "1", "--copies", "1"])
         assert report["results"]["zukowski_value"] == pytest.approx(
-            0.8723580249548598, abs=1e-9)
+            ZUKOWSKI_AT_FULL_VISIBILITY[1], abs=1e-9)
         assert report["verdicts"]["conflict_revealed"] is False
         assert "threshold_visibility" not in report["results"]
-
-    def test_copies_out_of_range_exits_2(self):
-        for n in (0, MAX_COPIES + 1):
-            for argv in (["analyze", "--visibility", "1", "--copies", str(n)],
-                         ["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.5",
-                          "--copies", f"1,{n}"]):
-                code, out, err = run_main(argv)
-                assert (code, out) == (2, ""), argv
-                assert f"copy count must lie in [1, {MAX_COPIES}], got {n}" in err
-                assert "Traceback" not in err
-        # an empty comma-separated entry is not a count
-        for copies in ("1,,2", ",2", "2,", ""):
-            code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
-                                       "--v-step", "0.5", "--copies", copies])
-            assert (code, out) == (2, ""), copies
-            assert "not an integer: ''" in err
-            assert "Traceback" not in err
 
     @pytest.mark.parametrize("v", [0.0, 0.5, threshold_visibility(MAX_COPIES), 1.0])
     def test_largest_copy_count_reports_strict_json(self, v):
@@ -195,53 +175,6 @@ class TestSweep:
         ns = [row.split(",")[1] for row in out.strip().splitlines()[1:]]
         assert ns == ["2", "2", "1", "1"]
 
-    def test_empty_grid_exits_2(self):
-        code, _, _ = run_main(["sweep", "--v-min", "0.9", "--v-max", "0.1",
-                               "--v-step", "0.1", "--copies", "1"])
-        assert code == 2
-
-    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-0.1"])
-    def test_non_finite_or_non_positive_step_exits_2(self, step):
-        code, _, err = run_main(["sweep", "--v-min", "0", "--v-max", "1", "--v-step", step,
-                                 "--copies", "1"])
-        assert code == 2
-        assert "finite and positive" in err
-
-    def test_too_many_grid_steps_exits_2(self):
-        code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
-                                   "--v-step", "1e-9", "--copies", "1"])
-        assert code == 2
-        assert out == ""
-        assert f"{MAX_SWEEP_ROWS}-row cap" in err
-
-    @pytest.mark.parametrize("v, step", [("0", "1e-300"), ("0.5", "1e-17")])
-    def test_steps_counted_on_the_loop_bound(self, v, step):
-        # (v_max - v_min) / v_step is 0, but the grid runs on to v_max + 1e-12,
-        # which holds 1e-12 / 1e-300 points at V = 0 and, since 0.5 + k 1e-17
-        # rounds back to 0.5 for small k, 100004 at V = 0.5: over the 100001
-        # points each of six copy counts may take.
-        with pytest.raises(CliError, match="row cap"):
-            sweep_grid(float(v), float(v), float(step), MAX_SWEEP_ROWS // 6)
-        code, out, err = run_main(["sweep", "--v-min", v, "--v-max", v,
-                                   "--v-step", step, "--copies", "1,2,3,4,5,6"])
-        assert (code, out) == (2, "")
-        assert f"exceeds the {MAX_SWEEP_ROWS}-row cap" in err
-
-    def test_one_point_over_the_row_cap_exits_2_and_writes_nothing(self, tmp_path):
-        # 1 / 100001 steps give 100002 points, one more than six copy counts
-        # may take; 1e-5 steps give 100001, exactly MAX_SWEEP_ROWS rows.
-        assert len(sweep_grid(0.0, 1.0, 1e-5, MAX_SWEEP_ROWS // 6)) == MAX_SWEEP_ROWS // 6
-        path = tmp_path / "sweep.csv"
-        for output in ([], ["--output", str(path)]):
-            code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
-                                       "--v-step", repr(1 / 100_001),
-                                       "--copies", "1,2,3,4,5,6", *output])
-            assert (code, out) == (2, "")
-            assert err == (f"bellctl: error: sweep exceeds the {MAX_SWEEP_ROWS}-row cap "
-                           f"(more than {MAX_SWEEP_ROWS // 6} grid points per copy count); "
-                           "use a larger step\n")
-        assert not path.exists()
-
     @pytest.mark.parametrize("copies", ["6,6", "1,2,1"])
     def test_repeated_copy_count_repeats_its_block(self, copies):
         code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
@@ -251,15 +184,6 @@ class TestSweep:
         blocks = [rows[k:k + 3] for k in range(0, len(rows), 3)]
         assert [block[0].split(",")[1] for block in blocks] == copies.split(",")
         assert blocks[0] == blocks[-1]
-
-    def test_json_format_rejected(self):
-        # There is no --format option; each subcommand has one output format.
-        for argv in (["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.5",
-                      "--copies", "1"], ["analyze", "--visibility", "1", "--copies", "2"]):
-            code, out, err = run_main(argv + ["--format", "json"])
-            assert code == 2
-            assert out == ""
-            assert "Traceback" not in err
 
     @pytest.mark.parametrize("step, points", [("0.001", 1001), ("0.0001", 10001)])
     def test_rows_match_per_row_reference(self, step, points):
@@ -324,27 +248,6 @@ class TestVerifyAppendix:
         assert report["results"]["extremal_z_prime_real"] == pytest.approx(2.0)
         assert report["results"]["quadrature_max_error"] < 1e-10
         assert report["results"]["ghz_offdiagonal_max"] < 1e-12
-
-    def test_odd_grid_rejected(self):
-        code, _, _ = run_main(["verify-appendix", "--grid", "63"])
-        assert code == 2
-
-    @pytest.mark.parametrize("grid, trials", [(64, 65537), (2**23, 1), (2, 10**12), (4098, 1)])
-    def test_oversized_draw_exits_2_before_drawing(self, monkeypatch, grid, trials):
-        from bellbench import cli, zukowski
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated before the size check")
-
-        monkeypatch.setattr(random, "Random", refuse)
-        monkeypatch.setattr(zukowski, "cell_weights", refuse)
-        monkeypatch.setattr(zukowski, "sign_cos_step", refuse)
-        assert grid > MAX_APPENDIX_GRID or grid * trials > MAX_APPENDIX_CELLS
-        code, out, err = run_main(["verify-appendix", "--grid", str(grid),
-                                   "--trials", str(trials)])
-        assert code == 2
-        assert out == ""
-        assert "must not exceed" in err
 
     def test_draw_at_the_cap_runs(self):
         trials = MAX_APPENDIX_CELLS // 64
@@ -472,70 +375,6 @@ class TestLhv:
         assert witness["quadruple_index"] == 0
         assert witness["value"] > witness["bound"]
 
-    def test_malformed_json_exits_2(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{nope")
-        code, _, err = run_main(["lhv", "--input", str(path)])
-        assert code == 2
-        assert "invalid JSON" in err
-
-    def test_missing_file_exits_2(self):
-        code, _, _ = run_main(["lhv", "--input", "/nonexistent/t.json"])
-        assert code == 2
-
-    def test_non_utf8_file_exits_2(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_bytes(b"\xff\xfe{}")
-        code, out, err = run_main(["lhv", "--input", str(path)])
-        assert code == 2
-        assert out == ""
-        assert "cannot read" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("text, message", [
-        ("[" * 100_000, "invalid JSON"),
-        # Python releases without the integer-string digit limit parse this
-        # literal and reject it as a table instead.
-        ('{"XX": 1' + "0" * 5000 + "}", "bellctl: error: invalid "),
-        ('{"XX": 1' + "0" * 400 + ', "XY": 0, "YX": 0, "YY": 0}', "invalid correlation table"),
-        ('\ufeff{"X": 0.5, "Y": 0}', "invalid JSON: Unexpected UTF-8 BOM"),
-    ], ids=["deep-nesting", "int-over-digit-limit", "int-over-float-range", "byte-order-mark"])
-    def test_unparseable_numbers_and_nesting_exit_2(self, text, message):
-        code, out, err = run_main(["lhv"], stdin=text)
-        assert code == 2
-        assert out == ""
-        assert message in err
-        assert "Traceback" not in err
-
-    # A valid table is accepted by whole-table checks; a rejected one is read
-    # entry by entry, key before value, so the message names the first
-    # offending entry in input order.
-    @pytest.mark.parametrize("text, message", [
-        ('{"XX": 0.5, "XZ": 0, "YX": 0, "YY": 0}', "bad setting key 'XZ'"),
-        ('{"XX": 0.5, "XYY": 0, "YX": 0, "YY": 0}', "bad setting key 'XYY'"),
-        ('{"XX": 0.5, "XY": "0.5", "YX": 0, "YY": 0}', "correlator 'XY' is not a number"),
-        ('{"XX": 0.5, "XY": true, "YX": 0, "YY": 0}', "correlator 'XY' is not a number"),
-        ('{"XX": 0.5, "XY": -1.5, "YX": 0, "YY": 0}', "correlator XY = -1.5 outside [-1, 1]"),
-        ('{"XX": 0.5, "XY": 1e400, "YX": 0, "YY": 0}', "correlator XY = inf outside [-1, 1]"),
-        ('{"XX": 2, "XZ": 1, "YX": 1, "YY": -1}', "correlator XX = 2.0 outside [-1, 1]"),
-        ('{"XX": 0.5, "XY": -1.5, "YZ": 0, "YY": 0}', "correlator XY = -1.5 outside [-1, 1]"),
-        ('{"YZ": 0, "XY": -1.5, "XX": 0.5, "YY": 0}', "bad setting key 'YZ'"),
-        ('{"XX": 0.5, "XY": 1e400, "YX": "a", "YY": 0}', "correlator 'YX' is not a number"),
-        ('{"XX": 0.5, "XY": 0.5, "YX": 1.0000000002, "YY": 7}',
-         "correlator YX = 1.0000000002 outside [-1, 1]"),
-        # 2**15000 has more digits than Python converts to a string by default.
-        (json.dumps({"X" * 15000: 0.5}), "key length 15000 exceeds the 12-party cap"),
-        # A valid table over the cap gets the same message.
-        (json.dumps(dict.fromkeys(settings(13), 0.0)), "key length 13 exceeds the 12-party cap"),
-        ('{"X": 0.1, "X": 0.9, "Y": 0}', "repeated key 'X'"),
-    ], ids=["bad-key", "ragged-keys", "string", "true", "out-of-range", "1e400",
-            "out-of-range-before-bad-key", "value-before-later-key", "key-before-later-value",
-            "non-number-after-overflow", "first-of-two-out-of-range", "long-key",
-            "valid-13-party", "repeated-key"])
-    def test_malformed_table_message_names_first_offending_entry(self, text, message):
-        assert run_main(["lhv"], stdin=text) == \
-            (2, "", f"bellctl: error: invalid correlation table: {message}\n")
-
     # An infeasible verdict transforms its sign pattern once more to get the
     # violated inequality's coefficients.
     @pytest.mark.parametrize("text, transforms", [
@@ -589,13 +428,6 @@ class TestLhv:
             assert (code, out, err) == (2, "", f"bellctl: error: {name} exceeds the "
                                                f"{MAX_LHV_INPUT_CHARS}-character input cap\n")
 
-    def test_zero_party_table_exits_2(self):
-        code, out, err = run_main(["lhv"], stdin='{"": 0.5}')
-        assert code == 2
-        assert out == ""
-        assert "at least one party" in err
-        assert "Traceback" not in err
-
     def test_one_party_table_runs(self):
         code, out, err = run_main(["lhv"], stdin='{"X": 0.3, "Y": -0.2}')
         assert code == 0, err
@@ -621,15 +453,142 @@ class TestLhv:
                 assert report["results"]["complete_set_sum"] > 2**7
 
 
-@pytest.mark.parametrize("target", ["missing-dir/x.json", "."], ids=["missing-dir", "directory"])
-def test_unwritable_output_exits_2(tmp_path, target):
-    path = tmp_path / target
-    code, out, err = run_main(["analyze", "--visibility", "1", "--copies", "2",
-                               "--output", str(path)])
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"bellctl: error: cannot write {path}: ")
-    assert "Traceback" not in err
+# Every input bellctl cannot turn into verdicts: argv, standard input and the
+# last line of stderr. A line ending in "..." is a prefix, the rest being
+# worded by the json module or the OS. Rows run in a temporary directory
+# that holds bad.json ("{nope") and t.json (not UTF-8).
+ERROR = "bellctl: error: "
+TABLE = ERROR + "invalid correlation table: "
+ROW_CAP = (f"{ERROR}sweep exceeds the {MAX_SWEEP_ROWS}-row cap (more than %d grid points "
+           "per copy count); use a larger step")
+SWEEP = ["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "0.5"]
+REJECTED = {
+    "visibility-1.5": (["correlators", "--visibility", "1.5"], "", "bellctl correlators: error: "
+                       "argument --visibility: visibility must lie in [0, 1], got 1.5"),
+    **{f"copies-{name}-{n}": (
+        [*argv, f"{prefix}{n}"], "",
+        f"bellctl {name}: error: argument --copies: "
+        f"copy count must lie in [1, {MAX_COPIES}], got {n}")
+       for name, argv, prefix in (("analyze", ["analyze", "--visibility", "1", "--copies"], ""),
+                                  ("sweep", [*SWEEP, "--copies"], "1,"))
+       for n in (0, MAX_COPIES + 1)},
+    # an empty comma-separated entry is not a count
+    **{f"copies-empty{where}": (
+        [*SWEEP, "--copies", copies], "",
+        "bellctl sweep: error: argument --copies: not an integer: ''")
+       for where, copies in (("-middle", "1,,2"), ("-first", ",2"), ("-last", "2,"), ("", ""))},
+    "grid-empty": (
+        ["sweep", "--v-min", "0.9", "--v-max", "0.1", "--v-step", "0.1", "--copies", "1"], "",
+        ERROR + "empty visibility grid"),
+    **{f"step-{step}": (
+        ["sweep", "--v-min", "0", "--v-max", "1", "--v-step", step, "--copies", "1"], "",
+        f"bellctl sweep: error: argument --v-step: step must be finite and positive, "
+        f"got {float(step)}")
+       for step in ("nan", "inf", "0", "-0.1")},
+    "step-1e-9": (
+        ["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "1e-9", "--copies", "1"], "",
+        ROW_CAP % MAX_SWEEP_ROWS),
+    # row-cap-0-*: (v_max - v_min) / v_step is 0, but the grid runs on to
+    # v_max + 1e-12, which holds 1e-12 / 1e-300 points at V = 0 and, since
+    # 0.5 + k 1e-17 rounds back to 0.5 for small k, 100004 at V = 0.5: over
+    # the 100001 points each of six copy counts may take.
+    # row-cap-one-point-over: 1 / 100001 steps give 100002 points, one more
+    # than six copy counts may take; 1e-5 steps give 100001, exactly
+    # MAX_SWEEP_ROWS rows.
+    **{f"row-cap-{name}": (
+        ["sweep", "--v-min", v_min, "--v-max", v_max, "--v-step", step,
+         "--copies", "1,2,3,4,5,6"], "",
+        ROW_CAP % (MAX_SWEEP_ROWS // 6))
+       for name, v_min, v_max, step in (("0-1e-300", "0", "0", "1e-300"),
+                                        ("0.5-1e-17", "0.5", "0.5", "1e-17"),
+                                        ("one-point-over", "0", "1", repr(1 / 100_001)))},
+    # There is no --format option; each subcommand has one output format.
+    **{f"format-json-{argv[0]}": ([*argv, "--format", "json"], "",
+                                  ERROR + "unrecognized arguments: --format json")
+       for argv in ([*SWEEP, "--copies", "1"], ["analyze", "--visibility", "1", "--copies", "2"])},
+    "draw-odd-63": (["verify-appendix", "--grid", "63"], "",
+                    ERROR + "grid cells must be even and >= 2, got 63"),
+    **{f"draw-{grid}-{trials}": (
+        ["verify-appendix", "--grid", str(grid), "--trials", str(trials)], "",
+        ERROR + (f"grid cells must not exceed {MAX_APPENDIX_GRID}, got {grid}"
+                 if grid > MAX_APPENDIX_GRID else
+                 f"trials x grid cells must not exceed {MAX_APPENDIX_CELLS}, "
+                 f"got {trials} x {grid}"))
+       for grid, trials in ((64, 65537), (2**23, 1), (2, 10**12), (4098, 1))},
+    "input-malformed-json": (["lhv", "--input", "bad.json"], "", ERROR + "invalid JSON: ..."),
+    "input-missing-file": (["lhv", "--input", "/nonexistent/t.json"], "",
+                           ERROR + "cannot read /nonexistent/t.json: ..."),
+    "input-non-utf8": (["lhv", "--input", "t.json"], "", ERROR + "cannot read t.json: ..."),
+    "json-deep-nesting": (["lhv"], "[" * 100_000, ERROR + "invalid JSON: ..."),
+    # Python releases without the integer-string digit limit parse this
+    # literal and reject it as a table instead.
+    "json-int-over-digit-limit": (["lhv"], '{"XX": 1' + "0" * 5000 + "}", ERROR + "invalid ..."),
+    "json-int-over-float-range": (
+        ["lhv"], '{"XX": 1' + "0" * 400 + ', "XY": 0, "YX": 0, "YY": 0}', TABLE + "..."),
+    "json-byte-order-mark": (["lhv"], '\ufeff{"X": 0.5, "Y": 0}',
+                             ERROR + "invalid JSON: Unexpected UTF-8 BOM ..."),
+    # A valid table is accepted by whole-table checks; a rejected one is read
+    # entry by entry, key before value, so the message names the first
+    # offending entry in input order.
+    **{f"table-{name}": (["lhv"], text, TABLE + message) for name, text, message in [
+        ("bad-key", '{"XX": 0.5, "XZ": 0, "YX": 0, "YY": 0}', "bad setting key 'XZ'"),
+        ("ragged-keys", '{"XX": 0.5, "XYY": 0, "YX": 0, "YY": 0}', "bad setting key 'XYY'"),
+        ("string", '{"XX": 0.5, "XY": "0.5", "YX": 0, "YY": 0}',
+         "correlator 'XY' is not a number"),
+        ("true", '{"XX": 0.5, "XY": true, "YX": 0, "YY": 0}', "correlator 'XY' is not a number"),
+        ("out-of-range", '{"XX": 0.5, "XY": -1.5, "YX": 0, "YY": 0}',
+         "correlator XY = -1.5 outside [-1, 1]"),
+        ("1e400", '{"XX": 0.5, "XY": 1e400, "YX": 0, "YY": 0}',
+         "correlator XY = inf outside [-1, 1]"),
+        ("out-of-range-before-bad-key", '{"XX": 2, "XZ": 1, "YX": 1, "YY": -1}',
+         "correlator XX = 2.0 outside [-1, 1]"),
+        ("value-before-later-key", '{"XX": 0.5, "XY": -1.5, "YZ": 0, "YY": 0}',
+         "correlator XY = -1.5 outside [-1, 1]"),
+        ("key-before-later-value", '{"YZ": 0, "XY": -1.5, "XX": 0.5, "YY": 0}',
+         "bad setting key 'YZ'"),
+        ("non-number-after-overflow", '{"XX": 0.5, "XY": 1e400, "YX": "a", "YY": 0}',
+         "correlator 'YX' is not a number"),
+        ("first-of-two-out-of-range", '{"XX": 0.5, "XY": 0.5, "YX": 1.0000000002, "YY": 7}',
+         "correlator YX = 1.0000000002 outside [-1, 1]"),
+        # 2**15000 has more digits than Python converts to a string by default.
+        ("long-key", json.dumps({"X" * 15000: 0.5}), "key length 15000 exceeds the 12-party cap"),
+        # A valid table over the cap gets the same message.
+        ("valid-13-party", json.dumps(dict.fromkeys(settings(13), 0.0)),
+         "key length 13 exceeds the 12-party cap"),
+        ("repeated-key", '{"X": 0.1, "X": 0.9, "Y": 0}', "repeated key 'X'"),
+        ("zero-party", '{"": 0.5}', "need at least one party, got 0"),
+    ]},
+    **{f"output-{name}": (["analyze", "--visibility", "1", "--copies", "2", "--output", path],
+                          "", f"{ERROR}cannot write {path}: ...")
+       for name, path in (("missing-dir", "missing-dir/x.json"), ("directory", "."))},
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_rejected_input_exits_2(tmp_path, monkeypatch, case):
+    # exit 2, no report and one message, before the appendix draw starts; the
+    # same again when the report would go to a file, which is then not made
+    from bellbench import zukowski
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the appendix draw started")
+
+    for name in ("cell_weights", "sign_cos_step", "sampled_maxima"):
+        monkeypatch.setattr(zukowski, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text("{nope")
+    Path("t.json").write_bytes(b"\xff\xfe{}")
+    argv, stdin, last = REJECTED[case]
+    code, out, err = run_main(argv, stdin)
+    assert (code, out) == (2, "")
+    assert err.endswith("\n") and "Traceback" not in err, err
+    # one message, after argparse's usage lines if it is a usage error
+    *usage, line = err.splitlines()
+    assert all(u.startswith(("usage: ", " ")) for u in usage), err
+    assert line.startswith(last[:-3]) if last.endswith("...") else line == last, err
+    # --output goes first, so that a row's own --output comes later and wins
+    assert run_main([argv[0], "--output", "report.out", *argv[1:]], stdin) == (code, out, err)
+    assert not Path("report.out").exists()
 
 
 CLOSED_STDOUT_CALLS = {

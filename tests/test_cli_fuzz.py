@@ -11,7 +11,6 @@ on a correlators report repeats its verdict. Needs the optional `hypothesis`
 test dependency; examples are derandomized so the suite stays deterministic.
 """
 
-import itertools
 import json
 import math
 
@@ -22,6 +21,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bellbench.cli import MAX_COPIES  # noqa: E402
 from bellbench.mermin import threshold_visibility  # noqa: E402
+import lp_oracle  # noqa: E402
 from helpers import run_main  # noqa: E402
 
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e309", "", "abc", "0x10", "1,2", "--", "1e-400"]
@@ -103,7 +103,7 @@ def lhv_input(draw):
     values, keys dropped, ragged, empty or misspelt keys); some are wrapped
     as a report, not an object, or not valid JSON."""
     n = draw(st.integers(0, 14))
-    keys = ["".join(combo) for combo in itertools.product("XY", repeat=n)]
+    keys = lp_oracle.settings(n)
     damage = draw(st.sampled_from([None] * 3 + ["values", "drop", "bad keys"]))
     values = VALUE if damage == "values" else IN_RANGE
     table = dict.fromkeys(keys, draw(values))

@@ -46,8 +46,7 @@ from dense_oracle import (
     zukowski_closed,
     zukowski_quadrature,
 )
-
-V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
+from helpers import V_GRID
 
 # The single-site Bell-Mermin pair, B = X and B' = Y.
 SITE = MerminPair(SIGMA_X, SIGMA_Y)

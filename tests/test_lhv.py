@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,7 @@ from bellbench.lhv import (
     witness_reconstruction_error,
 )
 from dense_oracle import copies, full_correlation_table, noisy_pair
-from helpers import ghz_type_table, mixture_table
+from helpers import V_GRID, ghz_type_table, mixture_table
 from lp_oracle import (
     QUADRUPLE_SIGNS,
     chsh_quadruples,
@@ -21,8 +20,6 @@ from lp_oracle import (
     strategy_matrix,
     witness_table,
 )
-
-V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
 
 
 def pair_table(e_xx, e_xy, e_yx, e_yy):
@@ -213,8 +210,7 @@ class TestFeasibility:
         rng = np.random.default_rng(2025)
         for _ in range(100):
             vals = 2 * rng.random(8) - 1
-            keys = sorted("".join(c) for c in itertools.product("XY", repeat=3))
-            self.assert_certificate_agrees(CorrelationTable(dict(zip(keys, vals))))
+            self.assert_certificate_agrees(CorrelationTable(dict(zip(settings(3), vals))))
 
     def test_mixtures_of_feasible_tables_are_feasible(self):
         rng = np.random.default_rng(77)
@@ -230,9 +226,8 @@ class TestFeasibility:
             assert lhv_feasible(table).feasible
 
     def test_party_cap(self):
-        keys = ["".join(c) for c in itertools.product("XY", repeat=13)]
         with pytest.raises(ValueError, match="key length 13 exceeds the 12-party cap"):
-            CorrelationTable({k: 0.0 for k in keys})
+            CorrelationTable(dict.fromkeys(settings(13), 0.0))
 
 
 class TestClosedFormWitness:

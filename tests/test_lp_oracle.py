@@ -5,19 +5,20 @@ tests/test_lhv.py.
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lp_oracle import (
+    OUTCOME_PAIRS,
     QUADRUPLE_SIGNS,
     SimplexError,
     chsh_quadruples,
-    enumerate_strategies,
+    correlators,
     phase1_feasibility,
     settings,
-    strategy_correlations,
     strategy_matrix,
     witness_table,
 )
@@ -120,40 +121,33 @@ def label(strategy):
     return ",".join("+-"[x < 0] + "+-"[y < 0] for x, y in strategy)
 
 
+def strategy_table(*strategy):
+    """Correlation table of one strategy, given as (X, Y) outcome pairs."""
+    return dict(zip(settings(len(strategy)), correlators([strategy])[:, 0]))
+
+
 class TestStrategies:
     def test_counts(self):
-        assert len(enumerate_strategies(1)) == 4
-        assert len(enumerate_strategies(2)) == 16
-        with pytest.raises(ValueError):
-            enumerate_strategies(9)
+        assert strategy_matrix(1).shape == (2, 4)
+        assert strategy_matrix(2).shape == (4, 16)
 
     def test_correlators_are_signs(self):
-        for strategy in enumerate_strategies(2):
-            table = strategy_correlations(strategy)
-            assert set(table.values()) <= {-1.0, 1.0}
+        assert set(strategy_matrix(2).ravel()) == {-1.0, 1.0}
 
     def test_explicit_product(self):
-        table = strategy_correlations(((1, -1), (1, 1)))
+        table = strategy_table((1, -1), (1, 1))
         assert table["YX"] == -1.0
         assert table["XX"] == 1.0
 
     def test_all_plus_strategy(self):
-        table = strategy_correlations(((1, 1), (1, 1)))
+        table = strategy_table((1, 1), (1, 1))
         assert all(v == 1.0 for v in table.values())
 
     def test_party_negation_flips_all(self):
-        base = strategy_correlations(((1, -1), (-1, 1)))
-        flipped = strategy_correlations(((-1, 1), (-1, 1)))
+        base = strategy_table((1, -1), (-1, 1))
+        flipped = strategy_table((-1, 1), (-1, 1))
         for key in base:
             assert flipped[key] == -base[key]
-
-    def test_matrix_matches_enumeration(self):
-        for n in (1, 2, 3):
-            matrix = strategy_matrix(n)
-            strategies = enumerate_strategies(n)
-            for col, strategy in enumerate(strategies):
-                table = strategy_correlations(strategy)
-                np.testing.assert_array_equal(matrix[:, col], [table[k] for k in settings(n)])
 
 
 class TestWitnessTable:
@@ -168,7 +162,8 @@ class TestWitnessTable:
         rng = np.random.default_rng(43)
         for n in (1, 2, 3):
             weights = rng.uniform(0, 1, 4**n)
-            witness = {label(s): w for s, w in zip(enumerate_strategies(n), weights)}
+            strategies = itertools.product(OUTCOME_PAIRS, repeat=n)
+            witness = {label(s): w for s, w in zip(strategies, weights)}
             table = witness_table(witness, n)
             np.testing.assert_allclose([table[k] for k in settings(n)],
                                        strategy_matrix(n) @ weights, rtol=0, atol=1e-12)
@@ -193,7 +188,8 @@ class TestChshQuadruples:
     def test_every_pattern_is_a_tight_local_bound(self):
         # Over the 16 deterministic strategies each quadruple reaches 2 and
         # never exceeds it.
-        values = [chsh_quadruples(strategy_correlations(s)) for s in enumerate_strategies(2)]
+        values = [chsh_quadruples(dict(zip(settings(2), column)))
+                  for column in strategy_matrix(2).T]
         assert [max(column) for column in zip(*values)] == [2.0] * len(QUADRUPLE_SIGNS)
 
     def test_patterns_are_the_odd_sign_patterns(self):

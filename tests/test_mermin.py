@@ -20,9 +20,7 @@ from dense_oracle import (
     mermin_operators,
     noisy_pair,
 )
-from helpers import run_main
-
-V_GRID = (0.0, 0.25, 0.5, 0.81, 1.0)
+from helpers import V_GRID, run_main
 
 
 @pytest.mark.parametrize("n_copies", [1, 2, 3, 4])

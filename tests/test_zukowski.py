@@ -33,9 +33,7 @@ from dense_oracle import (
     zukowski_closed,
     zukowski_quadrature,
 )
-
-# frozen from the closed factor (1/2)(pi/2)^{2N} 2^{-(2N-1)/2}
-SCALE = {1: 0.8723580249548598, 2: 1.076228575302513, 3: 1.3277437854229766}
+from helpers import V_GRID, ZUKOWSKI_AT_FULL_VISIBILITY
 
 
 class TestOperatorForms:
@@ -100,7 +98,7 @@ class TestStructuredQuadrature:
 
 class TestBellRelation:
     def test_scale_values(self):
-        for n_copies, scale in SCALE.items():
+        for n_copies, scale in ZUKOWSKI_AT_FULL_VISIBILITY.items():
             assert abs(bell_relation_scale(n_copies) - scale) < 1e-15
 
     def test_aligned_equals_rescaled_recursion(self):
@@ -115,15 +113,15 @@ class TestBellRelation:
             assert np.abs(zukowski_closed(n) - scaled).max() < 1e-12
 
     def test_from_mermin_values(self):
-        assert abs(zukowski_from_mermin(1.0, 1) - SCALE[1]) < 1e-12
-        assert abs(zukowski_from_mermin(1.0, 2) - SCALE[2]) < 1e-12
+        assert abs(zukowski_from_mermin(1.0, 1) - ZUKOWSKI_AT_FULL_VISIBILITY[1]) < 1e-12
+        assert abs(zukowski_from_mermin(1.0, 2) - ZUKOWSKI_AT_FULL_VISIBILITY[2]) < 1e-12
         assert zukowski_from_mermin(1.0, 1) < 1
         assert zukowski_from_mermin(1.0, 2) > 1
 
     @pytest.mark.parametrize("n_copies", [1, 2])
     def test_trace_bridge(self, n_copies):
         # trace against shared pairs reproduces the rescaled Mermin average
-        for v in (0.0, 0.25, 0.5, 0.81, 1.0):
+        for v in V_GRID:
             rho = copies(v, n_copies)
             traced = expectation(rho, zukowski_aligned(n_copies))
             assert abs(traced - zukowski_from_mermin(v**n_copies, n_copies)) < 1e-10
@@ -190,8 +188,8 @@ class TestThresholds:
 class TestBoundChecks:
     def test_zukowski_verdicts(self):
         assert local_bound_check(0.87237)
-        assert not local_bound_check(1.076228575302513)
-        assert local_bound_check(0.95**2 * SCALE[2])
+        assert not local_bound_check(ZUKOWSKI_AT_FULL_VISIBILITY[2])
+        assert local_bound_check(0.95**2 * ZUKOWSKI_AT_FULL_VISIBILITY[2])
 
 
 class TestStepFunctionals:
