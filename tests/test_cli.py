@@ -558,9 +558,6 @@ REJECTED = {
         ("repeated-key", '{"X": 0.1, "X": 0.9, "Y": 0}', "repeated key 'X'"),
         ("zero-party", '{"": 0.5}', "need at least one party, got 0"),
     ]},
-    **{f"output-{name}": (["analyze", "--visibility", "1", "--copies", "2", "--output", path],
-                          "", f"{ERROR}cannot write {path}: ...")
-       for name, path in (("missing-dir", "missing-dir/x.json"), ("directory", "."))},
 }
 
 
@@ -589,6 +586,18 @@ def test_rejected_input_exits_2(tmp_path, monkeypatch, case):
     # --output goes first, so that a row's own --output comes later and wins
     assert run_main([argv[0], "--output", "report.out", *argv[1:]], stdin) == (code, out, err)
     assert not Path("report.out").exists()
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_output_exits_2(tmp_path, target):
+    # the inputs are good; only the report's destination cannot be written
+    path = tmp_path / target
+    code, out, err = run_main(["analyze", "--visibility", "1", "--copies", "2",
+                               "--output", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{ERROR}cannot write {path}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == []
 
 
 CLOSED_STDOUT_CALLS = {
