@@ -29,7 +29,7 @@ subcommand builds a density matrix or a dense operator: `verify-appendix`
 checks the Bell-Zukowski quadrature and its GHZ diagonality on the operator's
 n + 1 distinct entries. `sweep` fills one row template per copy count and
 writes each count's block as soon as it is formatted, at most MAX_SWEEP_ROWS
-rows, checked on the grid before the first byte. Each input limit is one
+rows, counted by bisection before the grid is built. Each input limit is one
 rule: the parser types take a visibility in [0, 1], a finite positive step
 and copy counts in [1, MAX_COPIES]. Each subparser binds its handler.
 """
@@ -37,6 +37,7 @@ and copy counts in [1, MAX_COPIES]. Each subparser binds its handler.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import itertools
 import json
@@ -202,23 +203,21 @@ def cmd_analyze(visibility: float, n_copies: int) -> dict:
 
 
 def sweep_grid(v_min: float, v_max: float, v_step: float, max_points: int) -> list[float]:
-    """v_min + k v_step up to v_max; CliError if empty or over max_points."""
-    grid = []
-    limit = v_max + 1e-12
-    # Points are counted on the bound the grid runs to, not on
-    # (v_max - v_min) / v_step: with a tiny step the 1e-12 slack alone holds
-    # many points (1e-12 / 1e-300), and rounding adds more (0.5 + 1e-17 is 0.5).
-    for k in range(max_points + 1):
-        v = v_min + k * v_step
-        if v > limit:
-            break
-        grid.append(min(v, 1.0))
-    else:
+    """v_min + k v_step up to v_max; CliError if empty or over max_points.
+
+    With v_step > 0 the point v_min + k v_step never decreases in k, so one
+    bisection counts the points up to v_max + 1e-12, where the grid stops,
+    before any list is built. Counting (v_max - v_min) / v_step would miss
+    some: a tiny step fits many points in the slack alone (1e-12 / 1e-300),
+    and rounding adds more (0.5 + 1e-17 is 0.5)."""
+    points = bisect.bisect_right(range(max_points + 1), v_max + 1e-12,
+                                 key=lambda k: v_min + k * v_step)
+    if points > max_points:
         raise CliError(f"sweep exceeds the {MAX_SWEEP_ROWS}-row cap (more than {max_points} "
                        "grid points per copy count); use a larger step")
-    if not grid:
+    if not points:
         raise CliError("empty visibility grid")
-    return grid
+    return [min(v_min + k * v_step, 1.0) for k in range(points)]
 
 
 def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int]) -> Iterator[str]:
@@ -229,24 +228,24 @@ def cmd_sweep(v_min: float, v_max: float, v_step: float, copies_list: list[int])
     Values use the closed forms <B> = V^N and <Z_2N> = scale(N) <B>, the
     numbers zukowski_from_mermin gives; the agreement of V^N with the
     per-pair contraction is enforced by the mermin_expectation contract and
-    does not need to be recomputed per row. Each copy count's block is one
-    %-format: a row template that holds N and the rendered bound, repeated
-    once per grid point, over the flat (V, <B>, <Z>, violated) fields of all
-    rows; "%.12g" renders a float as format_float does, and the violation
-    test is local_bound_check's.
+    does not need to be recomputed per row. On V >= 0, which _visibility
+    guarantees, <Z> never decreases along the grid, so local_bound_check's
+    verdict is a run of "false" rows, then one of "true" rows, split by one
+    bisection. Each copy count's block is one %-format of those two runs of
+    a row template holding N and the rendered bound, over the flat (V, <B>,
+    <Z>) fields of all rows; "%.12g" renders a float as format_float does.
     """
     grid = sweep_grid(v_min, v_max, v_step, MAX_SWEEP_ROWS // len(copies_list))
-    limit = 1.0 + BOUND_SLACK
-    fields = [None] * (4 * len(grid))
-    fields[0::4] = [format_float(v) for v in grid]
+    fields = [None] * (3 * len(grid))
+    fields[0::3] = [format_float(v) for v in grid]
 
     def block(n: int) -> str:
         scale = bell_relation_scale(n)
-        row = f"%s,{n},%.12g,%.12g,{format_float(modified_mermin_bound(n))},%s\n"
-        fields[1::4] = mermin = [v**n for v in grid]
-        fields[2::4] = zukowski = [scale * m for m in mermin]
-        fields[3::4] = ["false" if abs(z) <= limit else "true" for z in zukowski]
-        return row * len(grid) % tuple(fields)
+        row = f"%s,{n},%.12g,%.12g,{format_float(modified_mermin_bound(n))},"
+        fields[1::3] = mermin = [v**n for v in grid]
+        fields[2::3] = zukowski = [scale * m for m in mermin]
+        k = bisect.bisect_right(zukowski, 1.0 + BOUND_SLACK)
+        return ((row + "false\n") * k + (row + "true\n") * (len(grid) - k)) % tuple(fields)
 
     return itertools.chain(["V,N,mermin,zukowski,modified_bound,violated\n"],
                            map(block, copies_list))

@@ -156,6 +156,25 @@ class TestSweep:
         grid = sweep_grid(0.9, 1.0, 0.02, MAX_SWEEP_ROWS)
         assert grid == pytest.approx([0.9, 0.92, 0.94, 0.96, 0.98, 1.0])
 
+    def test_cap_takes_six_copy_counts_at_step_1e_5(self):
+        # the cap's value, pinned without writing the 600006-row sweep
+        assert len(sweep_grid(0.0, 1.0, 1e-5, MAX_SWEEP_ROWS // 6)) == 100_001
+
+    def test_over_cap_grid_is_refused_before_it_is_built(self):
+        # 1e-300 steps fit far more than the cap's 600006 points in [0, 1];
+        # building them first would trace 18.8 MiB
+        argv = ["sweep", "--v-min", "0", "--v-max", "1", "--v-step", "1e-300", "--copies", "1"]
+        run_main(["sweep", "--v-min", "0", "--v-max", "0", "--v-step", "0.5", "--copies", "1"])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code, out, err = run_main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", ROW_CAP % MAX_SWEEP_ROWS + "\n")
+        assert peak - before < 2**20
+
     def test_violated_flips_at_threshold(self):
         code, out, _ = run_main(["sweep", "--v-min", "0.9", "--v-max", "1.0",
                                  "--v-step", "0.01", "--copies", "2"])
@@ -185,27 +204,48 @@ class TestSweep:
         assert [block[0].split(",")[1] for block in blocks] == copies.split(",")
         assert blocks[0] == blocks[-1]
 
-    @pytest.mark.parametrize("step, points", [("0.001", 1001), ("0.0001", 10001)])
-    def test_rows_match_per_row_reference(self, step, points):
+    # 0.001-1001 and 0.0001-10001 cover every copy count 1-6 on [0, 1];
+    # flip-N walks 27923 adjacent doubles, 2**-53 apart, from 1e-13 below copy
+    # count N's threshold visibility t to t + 3e-12 (v_max = t + 2e-12, plus
+    # the grid's 1e-12 slack); 0.9k-5.2k of them lie before the flip, so a <Z>
+    # that decreases between neighbours or a violated column split at the
+    # wrong row shows.
+    @pytest.mark.parametrize("v_min, v_max, step, copies, points", [
+        pytest.param(0.0, 1.0, 0.001, "1,2,3,4,5,6", 1001, id="0.001-1001"),
+        pytest.param(0.0, 1.0, 0.0001, "1,2,3,4,5,6", 10001, id="0.0001-10001"),
+        *(pytest.param(threshold_visibility(n) - 1e-13, threshold_visibility(n) + 2e-12,
+                       2.0**-53, str(n), 27923, id=f"flip-{n}") for n in (2, 3, 4, 5, 6, 64, 512)),
+    ])
+    def test_rows_match_per_row_reference(self, v_min, v_max, step, copies, points):
         # each row rebuilt from the closed forms and format_float, one call per field
         from bellbench.mermin import (local_bound_check, modified_mermin_bound,
                                       zukowski_from_mermin)
         from bellbench.report import format_float
 
-        code, out, err = run_main(["sweep", "--v-min", "0", "--v-max", "1",
-                                   "--v-step", step, "--copies", "1,2,3,4,5,6"])
+        code, out, err = run_main(["sweep", "--v-min", repr(v_min), "--v-max", repr(v_max),
+                                   "--v-step", repr(step), "--copies", copies])
         assert code == 0, err
         expected = ["V,N,mermin,zukowski,modified_bound,violated"]
-        for n in range(1, 7):
+        copy_counts = [int(n) for n in copies.split(",")]
+        for n in copy_counts:
+            verdicts = []
             for k in range(points):
-                v = min(k * float(step), 1.0)
+                v = min(v_min + k * step, 1.0)
                 zukowski = zukowski_from_mermin(v**n, n)
+                verdicts.append("false" if local_bound_check(zukowski) else "true")
                 expected.append(",".join([
                     format_float(v), str(n), format_float(v**n), format_float(zukowski),
-                    format_float(modified_mermin_bound(n)),
-                    "false" if local_bound_check(zukowski) else "true"]))
+                    format_float(modified_mermin_bound(n)), verdicts[-1]]))
+            # every block of N >= 2 crosses its threshold
+            assert n == 1 or set(verdicts) == {"false", "true"}, n
+        assert len(expected) == len(copy_counts) * points + 1
+        # Name the first wrong row: pytest's diff of two megabyte strings that
+        # differ on many rows runs for minutes.
+        rows = out.split("\n")
+        assert len(rows) == len(expected) + 1, (len(rows), len(expected))
+        first = next((i for i, (row, want) in enumerate(zip(rows, expected)) if row != want), None)
+        assert first is None, (first, rows[first], expected[first])
         assert out == "\n".join(expected) + "\n"
-        assert len(expected) == 6 * points + 1
 
     def test_largest_sweep_has_bounded_memory(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -224,8 +264,8 @@ class TestSweep:
         assert (code, out, err) == (0, "", "")
         assert path.read_bytes().count(b"\n") == MAX_SWEEP_ROWS + 1
         # Each copy count's block is written as soon as it is formatted, so
-        # one of the six 6 MB blocks is alive at a time: the peak is 30.5
-        # MiB. Holding the whole 36 MB CSV until the end peaks at 59.6 MiB.
+        # one of the six 6 MB blocks is alive at a time: the peak is 29.75
+        # MiB. Holding the whole 36 MB CSV until the end peaks at 58.1 MiB.
         assert peak - before < 40 * 2**20
 
     def test_violation_iff_above_threshold(self):
