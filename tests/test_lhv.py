@@ -5,6 +5,8 @@ import pytest
 
 from bellbench.lhv import (
     CorrelationTable,
+    FeasibilityVerdict,
+    certify,
     lhv_feasible,
     quadruple_values,
     sign_transform,
@@ -199,6 +201,20 @@ class TestFeasibility:
             assert sum(w["coefficients"][k] * table.values[k] for k in table.values) > w["bound"]
             coefficients = [w["coefficients"][k] for k in settings(n)]
             assert np.abs(coefficients @ strategy_matrix(n)).max() <= w["bound"] + 1e-9
+
+    # Certificates that do not hold: a witness with one weight moved by 1e-6,
+    # and an inequality whose value 4 exceeds its bound 2 while the strategy
+    # with every correlator -1 reaches 8 on it (its largest signed value is 0).
+    @pytest.mark.parametrize("table, verdict", [
+        pytest.param(pair_table(0.5, 0.25, 0.25, -0.5), FeasibilityVerdict(True, {
+            "++,++": 0.250001, "++,+-": 0.25, "+-,++": 0.25, "-+,+-": 0.125, "--,++": 0.125},
+            3.0), id="witness-weight-moved"),
+        pytest.param(pair_table(-0.5, -0.5, -0.5, -0.5), FeasibilityVerdict(False, {
+            "coefficients": dict.fromkeys(["XX", "XY", "YX", "YY"], -2.0), "value": 4.0,
+            "bound": 2.0, "quadruple_index": None}, 2.0), id="inequality-beaten-locally"),
+    ])
+    def test_certify_rejects_a_certificate_that_does_not_hold(self, table, verdict):
+        assert certify(table, verdict)[1] is False
 
     def test_oracle_agreement_two_parties(self):
         rng = np.random.default_rng(2024)

@@ -112,12 +112,6 @@ class TestBellRelation:
             scaled = bell_relation_scale(n_copies) * mermin_closed_form(n)
             assert np.abs(zukowski_closed(n) - scaled).max() < 1e-12
 
-    def test_from_mermin_values(self):
-        assert abs(zukowski_from_mermin(1.0, 1) - ZUKOWSKI_AT_FULL_VISIBILITY[1]) < 1e-12
-        assert abs(zukowski_from_mermin(1.0, 2) - ZUKOWSKI_AT_FULL_VISIBILITY[2]) < 1e-12
-        assert zukowski_from_mermin(1.0, 1) < 1
-        assert zukowski_from_mermin(1.0, 2) > 1
-
     @pytest.mark.parametrize("n_copies", [1, 2])
     def test_trace_bridge(self, n_copies):
         # trace against shared pairs reproduces the rescaled Mermin average
@@ -125,19 +119,6 @@ class TestBellRelation:
             rho = copies(v, n_copies)
             traced = expectation(rho, zukowski_aligned(n_copies))
             assert abs(traced - zukowski_from_mermin(v**n_copies, n_copies)) < 1e-10
-
-    def test_threshold_self_consistency(self):
-        for n_copies in (2, 3):
-            v = threshold_visibility(n_copies)
-            assert abs(zukowski_from_mermin(v**n_copies, n_copies) - 1) < 1e-9
-
-    def test_consistency_with_modified_bound(self):
-        for n_copies in (1, 2, 3):
-            bound = modified_mermin_bound(n_copies)
-            for v in np.linspace(0, 1, 21):
-                mermin = float(v) ** n_copies
-                assert (mermin > bound) == (
-                    zukowski_from_mermin(mermin, n_copies) > 1)
 
 
 class TestThresholds:
