@@ -13,9 +13,10 @@ feasibility residual (zero, up to tolerance, iff the system is feasible).
 Sizes here are tiny (at most 65 rows by ~4100 columns), so a dense tableau
 with vectorized row operations is the simplest reliable choice.
 
-Pivoting uses Dantzig's rule with first-index tie-breaking, falling back to
-Bland's rule if an iteration cap is hit, which rules out cycling. Both rules
-are deterministic, so identical inputs give identical solutions.
+Pivoting uses Bland's rule: the entering column is the first one with a
+negative reduced cost, and the ratio test breaks ties by the lowest-indexed
+basic variable. The rule cannot cycle, so the loop needs no iteration cap,
+and it is deterministic, so identical inputs give identical solutions.
 
 Tables here are plain dicts keyed by setting strings over {X, Y}, and this
 module imports nothing from bellbench, so it shares no code with the oracle
@@ -39,7 +40,7 @@ class SimplexError(RuntimeError):
     """Numerical failure inside the solver (not infeasibility)."""
 
 
-def phase1_feasibility(a, b, max_iterations: int | None = None):
+def phase1_feasibility(a, b):
     """Minimize sum of artificials for A x = b, x >= 0.
 
     Returns (x, residual): the candidate solution over the original columns
@@ -51,8 +52,6 @@ def phase1_feasibility(a, b, max_iterations: int | None = None):
     if a.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
     m, n = a.shape
-    if max_iterations is None:
-        max_iterations = 200 * (m + n)
 
     # Standard-form tableau [A | I | b] with b >= 0; artificial basis.
     flip = b < 0
@@ -65,19 +64,11 @@ def phase1_feasibility(a, b, max_iterations: int | None = None):
     cost = -tableau.sum(axis=0)
     cost[n:] = 0.0  # artificials never re-enter
 
-    iterations = 0
-    use_bland = False
     while True:
-        candidates = cost[:n]
-        if use_bland:
-            negative = np.nonzero(candidates < -PIVOT_EPS)[0]
-            if negative.size == 0:
-                break
-            col = int(negative[0])
-        else:
-            col = int(np.argmin(candidates))
-            if candidates[col] >= -PIVOT_EPS:
-                break
+        negative = np.nonzero(cost[:n] < -PIVOT_EPS)[0]
+        if negative.size == 0:
+            break
+        col = int(negative[0])
 
         column = tableau[:, col]
         rows = np.nonzero(column > PIVOT_EPS)[0]
@@ -85,7 +76,8 @@ def phase1_feasibility(a, b, max_iterations: int | None = None):
             # Phase-1 objective is bounded below by zero; this is numerics.
             raise SimplexError("no admissible pivot row")
         ratios = tableau[rows, -1] / column[rows]
-        row = int(rows[np.argmin(ratios)])
+        ties = rows[ratios == ratios.min()]
+        row = int(ties[np.argmin(basis[ties])])
 
         pivot = tableau[row, col]
         tableau[row] /= pivot
@@ -94,13 +86,6 @@ def phase1_feasibility(a, b, max_iterations: int | None = None):
         tableau -= np.outer(reduction, tableau[row])
         cost -= cost[col] * tableau[row]
         basis[row] = col
-
-        iterations += 1
-        if iterations > max_iterations:
-            if use_bland:
-                raise SimplexError("iteration cap exceeded")
-            use_bland = True
-            iterations = 0
 
     x = np.zeros(n)
     in_original = basis < n

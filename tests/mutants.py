@@ -19,7 +19,10 @@ Left out as equivalent mutants: scaling m2 in zukowski._site_moments (m2 is
 about 1e-16, so the scaled rule is exact too), dropping .conjugate() in
 zukowski._antidiagonal (it conjugates a product with the ~1e-16 m2), and
 (right.T @ left).ravel() in lhv.witness_reconstruction_error (the same
-function as the row "rebuild-column-order").
+function as the row "rebuild-column-order"), lp_oracle.settings spelt over
+"YX" (a consistent relabelling of the two settings on both sides of every
+comparison), and dropping lp_oracle.phase1_feasibility's shape check (numpy
+raises the same ValueError on every mismatched shape).
 """
 
 import json
@@ -104,12 +107,42 @@ MUTANTS = [
     ("dense-minus-moment", DENSE, "np.exp(-1j * phi) * obs", "np.exp(1j * phi) * obs"),
     ("dense-alignment-phase", DENSE, "(n_parties - 1) * math.pi / 4", "n_parties * math.pi / 4"),
     ("dense-noise-trace", DENSE, "np.eye(4, dtype=complex) / 4", "np.eye(4, dtype=complex) / 2"),
+    ("dense-phase-observable-sign", DENSE, "+ math.sin(phi) * SIGMA_Y",
+     "- math.sin(phi) * SIGMA_Y"),
+    ("dense-expectation-untransposed", DENSE, "np.sum(rho * o.T)", "np.sum(rho * o)"),
+    ("dense-bell-pair-sign", DENSE, "np.array([1, 0, 0, 1j])", "np.array([1, 0, 0, -1j])"),
+    ("dense-noisy-pair-unconjugated", DENSE, "np.outer(ket, ket.conj())", "np.outer(ket, ket)"),
+    ("dense-ghz-basis-signs", DENSE, "for sign in (+1.0, -1.0):", "for sign in (+1.0, +1.0):"),
+    ("dense-doublet-one-corner", DENSE, "op[0, -1] = op[-1, 0] = scale", "op[0, -1] = scale"),
+    ("dense-local-f-conjugated", DENSE, "return F_PHASE * (a + 1j * a_prime)",
+     "return np.conj(F_PHASE * (a + 1j * a_prime))"),
+    ("dense-quadrature-weight", DENSE, "weight = math.pi / nodes_per_axis",
+     "weight = math.pi / (nodes_per_axis + 1)"),
+    ("dense-offdiagonal-keeps-diagonal", DENSE, "off = in_basis - np.diag(np.diag(in_basis))",
+     "off = in_basis"),
+    # checks of the dense oracle that only its own tests see: the site cap, the
+    # realness of an expectation value and the ranges of its other inputs
+    ("dense-site-cap", DENSE, "if not 2 <= n <= MAX_QUBITS:", "if not 2 <= n <= MAX_QUBITS + 1:"),
+    ("dense-realness-tol", DENSE, "abs(val.imag) >= REALNESS_TOL", "abs(val.imag) >= 1.0"),
+    ("dense-visibility-range", DENSE, "if not 0.0 <= v <= 1.0:", "if not 0.0 <= v:"),
+    ("dense-phase-range", DENSE, "if not 0.0 <= phi < math.pi:", "if not 0.0 <= phi <= math.pi:"),
+    ("dense-node-count", DENSE, "if nodes_per_axis < 2:", "if nodes_per_axis < 1:"),
     # the LP oracle
     ("lp-witness-outcomes-swapped", LP, "(_SIGNS[p[0]], _SIGNS[p[1]])",
      "(_SIGNS[p[1]], _SIGNS[p[0]])"),
     ("lp-quadruple-sign", LP, "(1, -1, 1, 1),", "(1, 1, 1, 1),"),
     ("lp-outcome-pairs", LP, "((1, 1), (1, -1), (-1, 1), (-1, -1))",
      "((1, 1), (1, -1), (-1, 1), (1, 1))"),
+    ("lp-correlators-x-for-y", LP, 'int(c == "Y")', 'int(c == "X")'),
+    ("lp-ratio-test-max", LP, "ratios == ratios.min()", "ratios == ratios.max()"),
+    ("lp-rhs-unflipped", LP, "flip = b < 0", "flip = np.zeros(m, dtype=bool)"),
+    ("lp-normalisation-halved", LP, "np.vstack([strategy_matrix(n), np.ones(4**n)])",
+     "np.vstack([strategy_matrix(n), 0.5 * np.ones(4**n)])"),
+    ("lp-residual-tol", LP, "LP_RESIDUAL_TOL = 1e-9", "LP_RESIDUAL_TOL = 0.1"),
+    # a check of the LP oracle that only its own tests see
+    ("lp-label-shape-unchecked", LP,
+     "if len(parties) != n or any(len(p) != 2 or set(p) - _SIGNS.keys() for p in parties):",
+     "if False:"),
 ]
 
 # The "FAILED <id> - ..." or "ERROR <id> - ..." line of each failing test.

@@ -12,7 +12,7 @@ from bellbench.lhv import (
     sign_transform,
     witness_reconstruction_error,
 )
-from dense_oracle import copies, full_correlation_table, noisy_pair
+from dense_oracle import full_correlation_table, noisy_pair
 from helpers import V_GRID, ghz_type_table, mixture_table
 from lp_oracle import (
     QUADRUPLE_SIGNS,
@@ -171,11 +171,6 @@ class TestFeasibility:
             assert verdict.feasible
             # The pair's transform is (2V, 0, 0, -2V).
             assert verdict.sign_sum == pytest.approx(4 * v, rel=1e-12, abs=1e-12)
-
-    def test_two_copy_tables_feasible(self):
-        for v in V_GRID:
-            verdict = lhv_feasible(CorrelationTable(full_correlation_table(copies(v, 2), 4)))
-            assert verdict.feasible
 
     def test_extreme_point_infeasible_with_quadruple_witness(self):
         verdict = lhv_feasible(pair_table(1.0, 1.0, 1.0, -1.0))

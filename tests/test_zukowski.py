@@ -27,7 +27,6 @@ from dense_oracle import (
     expectation,
     ghz_diagonal,
     mermin_closed_form,
-    mermin_operators,
     moment_power,
     zukowski_aligned,
     zukowski_closed,
@@ -215,11 +214,3 @@ class TestStepFunctionals:
             z_prime_functional(np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             sign_cos_step(5)
-
-
-def test_rescaled_recursion_expectation_equals_bridge():
-    # same bridge, phrased through the recursive operator directly
-    for n_copies in (1, 2):
-        op = bell_relation_scale(n_copies) * mermin_operators(2 * n_copies).b
-        traced = expectation(copies(0.81, n_copies), op)
-        assert abs(traced - zukowski_from_mermin(0.81**n_copies, n_copies)) < 1e-10
