@@ -45,10 +45,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 MAX_QUBITS = 12
 
-X_PHASE = 0.0
-Y_PHASE = math.pi / 2
-
-SETTING_PHASES = {"X": X_PHASE, "Y": Y_PHASE}
+SETTING_PHASES = {"X": 0.0, "Y": math.pi / 2}
 
 # Phase of the site f-transform f(x, y) = e^{-i pi/4} (x + i y) / sqrt(2).
 F_PHASE = cmath.exp(-1j * math.pi / 4) / math.sqrt(2)

@@ -49,8 +49,6 @@ def phase1_feasibility(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
-    if a.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
     m, n = a.shape
 
     # Standard-form tableau [A | I | b] with b >= 0; artificial basis.
@@ -111,14 +109,12 @@ def correlators(strategies) -> np.ndarray:
                      for key in settings(len(parties))])
 
 
-# A party's outcome pairs (at X, at Y), +1 before -1.
-OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
 def strategy_matrix(n: int) -> np.ndarray:
     """Correlators of all 4^n deterministic strategies: rows in settings(n)
-    order, columns in itertools.product(OUTCOME_PAIRS, repeat=n) order."""
-    return correlators(list(itertools.product(OUTCOME_PAIRS, repeat=n)))
+    order, columns in the order of itertools.product over each party's
+    outcome pairs (at X, at Y), +1 before -1."""
+    pairs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    return correlators(list(itertools.product(pairs, repeat=n)))
 
 
 _SIGNS = {"+": 1, "-": -1}

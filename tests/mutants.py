@@ -17,12 +17,11 @@ Stdlib only.
 
 Left out as equivalent mutants: scaling m2 in zukowski._site_moments (m2 is
 about 1e-16, so the scaled rule is exact too), dropping .conjugate() in
-zukowski._antidiagonal (it conjugates a product with the ~1e-16 m2), and
+zukowski._antidiagonal (it conjugates a product with the ~1e-16 m2),
 (right.T @ left).ravel() in lhv.witness_reconstruction_error (the same
-function as the row "rebuild-column-order"), lp_oracle.settings spelt over
-"YX" (a consistent relabelling of the two settings on both sides of every
-comparison), and dropping lp_oracle.phase1_feasibility's shape check (numpy
-raises the same ValueError on every mismatched shape).
+function as the row "rebuild-column-order"), and lp_oracle.settings spelt
+over "YX" (a consistent relabelling of the two settings on both sides of
+every comparison).
 """
 
 import json
@@ -139,7 +138,8 @@ MUTANTS = [
     ("lp-normalisation-halved", LP, "np.vstack([strategy_matrix(n), np.ones(4**n)])",
      "np.vstack([strategy_matrix(n), 0.5 * np.ones(4**n)])"),
     ("lp-residual-tol", LP, "LP_RESIDUAL_TOL = 1e-9", "LP_RESIDUAL_TOL = 0.1"),
-    # a check of the LP oracle that only its own tests see
+    # checks of the LP oracle that only its own tests see
+    ("lp-pivot-eps", LP, "PIVOT_EPS = 1e-11", "PIVOT_EPS = 0.1"),
     ("lp-label-shape-unchecked", LP,
      "if len(parties) != n or any(len(p) != 2 or set(p) - _SIGNS.keys() for p in parties):",
      "if False:"),
