@@ -32,16 +32,16 @@ from dense_oracle import (
 from lp_oracle import LP_RESIDUAL_TOL, phase1_feasibility, witness_table
 
 
-def test_imports_nothing_from_bellbench():
+@pytest.mark.parametrize("name", ["dense_oracle.py", "lp_oracle.py"])
+def test_imports_nothing_from_bellbench(name):
     # Parsed, not searched as text: the docstrings name bellbench on purpose.
-    for name in ("dense_oracle.py", "lp_oracle.py"):
-        tree = ast.parse(Path(__file__).with_name(name).read_text())
-        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                   for alias in node.names]
-        modules += [node.module or "" for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom)]
-        assert modules, name
-        assert [m for m in modules if m.split(".")[0] == "bellbench"] == [], name
+    tree = ast.parse(Path(__file__).with_name(name).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules
+    assert [m for m in modules if m.split(".")[0] == "bellbench"] == []
 
 
 # --- the dense oracle: the noisy pair and its copies -------------------------
