@@ -19,12 +19,13 @@ product of the Kronecker products over the two halves of the parties, imports
 numpy, on its first call.
 
 A table is checked once, by the CorrelationTable constructor, which reads n
-from the first key and holds the party cap. Per-entry work runs as whole-table
-passes over builtins: a table is accepted by its set of key lengths, one
-translate of the joined keys, isfinite and the largest |E| over all values;
-witness labels are parsed by one split of their join. Only a table that fails
-its pass is read entry by entry, so the error names its first offending entry
-in input order; a witness that fails is rejected.
+from the first key and holds the party cap. One loop makes every value a
+float and names the first entry that is not a number. Keys and ranges are
+then checked in one whole-table pass over builtins: the set of key lengths,
+one translate of the joined keys, isfinite and the largest |E| over all
+values. Only a table that fails the pass is read entry by entry, so the error
+names its first offending entry in input order. Witness labels are parsed by
+one split of their join; a witness that fails is rejected.
 """
 
 from __future__ import annotations
@@ -55,15 +56,12 @@ class CorrelationTable:
     def __init__(self, values: dict[str, float]):
         if not values or not isinstance(values, dict):
             raise ValueError("correlation table must be a non-empty JSON object")
-        if set(map(type, values.values())) <= {int, float}:
-            values = dict(zip(map(str, values), map(float, values.values())))
-        else:  # name the first entry that is not a number
-            numbers = {}
-            for key, val in values.items():
-                if not isinstance(val, (int, float)) or isinstance(val, bool):
-                    raise ValueError(f"correlator {key!r} is not a number")
-                numbers[str(key)] = float(val)
-            values = numbers
+        numbers = {}
+        for key, val in values.items():
+            if not isinstance(val, (int, float)) or isinstance(val, bool):
+                raise ValueError(f"correlator {key!r} is not a number")
+            numbers[str(key)] = float(val)
+        values = numbers
         self.n_parties = n = len(next(iter(values)))
         self.values = values
         if n < 1:

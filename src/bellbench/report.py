@@ -6,10 +6,8 @@ inputs produce identical bytes regardless of platform or dict build order.
 
 render_json is one pass that dispatches on the exact type of each value:
 float, int, bool, str, None, list, tuple, and dict with str keys, quoted by
-the encoder json.dumps itself calls; an all-float dict (a witness, its
-coefficients, the tolerances) renders in one comprehension. Anything else,
-a subclass such as np.float64 or a dict with a non-str key included, raises
-TypeError.
+the encoder json.dumps itself calls. Anything else, a subclass such as
+np.float64 or a dict with a non-str key included, raises TypeError.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ REPORT_TOLERANCES = {
     "witness": WITNESS_TOL,
 }
 
-_STR, _FLOAT = {str}, {float}
+_STR = {str}
 
 
 def format_float(x: float) -> str:
@@ -43,10 +41,8 @@ def _render(obj) -> str:
     if kind is float:
         return f"{obj:.12g}"
     if kind is dict and set(map(type, obj)) <= _STR:
-        items = sorted(obj.items())
-        if set(map(type, obj.values())) == _FLOAT:
-            return "{" + ", ".join([f"{_quote(k)}: {v:.12g}" for k, v in items]) + "}"
-        return "{" + ", ".join([f"{_quote(k)}: {_render(v)}" for k, v in items]) + "}"
+        items = [f"{_quote(k)}: {_render(v)}" for k, v in sorted(obj.items())]
+        return "{" + ", ".join(items) + "}"
     if kind is str:
         return _quote(obj)
     if kind is bool:

@@ -38,8 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 300
 
-CLI, LHV, MERMIN, ZUK = (f"src/bellbench/{name}.py"
-                         for name in ("cli", "lhv", "mermin", "zukowski"))
+CLI, LHV, MERMIN, REPORT, ZUK = (f"src/bellbench/{name}.py"
+                                 for name in ("cli", "lhv", "mermin", "report", "zukowski"))
 DENSE, LP = "tests/dense_oracle.py", "tests/lp_oracle.py"
 
 MUTANTS = [
@@ -77,7 +77,10 @@ MUTANTS = [
     ("cap-appendix-grid", CLI, "MAX_APPENDIX_GRID = 2**12", "MAX_APPENDIX_GRID = 2**13"),
     ("cap-lhv-input", CLI, "MAX_LHV_INPUT_CHARS = 2**24", "MAX_LHV_INPUT_CHARS = 2**25"),
     ("cap-parties", LHV, "MAX_TRANSFORM_PARTIES = 12", "MAX_TRANSFORM_PARTIES = 13"),
-    ("repeated-key-accepted", CLI, "if len(obj) < len(pairs):", "if False:"),
+    ("repeated-key-accepted", CLI, "if key in obj:", "if False:"),
+    ("table-bool-accepted", LHV,
+     "if not isinstance(val, (int, float)) or isinstance(val, bool):",
+     "if not isinstance(val, (int, float)):"),
     ("table-range-unchecked", LHV,
      "if not math.isfinite(val) or abs(val) > 1 + COMPARISON_TOL:", "if not math.isfinite(val):"),
     # the LHV verdict and its certificate
@@ -97,6 +100,10 @@ MUTANTS = [
     ("local-maximum-signed", LHV, "return max(map(abs, c))", "return max(c)"),
     ("local-maximum-reads-settings-order", LHV,
      "c = [coefficients[key] for key in _kronecker_keys(n)]", "c = list(coefficients.values())"),
+    # the report renderer: 12 digits, sorted keys, exact builtins only
+    ("render-digits", REPORT, 'f"{obj:.12g}"', 'f"{obj:.11g}"'),
+    ("render-keys-unsorted", REPORT, "sorted(obj.items())", "list(obj.items())"),
+    ("render-subclass-accepted", REPORT, "kind is float", "isinstance(obj, float)"),
     # import sets: the LHV layer loads numpy on import
     ("lhv-imports-numpy", LHV, "from operator import add, mul, sub\n",
      "from operator import add, mul, sub\n\nimport numpy\n"),

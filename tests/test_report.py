@@ -58,7 +58,7 @@ def _containers(children):
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.dictionaries(TEXT, children, max_size=5),
-        # Every value a float, or nearly: the all-float fast path and its way out.
+        # Every value a float, or nearly, as in a witness or its coefficients.
         st.dictionaries(TEXT, FLOATS, max_size=8),
         st.dictionaries(TEXT, st.one_of(FLOATS, st.integers()), max_size=8),
     )
