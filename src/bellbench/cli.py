@@ -24,10 +24,11 @@ feasible `lhv` verdict, one matrix product over the two halves of the parties
 (lhv.witness_reconstruction_error), and the step-function draw of
 `verify-appendix` (zukowski.sampled_maxima).
 `correlators` and `analyze` read the pair's table from its two amplitudes
-(mermin.pair_table), `analyze` as the one input of its N-copy contraction; no
-subcommand builds a density matrix or a dense operator: `verify-appendix`
-checks the Bell-Zukowski quadrature and its GHZ diagonality on the operator's
-n + 1 distinct entries. `sweep` fills one row template per copy count and
+(mermin.pair_table), and `analyze` reads the N-copy contraction from the
+table's coefficient a (mermin.pair_coefficients); no subcommand builds a
+density matrix or a dense operator: `verify-appendix` checks the
+Bell-Zukowski quadrature and its GHZ diagonality on the operator's n + 1
+distinct entries. `sweep` fills one row template per copy count and
 writes each count's block as soon as it is formatted, at most MAX_SWEEP_ROWS
 rows, counted by bisection before the grid is built. Each input limit is one
 rule: the parser types take a visibility in [0, 1], a finite positive step

@@ -6,20 +6,21 @@ compute, in plain Python arithmetic (this module imports no numpy).
 The shared pair is (|00> + i|11>)/sqrt(2) (PAIR_AMPLITUDES), mixed with white
 noise at visibility V. With the in-plane observable at phase phi,
 cos(phi) sigma_x + sin(phi) sigma_y, where phi = 0 is X and phi = pi/2 is Y,
-its two-party table is E(x,x) = E(y,y) = 0 and E(x,y) = E(y,x) = +V
-(pair_table).
+any two-qubit state's table is two complex numbers (a, b)
+(pair_coefficients): E(phi, psi) = Re[a e^{-i(phi+psi)}] + Re[b e^{-i(phi-psi)}].
+The noisy pair has a = 2 V conj(a00) a11 = iV and b = 0, so its table is
+E(x,x) = E(y,y) = 0 and E(x,y) = E(y,x) = +V (pair_table).
 
 The Bell-Mermin pair (B, B') is defined through the complex combination
 f(x, y) = e^{-i pi/4} (x + i y) / sqrt(2): the f-transform of the pair is the
 tensor product of the per-site f-transforms of X and Y, so
 B + i B' = F_PHASE^{-1} (f (x) ... (x) f) with f = f(X, Y). The state is a
 tensor power of one pair, hence <B> + i <B'> = t^N / F_PHASE with
-t = tr[rho_pair (f (x) f)], a sum over the pair's two-party table: the
-contraction reads the table, not V (pair_contraction). mermin_expectation
-checks the closed form V^N against this contraction. The pair as a dense
-density matrix with its correlator traces, the dense recursion, its 2N-qubit
-trace and the Bell-Zukowski operator identity are the test suite's reference
-routes (tests/dense_oracle.py).
+t = tr[rho_pair (f (x) f)] = -i a: the contraction reads the table's a, not
+V. mermin_expectation checks the closed form V^N against it. The pair as a
+dense density matrix with its correlator traces, the dense recursion, its
+2N-qubit trace and the Bell-Zukowski operator identity are the test suite's
+reference routes (tests/dense_oracle.py).
 
 The Bell relation <Z_{2N}> = (1/2)(pi/2)^{2N} 2^{-(2N-1)/2} <B> turns the
 local-realistic bound |<Z_{2N}>| <= 1 into a bound on |<B>|, and that bound
@@ -51,19 +52,12 @@ F_PHASE = cmath.exp(-1j * math.pi / 4) / math.sqrt(2)
 # the other two are zero.
 PAIR_AMPLITUDES = (1 / math.sqrt(2), 1j / math.sqrt(2))
 
-# e^{i phi} of the two settings: X at phi = 0, Y at phi = pi/2.
-SETTING_PHASORS = {"X": 1, "Y": 1j}
 
-
-def pair_contraction(table: dict[str, float]) -> complex:
-    """t = tr[rho_pair (f (x) f)] for the pair with two-party table `table`.
-
-    f = F_PHASE (X + iY) at each site, so f (x) f is F_PHASE^2 times the sum
-    of u_s1 u_s2 s1 (x) s2 over the settings, and t is the same sum over the
-    pair's two-party table: the contraction reads only the correlators.
-    """
-    return F_PHASE**2 * sum(SETTING_PHASORS[s1] * SETTING_PHASORS[s2] * e
-                            for (s1, s2), e in table.items())
+def pair_coefficients(table: dict[str, float]) -> tuple[complex, complex]:
+    """(a, b) of a two-party table, keys "XX".."YY": the table at phases phi
+    and psi is Re[a e^{-i(phi+psi)}] + Re[b e^{-i(phi-psi)}], for any state."""
+    xx, xy, yx, yy = (table[key] for key in ("XX", "XY", "YX", "YY"))
+    return complex(xx - yy, xy + yx) / 2, complex(xx + yy, yx - xy) / 2
 
 
 def pair_table(v: float) -> dict[str, float]:
@@ -71,18 +65,19 @@ def pair_table(v: float) -> dict[str, float]:
 
     sigma_phi = e^{-i phi} |0><1| + e^{i phi} |1><0|, so a full correlator reads
     only the |00><11| coherence, which the white noise does not reach:
-    E(s1 s2) = 2 V Re[a00 conj(a11) u_s1 u_s2] with u = e^{i phi}.
+    a = 2 V conj(a00) a11 and b = 0 (pair_coefficients).
     """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
     a00, a11 = PAIR_AMPLITUDES
-    return {s1 + s2: 2 * v * (a00 * a11.conjugate() * u1 * u2).real
-            for s1, u1 in SETTING_PHASORS.items() for s2, u2 in SETTING_PHASORS.items()}
+    a = 2 * v * a00.conjugate() * a11
+    # 0.0 - x keeps YY = +0.0 where -x would give -0.0
+    return {"XX": a.real, "XY": a.imag, "YX": a.imag, "YY": 0.0 - a.real}
 
 
 def mermin_expectation(table: dict[str, float], v: float, n_copies: int) -> float:
     """<B> = V^N on n_copies pairs with table `table` (pair_table(v)), checked
-    against the pair contraction: F_PHASE (<B> + i<B'>) = t^N.
+    against the pair contraction t = -i a: F_PHASE (<B> + i<B'>) = t^N.
 
     Both <B> and <B'> equal V^N and are required to agree with it within the
     comparison tolerance; a mismatch means a construction bug, not a
@@ -91,7 +86,8 @@ def mermin_expectation(table: dict[str, float], v: float, n_copies: int) -> floa
     if n_copies < 1:
         raise ValueError("need at least one copy")
     analytic = v**n_copies
-    z = pair_contraction(table) ** n_copies / F_PHASE
+    a, _ = pair_coefficients(table)
+    z = (-1j * a) ** n_copies / F_PHASE
     for name, value in (("B", z.real), ("B'", z.imag)):
         if abs(analytic - value) > COMPARISON_TOL:
             raise ArithmeticError(

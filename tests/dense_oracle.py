@@ -1,7 +1,7 @@
 """Dense reference routes for the Bell-Mermin and Bell-Zukowski claims.
 
 None of this is on a `bellctl` path: `correlators`, `analyze` and `sweep` use
-the pair amplitudes, closed forms and per-pair contraction of
+the pair amplitudes, the pair's coefficients (a, b) and the closed forms of
 bellbench.mermin. These are the independent routes the tests compare them
 with:
 
@@ -10,8 +10,7 @@ with:
 * the Bell-Mermin pair built by the bilinear recursion over single sites as
   dense 2^n x 2^n matrices, and its rank-2 GHZ closed form, which match after
   a corner-phase alignment;
-* N independent noisy pairs as one dense 2N-qubit density matrix, and the
-  pair contraction as a dense 4x4 trace;
+* N independent noisy pairs as one dense 2N-qubit density matrix;
 * the Bell-Zukowski operator as dense 2^n x 2^n matrices: its closed corner
   form, its midpoint quadrature as a Kronecker power of per-site moments, and
   its GHZ-basis off-diagonal mass, which bellbench.zukowski reads from the
@@ -46,9 +45,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 MAX_QUBITS = 12
 
 SETTING_PHASES = {"X": 0.0, "Y": math.pi / 2}
-
-# Phase of the site f-transform f(x, y) = e^{-i pi/4} (x + i y) / sqrt(2).
-F_PHASE = cmath.exp(-1j * math.pi / 4) / math.sqrt(2)
 
 # Largest imaginary residue an expectation value may carry.
 REALNESS_TOL = 1e-10
@@ -209,17 +205,6 @@ def copies(v: float, n_copies: int) -> np.ndarray:
     """n_copies independent noisy pairs; party 2i-1 and 2i share copy i."""
     _check_sites(2 * n_copies)
     return reduce(np.kron, [noisy_pair(v)] * n_copies)
-
-
-def local_f(a, a_prime) -> np.ndarray:
-    """Complex combination e^{-i pi/4}(a + i a')/sqrt(2) of two observables."""
-    return F_PHASE * (a + 1j * a_prime)
-
-
-def dense_pair_contraction(v: float) -> complex:
-    """t = tr[rho_pair (f (x) f)] as a dense 4x4 matrix product and trace."""
-    f = local_f(SIGMA_X, SIGMA_Y)
-    return complex(np.trace(noisy_pair(v) @ np.kron(f, f)))
 
 
 MerminPair = namedtuple("MerminPair", ("b", "b_prime"))

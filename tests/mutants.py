@@ -19,9 +19,10 @@ Left out as equivalent mutants: scaling m2 in zukowski._site_moments (m2 is
 about 1e-16, so the scaled rule is exact too), dropping .conjugate() in
 zukowski._antidiagonal (it conjugates a product with the ~1e-16 m2),
 (right.T @ left).ravel() in lhv.witness_reconstruction_error (the same
-function as the row "rebuild-column-order"), and lp_oracle.settings spelt
+function as the row "rebuild-column-order"), lp_oracle.settings spelt
 over "YX" (a consistent relabelling of the two settings on both sides of
-every comparison).
+every comparison), and dropping a00's .conjugate() in mermin.pair_table (a00
+is real).
 """
 
 import json
@@ -43,10 +44,13 @@ CLI, LHV, MERMIN, REPORT, ZUK = (f"src/bellbench/{name}.py"
 DENSE, LP = "tests/dense_oracle.py", "tests/lp_oracle.py"
 
 MUTANTS = [
-    # the pair's two-party table and the contraction <B> + i<B'> = t^N / F_PHASE
-    ("pair-table-unconjugated", MERMIN, "a00 * a11.conjugate() * u1", "a00 * a11 * u1"),
-    ("contraction-drops-xx-yy", MERMIN, "for (s1, s2), e in table.items())",
-     "for (s1, s2), e in table.items() if s1 != s2)"),
+    # the pair's table as (a, b) and the contraction <B> + i<B'> = (-i a)^N / F_PHASE
+    ("pair-table-unconjugated", MERMIN, "a00.conjugate() * a11",
+     "a00.conjugate() * a11.conjugate()"),
+    ("pair-table-negative-zero", MERMIN, "0.0 - a.real", "-a.real"),
+    ("contraction-drops-xx-yy", MERMIN, "complex(xx - yy, xy + yx) / 2",
+     "complex(0.0, xy + yx) / 2"),
+    ("pair-coefficients-b-sign", MERMIN, "yx - xy", "xy - yx"),
     ("contraction-checks-b-only", MERMIN, """(("B", z.real), ("B'", z.imag))""",
      """(("B", z.real),)"""),
     ("comparison-tol-contraction", MERMIN, "abs(analytic - value) > COMPARISON_TOL",
@@ -65,6 +69,9 @@ MUTANTS = [
     ("strict-bound-z-prime", CLI, "max_z <= 2 + BOUND_SLACK", "max_z < 2"),
     ("strict-bound-s-n2", CLI, "max_s_n2 <= 2**2 + BOUND_SLACK", "max_s_n2 < 2**2"),
     ("strict-bound-s-n3", CLI, "max_s_n3 <= 2**3 + BOUND_SLACK", "max_s_n3 < 2**3"),
+    ("loose-bound-z-prime", CLI, "max_z <= 2 + BOUND_SLACK", "max_z <= 3 + BOUND_SLACK"),
+    ("loose-bound-s-n2", CLI, "max_s_n2 <= 2**2 + BOUND_SLACK", "max_s_n2 <= 2**3 + BOUND_SLACK"),
+    ("loose-bound-s-n3", CLI, "max_s_n3 <= 2**3 + BOUND_SLACK", "max_s_n3 <= 2**4 + BOUND_SLACK"),
     # the sweep's grid and its violated column
     ("sweep-grid-without-slack", CLI, "range(max_points + 1), v_max + 1e-12",
      "range(max_points + 1), v_max"),
@@ -120,8 +127,6 @@ MUTANTS = [
     ("dense-noisy-pair-unconjugated", DENSE, "np.outer(ket, ket.conj())", "np.outer(ket, ket)"),
     ("dense-ghz-basis-signs", DENSE, "for sign in (+1.0, -1.0):", "for sign in (+1.0, +1.0):"),
     ("dense-doublet-one-corner", DENSE, "op[0, -1] = op[-1, 0] = scale", "op[0, -1] = scale"),
-    ("dense-local-f-conjugated", DENSE, "return F_PHASE * (a + 1j * a_prime)",
-     "return np.conj(F_PHASE * (a + 1j * a_prime))"),
     ("dense-quadrature-weight", DENSE, "weight = math.pi / nodes_per_axis",
      "weight = math.pi / (nodes_per_axis + 1)"),
     ("dense-offdiagonal-keeps-diagonal", DENSE, "off = in_basis - np.diag(np.diag(in_basis))",

@@ -14,7 +14,7 @@ from bellbench.mermin import (
     F_PHASE,
     local_bound_check,
     mermin_expectation,
-    pair_contraction,
+    pair_coefficients,
     pair_table,
     threshold_visibility,
     zukowski_from_mermin,
@@ -75,7 +75,8 @@ def test_criterion_2_mermin_identity():
         assert np.abs(pair.b - aligned).max() < 1e-10
         for v in V_GRID:
             assert mermin_expectation(pair_table(v), v, n_copies) == v**n_copies
-            contracted = pair_contraction(pair_table(v)) ** n_copies / F_PHASE
+            a, _ = pair_coefficients(pair_table(v))
+            contracted = (-1j * a) ** n_copies / F_PHASE
             assert abs(contracted.real - v**n_copies) < 1e-10
             primed = expectation(copies(v, n_copies), pair.b_prime)
             assert abs(primed - v**n_copies) < 1e-10

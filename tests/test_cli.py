@@ -304,6 +304,21 @@ class TestVerifyAppendix:
         assert [name for name, ok in verdicts.items() if not ok] == \
             ["ghz_diagonal", "quadrature_exact"]
 
+    def test_bound_verdicts_flip_just_above_their_bounds(self, monkeypatch):
+        # maxima exactly at the bounds 2, 4 and 8 pass; raising one of them by
+        # 2 BOUND_SLACK relative fails its own verdict and no other
+        from bellbench import zukowski
+
+        bounds = (2.0, 4.0, 8.0)
+        names = ("z_prime_bounded", "s_bounded_n2", "s_bounded_n3")
+        for raised in (None, 0, 1, 2):
+            maxima = tuple(b * (1 + 2 * BOUND_SLACK) if k == raised else b
+                           for k, b in enumerate(bounds))
+            monkeypatch.setattr(zukowski, "sampled_maxima", lambda *args: maxima)
+            verdicts = run_json(["verify-appendix", "--grid", "2", "--trials", "1"])["verdicts"]
+            assert [name for name, ok in verdicts.items() if not ok] == \
+                ([] if raised is None else [names[raised]])
+
     @pytest.mark.parametrize("chunk_cells", [None, 1000, 64])
     @pytest.mark.parametrize("grid, trials, seed", [(2, 3001, 42), (130, 777, 5), (6, 259, -3),
                                                    (24, 1000, 7), (4094, 9, 7)])

@@ -9,12 +9,12 @@ from bellbench.mermin import (
     F_PHASE,
     local_bound_check,
     mermin_expectation,
-    pair_contraction,
+    pair_coefficients,
     pair_table,
 )
 from dense_oracle import (
     copies,
-    dense_pair_contraction,
+    correlation,
     expectation,
     full_correlation_table,
     mermin_operators,
@@ -29,7 +29,7 @@ def test_expectation_is_v_power_n(n_copies):
     pair = mermin_operators(2 * n_copies)
     for v in V_GRID:
         got = mermin_expectation(pair_table(v), v, n_copies)
-        contracted = pair_contraction(pair_table(v)) ** n_copies / F_PHASE
+        contracted = (-1j * pair_coefficients(pair_table(v))[0]) ** n_copies / F_PHASE
         assert abs(contracted.real - got) < 1e-10
         rho = copies(v, n_copies)
         assert got == v**n_copies  # the checked closed form itself
@@ -37,21 +37,36 @@ def test_expectation_is_v_power_n(n_copies):
         assert abs(contracted.imag - expectation(rho, pair.b_prime)) < 1e-12
 
 
-def test_pair_contraction_matches_dense_trace():
-    # plain complex arithmetic on the two amplitudes against the 4x4 matrix trace
+def _random_density_matrix(rng):
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_pair_coefficients_give_the_table_at_every_angle():
+    # E(phi, psi) = Re[a e^{-i(phi+psi)}] + Re[b e^{-i(phi-psi)}]: the four X/Y
+    # correlators fix the in-plane table at every pair of phases, for any
+    # two-qubit state; the noisy pair's coefficients are (iV, 0)
+    rng = np.random.default_rng(37)
+    states = [_random_density_matrix(rng) for _ in range(200)]
     for v in (*V_GRID, 0.1, 1 / 3, 0.9, 0.963934979904):
-        assert abs(pair_contraction(pair_table(v)) - dense_pair_contraction(v)) < 1e-15
+        a, b = pair_coefficients(pair_table(v))
+        assert abs(a - 1j * v) < 1e-15 and b == 0
+        states.append(noisy_pair(v))
+    for rho in states:
+        a, b = pair_coefficients(full_correlation_table(rho, 2))
+        for phi, psi in rng.uniform(0, math.pi, size=(5, 2)):
+            got = (a * np.exp(-1j * (phi + psi))).real + (b * np.exp(-1j * (phi - psi))).real
+            assert abs(got - correlation(rho, [phi, psi])) < 1e-15
 
 
 def test_contraction_of_random_pairs_matches_dense_trace():
     # the noisy pair's table has XX = YY = 0; a random state's has all four
-    # correlators, so every term of the contraction is exercised
+    # correlators, so every term of the contraction t = -i a is exercised
     rng = np.random.default_rng(24)
     for _ in range(48):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        t = pair_contraction(full_correlation_table(rho, 2))
+        rho = _random_density_matrix(rng)
+        t = -1j * pair_coefficients(full_correlation_table(rho, 2))[0]
         for n_copies in (1, 2, 3):
             pair = mermin_operators(2 * n_copies)
             state = reduce(np.kron, [rho] * n_copies)
